@@ -14,8 +14,6 @@ from .core import (
     FrequencyPlan,
     NoiseModel,
     PhaseVector,
-    RangeValue,
-    frequencies_of,
     sigma_theta_from_snr_db,
     snr_db_from_sigma_theta,
     spacing_gcd,
@@ -56,7 +54,6 @@ from .analysis import (
     log_pdf_multi_via_pairs,
     log_pdf_single,
     mmse,
-    pdf_multi,
     pdf_pair,
     pdf_single,
     practical_umr,

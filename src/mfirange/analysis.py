@@ -240,11 +240,6 @@ def log_pdf_multi(plan: FrequencyPlan, q, q0: float, sigma_theta: float):
     return total
 
 
-def pdf_multi(plan: FrequencyPlan, q, q0: float, sigma_theta: float):
-    """Joint range density; computed in log space to survive large N."""
-    return np.exp(log_pdf_multi(plan, q, q0, sigma_theta))
-
-
 def log_pdf_multi_via_pairs(plan: FrequencyPlan, q, q0: float, sigma_theta: float):
     """Pair-product route to the same joint density.
 

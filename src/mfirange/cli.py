@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import re
 import sys
 from pathlib import Path
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, montecarlo
-from .core import C_EXACT, C_PAPER, FrequencyPlan, NoiseModel, sigma_theta_from_snr_db
+from .core import FrequencyPlan, sigma_theta_from_snr_db
 from .design import (
     DesignInfeasible,
     DesignParams,
@@ -39,11 +38,9 @@ from .design import (
     prime_window_select,
     towers_ideal_frequencies,
 )
-from .estimator import EstimatorConfig, ls_estimate, unwrap_ok
+from .estimator import EstimatorConfig, ls_estimate, ls_estimate_batch, unwrap_ok
 from .montecarlo import CampaignSpec, CampaignValidationError, CurveRow
-from .records import RecordFormatError, c_mode_name, read_record
-
-C_MODES = {"exact": C_EXACT, "paper-repro": C_PAPER}
+from .records import C_MODES, RecordFormatError, plan_from_header, plan_header, read_record
 
 DESIGN_METHODS = (
     "rips",
@@ -93,12 +90,9 @@ def parse_kv_file(path) -> dict[str, str]:
 
 
 def write_plan_file(path, plan: FrequencyPlan) -> None:
-    lines = [
-        "# mfirange frequency plan",
-        f"f1_hz = {plan.f1!r}",
-        f"resolution_hz = {plan.resolution!r}",
-        f"spacings_grid = {','.join(str(k) for k in plan.spacings)}",
-        f"c_mode = {c_mode_name(plan.c)}",
+    lines = ["# mfirange frequency plan"]
+    lines += [f"{key} = {value}" for key, value in plan_header(plan)]
+    lines += [
         "# derived values (informational)",
         f"# n = {plan.n}",
         f"# bandwidth_hz = {plan.bandwidth!r}",
@@ -109,19 +103,8 @@ def write_plan_file(path, plan: FrequencyPlan) -> None:
 
 
 def read_plan_file(path) -> FrequencyPlan:
-    fields = parse_kv_file(path)
-    missing = [k for k in ("f1_hz", "resolution_hz", "spacings_grid") if k not in fields]
-    if missing:
-        raise CliError("plan", f"{path}: missing keys {missing}")
-    c_text = fields.get("c_mode", "exact")
     try:
-        c = C_MODES[c_text] if c_text in C_MODES else float(c_text)
-        return FrequencyPlan(
-            f1=float(fields["f1_hz"]),
-            resolution=float(fields["resolution_hz"]),
-            spacings=tuple(int(s) for s in fields["spacings_grid"].split(",")),
-            c=c,
-        )
+        return plan_from_header(parse_kv_file(path))
     except ValueError as exc:
         raise CliError("plan", f"{path}: {exc}") from exc
 
@@ -150,11 +133,6 @@ def write_table(path, header: list[str], rows: list[list], fmt: str) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def curve_rows_table(rows: list[CurveRow]) -> tuple[list[str], list[list]]:
-    header = list(CurveRow.FIELDS)
-    return header, [[getattr(r, f) for f in header] for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +253,15 @@ def cmd_estimate(args) -> int:
     if args.phases is not None:
         plan = read_plan_file(args.plan)
         phases = np.array([float(x) for x in args.phases.split(",")])
-        est = ls_estimate(phases, plan, cfg)
-        print(f"q_hat_m = {est.q_hat!r}")
-        print(f"cost_at_min = {est.cost_at_min!r}")
-        return 0
-    record = read_record(args.record)
-    if args.experiment is None:
-        raise CliError("usage", "--experiment is required with --record")
-    match = [e for e in record.experiments if e.experiment_id == args.experiment]
-    if not match:
-        raise CliError("record", f"experiment {args.experiment!r} not found")
-    est = ls_estimate(match[0].phases, record.plan, cfg)
+    else:
+        record = read_record(args.record)
+        if args.experiment is None:
+            raise CliError("usage", "--experiment is required with --record")
+        match = [e for e in record.experiments if e.experiment_id == args.experiment]
+        if not match:
+            raise CliError("record", f"experiment {args.experiment!r} not found")
+        plan, phases = record.plan, match[0].phases
+    est = ls_estimate(phases, plan, cfg)
     print(f"q_hat_m = {est.q_hat!r}")
     print(f"cost_at_min = {est.cost_at_min!r}")
     return 0
@@ -428,24 +404,19 @@ def cmd_replay(args) -> int:
     cfg = EstimatorConfig(
         search_lo=args.lo, search_hi=args.hi, step=args.step, refine=args.refine
     )
-    rows = []
-    errors = []
-    for exp in record.experiments:
-        est = ls_estimate(exp.phases, plan, cfg)
-        err = None if exp.q0 is None else est.q_hat - exp.q0
-        ok = None if exp.q0 is None else unwrap_ok(est.q_hat, exp.q0, plan)
-        rows.append(
-            [
-                exp.experiment_id,
-                est.q_hat,
-                exp.q0,
-                err,
-                None if ok is None else int(ok),
-                est.cost_at_min,
-            ]
-        )
-        if err is not None:
-            errors.append(err)
+    exps = record.experiments
+    phases = np.array([e.phases for e in exps]).reshape(-1, plan.n)
+    q_hat, cost, _ = ls_estimate_batch(phases, plan, cfg, workers=1)
+    q0 = np.array([np.nan if e.q0 is None else e.q0 for e in exps])
+    known = ~np.isnan(q0)
+    err = q_hat - q0
+    ok = unwrap_ok(q_hat, q0, plan)
+    rows = [
+        [e.experiment_id, float(q_hat[t]), e.q0]
+        + ([float(err[t]), int(ok[t])] if known[t] else [None, None])
+        + [float(cost[t])]
+        for t, e in enumerate(exps)
+    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.record).stem
@@ -457,8 +428,8 @@ def cmd_replay(args) -> int:
         args.format,
     )
     print(f"wrote {path}")
-    if errors:
-        arr = np.asarray(errors)
+    arr = err[known]
+    if arr.size:
         counts, edges = np.histogram(arr, bins=20)
         summary = [["mse_m2", float(np.mean(arr**2))], ["experiments", arr.size]]
         hist = [

@@ -132,11 +132,6 @@ class FrequencyPlan:
         return self.c / float(self._frequencies[-1])
 
 
-def frequencies_of(plan: FrequencyPlan) -> np.ndarray:
-    """Measurement frequencies f_i = f1 + resolution * sum(spacings[:i])."""
-    return plan.frequencies.copy()
-
-
 def spacing_gcd(plan: FrequencyPlan) -> int:
     """GCD of the integer spacings, in grid units.
 
@@ -169,17 +164,6 @@ class PhaseVector:
 
     def as_array(self) -> np.ndarray:
         return self.phases
-
-
-@dataclass(frozen=True)
-class RangeValue:
-    """A signed range (path-length combination) in meters."""
-
-    q: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.q):
-            raise ValueError("range must be finite")
 
 
 @dataclass(frozen=True)

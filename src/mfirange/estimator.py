@@ -46,9 +46,13 @@ class EstimatorConfig:
         if self.search_hi - self.search_lo < self.step:
             raise ValueError("search interval is narrower than one grid step")
 
+    @property
+    def size(self) -> int:
+        """Number of grid points."""
+        return int((self.search_hi - self.search_lo) / self.step + 1e-9) + 1
+
     def grid(self) -> np.ndarray:
-        n = int((self.search_hi - self.search_lo) / self.step + 1e-9) + 1
-        return self.search_lo + self.step * np.arange(n)
+        return self.search_lo + self.step * np.arange(self.size)
 
 
 @dataclass(frozen=True)
@@ -81,22 +85,21 @@ def ls_cost(phases, plan: FrequencyPlan, q) -> np.ndarray | float:
     """Sum of squared wrapped residuals sum_i wrap(phi_i - 2*pi*q*f_i/c)^2.
 
     Zero exactly at the true range for noise-free phases, and at every
-    UMR-multiple offset.  ``q`` may be a scalar or an array of ranges.
+    UMR-multiple offset.  ``phases`` is (..., N) and ``q`` broadcasts
+    against its leading axes; the last axis of the model is the plan's
+    frequencies.  This is the one wrapped-residual cost of the package:
+    the refine step of :func:`ls_estimate_batch` and the two-point
+    comparison of ``montecarlo.run_pumr_check`` call it, and the scan
+    kernel :func:`_scan_block` is checked against it.
     """
     ph = _phases_array(phases)
-    if ph.size != plan.n:
+    if ph.shape[-1:] != (plan.n,):
         raise ValueError("phase vector length must match the plan")
     qa = np.asarray(q, dtype=float)
-    model = (TWO_PI / plan.c) * np.multiply.outer(qa, plan.frequencies)
-    d = ph - model
+    d = ph - (TWO_PI / plan.c) * qa[..., None] * plan.frequencies
     _wrap_inplace(d)
-    np.square(d, out=d)
-    if ph.size > 1000:
-        # Compensated accumulation for very long plans.
-        out = np.apply_along_axis(math.fsum, -1, d)
-    else:
-        out = d.sum(axis=-1)
-    if qa.ndim == 0:
+    out = np.square(d, out=d).sum(axis=-1)
+    if out.ndim == 0:
         return float(out)
     return out
 
@@ -134,7 +137,9 @@ def _scan_block(
     Inner kernel: with both the observed phases and the per-chunk model
     phases pre-wrapped to (-pi, pi], the residual lies in (-2*pi, 2*pi)
     and its wrapped square is min(|d|, 2*pi - |d|)^2, which avoids a
-    rounding pass per element.
+    rounding pass per element.  This is the (trials x grid) hot loop, so
+    it stays a separate kernel rather than a call to :func:`ls_cost`; the
+    tests use :func:`ls_cost` as its reference.
     """
     t = phases.shape[0]
     n_pts = grid.size
@@ -213,23 +218,15 @@ def ls_estimate_batch(
         if np.any(interior):
             rows = np.nonzero(interior)[0]
             q3 = grid[best_idx[rows, None] + np.array([-1, 0, 1])]
-            model = (TWO_PI / plan.c) * q3[:, :, None] * plan.frequencies[None, None, :]
-            d = phases[rows, None, :] - model
-            _wrap_inplace(d)
-            c3 = np.square(d, out=d).sum(axis=2)
+            c3 = ls_cost(phases[rows, None, :], plan, q3)
             denom = c3[:, 0] - 2.0 * c3[:, 1] + c3[:, 2]
             ok = denom > 0
             delta = np.zeros(rows.size)
             delta[ok] = 0.5 * (c3[ok, 0] - c3[ok, 2]) / denom[ok] * cfg.step
             np.clip(delta, -cfg.step / 2.0, cfg.step / 2.0, out=delta)
             q_ref = q_hat[rows] + delta
-            model = (TWO_PI / plan.c) * q_ref[:, None] * plan.frequencies[None, :]
-            d = phases[rows] - model
-            _wrap_inplace(d)
-            q_hat = q_hat.copy()
-            cost = cost.copy()
             q_hat[rows] = q_ref
-            cost[rows] = np.square(d, out=d).sum(axis=1)
+            cost[rows] = ls_cost(phases[rows], plan, q_ref)
     return q_hat, cost, best_idx
 
 
@@ -243,7 +240,7 @@ def ls_estimate(phases, plan: FrequencyPlan, cfg: EstimatorConfig) -> Estimate:
     if ph.size != plan.n:
         raise ValueError("phase vector length must match the plan")
     q_hat, cost, idx = ls_estimate_batch(ph[None, :], plan, cfg, workers=1)
-    refined = bool(cfg.refine and 0 < idx[0] < cfg.grid().size - 1)
+    refined = bool(cfg.refine and 0 < idx[0] < cfg.size - 1)
     return Estimate(
         q_hat=float(q_hat[0]), cost_at_min=float(cost[0]), grid_index=int(idx[0]), refined=refined
     )

@@ -19,8 +19,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import analysis
-from .core import FrequencyPlan, NoiseModel, synth_phases
-from .estimator import EstimatorConfig, ls_estimate_batch, unwrap_ok
+from .core import FrequencyPlan, NoiseModel, sigma_theta_from_snr_db, synth_phases
+from .estimator import EstimatorConfig, ls_cost, ls_estimate_batch, unwrap_ok
 
 _MASK64 = (1 << 64) - 1
 
@@ -70,7 +70,6 @@ class CampaignSpec:
     seed: int
     estimator: EstimatorConfig
     noise_kind: str = "phase-gaussian"
-    outputs: tuple[str, ...] = ("mse",)
 
     @classmethod
     def build(
@@ -82,7 +81,6 @@ class CampaignSpec:
         seed: int,
         estimator: EstimatorConfig,
         noise_kind: str = "phase-gaussian",
-        outputs: Sequence[str] = ("mse",),
     ) -> "CampaignSpec":
         pairs = tuple(plans.items()) if isinstance(plans, Mapping) else tuple(plans)
         spec = cls(
@@ -93,7 +91,6 @@ class CampaignSpec:
             seed=int(seed),
             estimator=estimator,
             noise_kind=noise_kind,
-            outputs=tuple(outputs),
         )
         spec.validate()
         return spec
@@ -116,10 +113,6 @@ class CampaignSpec:
             problems.append("trials must be >= 1")
         if "noise_kind" in fields and fields["noise_kind"] not in ("phase-gaussian", "complex-awgn"):
             problems.append("noise_kind must be phase-gaussian or complex-awgn")
-        known = {"mse", "pf", "pa", "histogram"}
-        bad = [o for o in fields.get("outputs", ()) if o not in known]
-        if bad:
-            problems.append(f"unknown outputs {bad}; known: {sorted(known)}")
         return problems
 
     def validate(self) -> None:
@@ -128,7 +121,6 @@ class CampaignSpec:
             snr_grid=self.snr_grid,
             trials=self.trials,
             noise_kind=self.noise_kind,
-            outputs=self.outputs,
         )
         if problems:
             raise CampaignValidationError(problems)
@@ -156,8 +148,6 @@ class CurveRow:
 
 
 def _theory(plan: FrequencyPlan, snr_db: float) -> tuple[float, float, float]:
-    from .core import sigma_theta_from_snr_db
-
     sigma = sigma_theta_from_snr_db(snr_db)
     return (
         analysis.mmse(plan, sigma),
@@ -345,17 +335,8 @@ def run_pumr_check(
     phases = synth_trial_matrix(
         plan, q0, NoiseModel(kind=noise_kind, snr_db=snr_db), seed, label, 0, trials
     )
-    # Vectorized two-point cost comparison.
-    from .core import TWO_PI
-
-    coef = (TWO_PI / plan.c) * plan.frequencies
-    d0 = phases - coef * q0
-    d1 = phases - coef * (q0 + dl_p)
-    for d in (d0, d1):
-        k = np.rint(d / TWO_PI)
-        d -= TWO_PI * k
-    s0 = np.square(d0).sum(axis=1)
-    s1 = np.square(d1).sum(axis=1)
+    s0 = ls_cost(phases, plan, q0)
+    s1 = ls_cost(phases, plan, q0 + dl_p)
     rate = float((s1 < s0).mean())
     far_rate = None
     if window is not None:

@@ -1,11 +1,19 @@
-"""Recorded phase file format.
+"""Recorded phase file format, and the plan-header codec it shares with
+plan files.
 
-A phase record is a UTF-8 CSV: a '#'-prefixed header block that pins the
-frequency plan (f1, resolution, grid spacings, c mode), followed by data
-rows ``experiment_id,freq_hz,phase_rad[,q0_m]``.  Every experiment id
-must cover all N plan frequencies exactly once; phases are wrapped to
-(-pi, pi].  Ground-truth q0 per experiment is optional but must be
-consistent across its rows when present.
+A frequency plan is pinned by four header keys: ``f1_hz``,
+``resolution_hz``, ``spacings_grid`` (comma-separated integer spacings in
+grid units) and ``c_mode`` (``exact``, ``paper-repro`` or a speed in m/s;
+``exact`` when absent).  :func:`plan_header` and :func:`plan_from_header`
+map a plan to and from these pairs; plan files (``key = value`` lines,
+see the CLI) and phase records each keep their own line syntax around
+them.
+
+A phase record is a UTF-8 CSV: a '#'-prefixed header block with the plan
+keys, followed by data rows ``experiment_id,freq_hz,phase_rad[,q0_m]``.
+Every experiment id must cover all N plan frequencies exactly once;
+phases are wrapped to (-pi, pi].  Ground-truth q0 per experiment is
+optional but must be consistent across its rows when present.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,13 +41,33 @@ def c_mode_name(c: float) -> str:
     return repr(c)
 
 
-def _c_from_mode(text: str) -> float:
-    if text in C_MODES:
-        return C_MODES[text]
+def plan_header(plan: FrequencyPlan) -> list[tuple[str, str]]:
+    """The (key, value) header pairs that pin ``plan``."""
+    return [
+        ("f1_hz", repr(plan.f1)),
+        ("resolution_hz", repr(plan.resolution)),
+        ("spacings_grid", ",".join(str(k) for k in plan.spacings)),
+        ("c_mode", c_mode_name(plan.c)),
+    ]
+
+
+def plan_from_header(fields: Mapping[str, str]) -> FrequencyPlan:
+    """The plan that parsed header fields pin; raises ValueError naming the
+    missing keys or the bad value."""
+    missing = [k for k in ("f1_hz", "resolution_hz", "spacings_grid") if k not in fields]
+    if missing:
+        raise ValueError(f"missing keys {missing}")
+    c_text = fields.get("c_mode", "exact")
     try:
-        return float(text)
+        c = C_MODES[c_text] if c_text in C_MODES else float(c_text)
     except ValueError:
-        raise RecordFormatError(f"unknown c_mode {text!r}") from None
+        raise ValueError(f"unknown c_mode {c_text!r}") from None
+    return FrequencyPlan(
+        f1=float(fields["f1_hz"]),
+        resolution=float(fields["resolution_hz"]),
+        spacings=tuple(int(s) for s in fields["spacings_grid"].split(",")),
+        c=c,
+    )
 
 
 @dataclass(frozen=True)
@@ -62,10 +90,8 @@ def write_record(path, plan: FrequencyPlan, experiments: Sequence[Experiment]) -
     freqs = plan.frequencies
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# mfirange phase record\n")
-        fh.write(f"# f1_hz = {plan.f1!r}\n")
-        fh.write(f"# resolution_hz = {plan.resolution!r}\n")
-        fh.write(f"# spacings_grid = {','.join(str(k) for k in plan.spacings)}\n")
-        fh.write(f"# c_mode = {c_mode_name(plan.c)}\n")
+        for key, value in plan_header(plan):
+            fh.write(f"# {key} = {value}\n")
         fh.write("# columns: experiment_id,freq_hz,phase_rad[,q0_m]\n")
         writer = csv.writer(fh)
         for exp in experiments:
@@ -86,17 +112,8 @@ def _parse_header(lines: list[str]) -> FrequencyPlan:
         if "=" in body:
             key, _, value = body.partition("=")
             fields[key.strip()] = value.strip()
-    missing = [k for k in ("f1_hz", "resolution_hz", "spacings_grid") if k not in fields]
-    if missing:
-        raise RecordFormatError(f"record header is missing {missing}")
     try:
-        spacings = tuple(int(s) for s in fields["spacings_grid"].split(","))
-        return FrequencyPlan(
-            f1=float(fields["f1_hz"]),
-            resolution=float(fields["resolution_hz"]),
-            spacings=spacings,
-            c=_c_from_mode(fields.get("c_mode", "exact")),
-        )
+        return plan_from_header(fields)
     except ValueError as exc:
         raise RecordFormatError(f"bad plan header: {exc}") from exc
 

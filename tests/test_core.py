@@ -9,8 +9,6 @@ from mfirange import (
     FrequencyPlan,
     NoiseModel,
     PhaseVector,
-    RangeValue,
-    frequencies_of,
     sigma_theta_from_snr_db,
     snr_db_from_sigma_theta,
     spacing_gcd,
@@ -68,7 +66,7 @@ class TestWrapPhase:
 class TestFrequencyPlan:
     def test_direct_summation(self):
         plan = FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1, 1))
-        assert np.array_equal(frequencies_of(plan), [400e6, 401e6, 402e6])
+        assert np.array_equal(plan.frequencies, [400e6, 401e6, 402e6])
 
     def test_first_forty_prime_spacings_bandwidth(self):
         from mfirange import first_primes
@@ -127,11 +125,6 @@ class TestNoiseModel:
         assert NoiseModel.phase_gaussian(snr_db=10.0).sigma == pytest.approx(
             math.sqrt(0.05)
         )
-
-    def test_range_value(self):
-        assert RangeValue(q=-3.5).q == -3.5
-        with pytest.raises(ValueError):
-            RangeValue(q=math.inf)
 
 
 class TestSynthPhases:

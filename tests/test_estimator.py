@@ -58,6 +58,15 @@ class TestLsCost:
         with pytest.raises(ValueError):
             ls_cost(np.zeros(5), plan21, 0.0)
 
+    def test_block_with_per_row_q_equals_row_calls(self, plan21):
+        phases = synth_trial_matrix(
+            plan21, 0.3, NoiseModel.phase_gaussian(snr_db=8.0), 5, "block", 0, 6
+        )
+        q = np.linspace(-1.0, 2.0, 6)
+        block = ls_cost(phases, plan21, q)
+        assert block.shape == (6,)
+        assert block.tolist() == [ls_cost(phases[t], plan21, q[t]) for t in range(6)]
+
 
 class TestCoherenceCost:
     def test_coherent_at_truth(self, plan21):
@@ -152,6 +161,17 @@ class TestBatch:
             assert est.q_hat == q[t]
             assert est.cost_at_min == pytest.approx(cost[t], rel=1e-12)
             assert est.grid_index == idx[t]
+
+    def test_refined_cost_is_ls_cost_at_refined_range(self, plan21):
+        cfg = EstimatorConfig(-2.0, 2.0, 0.01, refine=True)
+        phases = synth_trial_matrix(
+            plan21, 0.1237, NoiseModel.phase_gaussian(snr_db=15.0), 9, "refine", 0, 20
+        )
+        q, cost, idx = ls_estimate_batch(phases, plan21, cfg)
+        interior = (idx > 0) & (idx < cfg.size - 1)
+        assert interior.all()
+        for t in range(20):
+            assert cost[t] == ls_cost(phases[t], plan21, q[t])
 
     def test_worker_count_does_not_change_results(self, plan21):
         cfg = EstimatorConfig(-150.0, 150.0, 0.05)

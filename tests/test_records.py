@@ -14,6 +14,7 @@ from mfirange import (
     synth_phases,
     write_record,
 )
+from mfirange.cli import CliError, read_plan_file, write_plan_file
 from mfirange.records import Experiment
 
 TWO_PI = 2 * math.pi
@@ -122,3 +123,27 @@ class TestBiasReplay:
         q_biased = ls_estimate(rec.experiments[1].phases, rec.plan, cfg).q_hat
         assert q_clean == pytest.approx(q0, abs=1e-9)
         assert q_biased - q_clean == pytest.approx(delta, abs=1e-9)
+
+
+class TestPlanHeaderCodec:
+    """Plan files and phase records share one header codec; each keeps its
+    own line syntax and error type."""
+
+    @pytest.mark.parametrize("c", [C_PAPER, 2.5e8])
+    def test_round_trip_through_both_formats(self, tmp_path, c):
+        plan = FrequencyPlan(f1=400.1e6, resolution=65.0, spacings=(3, 1, 4), c=c)
+        write_plan_file(tmp_path / "p.plan", plan)
+        assert read_plan_file(tmp_path / "p.plan") == plan
+        pv = synth_phases(plan, 2.0, NoiseModel.none())
+        path = make_record(tmp_path, plan, [Experiment("e", pv.as_array(), 2.0)])
+        assert read_record(path).plan == plan
+
+    def test_missing_spacings_refused_by_both(self, tmp_path):
+        keys = ["f1_hz = 400000000.0", "resolution_hz = 1000000.0", "c_mode = exact"]
+        (tmp_path / "p.plan").write_text("\n".join(keys) + "\n")
+        with pytest.raises(CliError, match="spacings_grid") as info:
+            read_plan_file(tmp_path / "p.plan")
+        assert info.value.code == "plan"
+        (tmp_path / "r.csv").write_text("".join(f"# {k}\n" for k in keys) + "e,4e8,0.0\n")
+        with pytest.raises(RecordFormatError, match="spacings_grid"):
+            read_record(tmp_path / "r.csv")

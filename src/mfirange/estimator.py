@@ -1,11 +1,29 @@
 """Least-squares grid-search range estimator.
 
-The estimator minimizes the sum of squared wrapped phase residuals over a
-regular range grid; a normalized coherent-sum surrogate of the same cost
-is provided for cross-checks.  The batch path evaluates many phase
-vectors against one grid with chunked numpy kernels and an optional
-thread pool (trial-partitioned, so results are identical at any worker
-count).
+The estimator minimizes the sum of squared wrapped phase residuals
+LS(q) = sum_i wrap(phi_i - c_i*q)^2, c_i = 2*pi*f_i/c, over a regular
+range grid, and returns the lowest grid index among the cells of least
+cost.  A normalized coherent-sum surrogate of the same cost is provided
+for cross-checks.
+
+The grid search is an exact branch and bound (B&B).  The grid is split
+into blocks of ``max(1, floor(lambda_min / (3*step)))`` consecutive
+cells, so no block spans more than lambda_min/3.  For a block with
+centre q_c and half-width h, every cell q in it has
+
+    LS(q) >= LB = sum_i max(0, |wrap(phi_i - c_i*q_c)| - c_i*h)^2,
+
+because |wrap(x)| is the distance from x to 2*pi*Z, a 1-Lipschitz
+function, and c_i*q moves by at most c_i*h across the block.  Each
+trial visits its blocks in increasing LB, 1, 2, 4, ... blocks a round,
+and stops at the first block whose LB - 1e-9*max(LB, 1) is above the
+best cost found so far.  Visited
+cells are costed with the full scan's per-cell arithmetic and ties go to
+the lower grid index, so the answers equal a full scan's bit for bit;
+:func:`_scan_block` is that full scan, kept as the test reference.  The
+batch path chunks every temporary to about 32 MB and can spread trials
+over a thread pool (trial-partitioned, so results are identical at any
+worker count).
 """
 
 from __future__ import annotations
@@ -132,19 +150,20 @@ def _default_workers() -> int:
 def _scan_block(
     phases: np.ndarray, coef: np.ndarray, grid: np.ndarray, best_val: np.ndarray, best_idx: np.ndarray
 ) -> None:
-    """Fill per-trial (min cost, lowest argmin index) for one trial block.
+    """Fill per-trial (min cost, lowest argmin index) by a full grid scan.
 
-    Inner kernel: with both the observed phases and the per-chunk model
-    phases pre-wrapped to (-pi, pi], the residual lies in (-2*pi, 2*pi)
-    and its wrapped square is min(|d|, 2*pi - |d|)^2, which avoids a
-    rounding pass per element.  This is the (trials x grid) hot loop, so
-    it stays a separate kernel rather than a call to :func:`ls_cost`; the
-    tests use :func:`ls_cost` as its reference.
+    The reference for the branch and bound of :func:`ls_estimate_batch`:
+    the tests check that the B&B returns this scan's (cost, index) bit for
+    bit, and check this scan against :func:`ls_cost`.  With both the
+    observed phases and the per-chunk model phases pre-wrapped to
+    (-pi, pi], the residual lies in (-2*pi, 2*pi) and its wrapped square
+    is min(|d|, 2*pi - |d|)^2, which avoids a rounding pass per element;
+    :func:`_cell_costs` repeats this arithmetic on the cells B&B visits.
     """
     t = phases.shape[0]
     n_pts = grid.size
     chunk = max(16, min(n_pts, _TARGET_ELEMS // max(1, t)))
-    wrapped = np.asarray(phases)  # already in (-pi, pi] by PhaseVector contract
+    wrapped = np.asarray(phases)  # in (-pi, pi]: ls_estimate_batch wraps on entry
     d = np.empty((t, chunk))
     tmp = np.empty((t, chunk))
     for start in range(0, n_pts, chunk):
@@ -169,21 +188,169 @@ def _scan_block(
         best_idx[better] = idx[better] + start
 
 
+# A block is pruned only when LB - _PRUNE_RTOL * max(LB, 1) > best cost.
+_PRUNE_RTOL = 1e-9
+
+
+def _block_width(plan: FrequencyPlan, step: float) -> int:
+    """Cells per B&B block: the widest block spans at most lambda_min/3."""
+    return max(1, int(plan.lambda_min / (3.0 * step)))
+
+
+def _blocks(coef, grid, width) -> tuple[np.ndarray, np.ndarray]:
+    """Wrapped centre model c_i*q_c and shrink c_i*h of each block, (N, blocks).
+
+    The shrink carries a few ulps of the largest model phase, so rounding
+    in the cell costs cannot put a cell below its block's bound.
+    """
+    starts = np.arange(0, grid.size, width)
+    ends = np.minimum(starts + width, grid.size) - 1
+    centre_model = _wrap_inplace(coef[:, None] * (0.5 * (grid[starts] + grid[ends])))
+    reach = np.abs(coef).max() * max(abs(grid[0]), abs(grid[-1])) + TWO_PI
+    shrink = coef[:, None] * (0.5 * (grid[ends] - grid[starts])) + 8.0 * np.spacing(reach)
+    return centre_model, shrink
+
+
+def _lower_bounds(phases, centre_model, shrink) -> np.ndarray:
+    """(trials x blocks) LB = sum_i max(0, |wrap(phi_i - c_i*q_c)| - c_i*h)^2.
+
+    A term is 0 where c_i*h >= pi: the block then covers a whole carrier
+    cycle of frequency i.
+    """
+    lb = np.zeros((phases.shape[0], centre_model.shape[1]))
+    d = np.empty_like(lb)
+    tmp = np.empty_like(lb)
+    for i in range(centre_model.shape[0]):
+        # min(|d|, 2*pi - |d|) is the residual's distance to 2*pi*Z.
+        np.subtract(phases[:, i : i + 1], centre_model[i], out=d)
+        np.abs(d, out=d)
+        np.subtract(TWO_PI - shrink[i], d, out=tmp)
+        d -= shrink[i]
+        np.minimum(d, tmp, out=d)
+        np.maximum(d, 0.0, out=d)
+        np.multiply(d, d, out=d)
+        lb += d
+    return lb
+
+
+def _cell_costs(phases, model, rows, blocks) -> np.ndarray:
+    """(pairs x width) costs of block ``blocks[p]`` for trial ``rows[p]``.
+
+    ``model`` is the wrapped model of each block's cells, (N, blocks,
+    width); the per-cell arithmetic and the plan-order sum are those of
+    :func:`_scan_block`, so every cost equals the full scan's bit for bit.
+    """
+    acc = np.zeros((rows.size, model.shape[2]))
+    d = np.empty_like(acc)
+    tmp = np.empty_like(acc)
+    for i in range(model.shape[0]):
+        np.take(model[i], blocks, axis=0, out=d, mode="clip")
+        np.subtract(phases[rows, i : i + 1], d, out=d)
+        np.abs(d, out=d)
+        np.subtract(TWO_PI, d, out=tmp)
+        np.minimum(d, tmp, out=d)
+        np.multiply(d, d, out=d)
+        acc += d
+    return acc
+
+
+def _visit(phases, coef, grid, width, rows, blocks, best_val, best_idx) -> None:
+    """Cost the (trial, block) pairs and keep each trial's lowest-index minimum."""
+    n_pts = grid.size
+    span = np.arange(width)
+    per_chunk = max(1, _TARGET_ELEMS // (width * coef.size))
+    for a in range(0, rows.size, per_chunk):
+        r, b = rows[a : a + per_chunk], blocks[a : a + per_chunk]
+        uniq, inv = np.unique(b, return_inverse=True)
+        # A short last block repeats the last cell, which changes no argmin.
+        cells = np.minimum(uniq[:, None] * width + span, n_pts - 1)
+        model = _wrap_inplace(coef[:, None, None] * grid[cells])
+        acc = _cell_costs(phases, model, r, inv)
+        j = np.argmin(acc, axis=1)
+        val = acc[np.arange(r.size), j]
+        idx = cells[inv, j]
+        order = np.lexsort((idx, val, r))  # per trial: least cost, then index
+        first = order[np.r_[True, r[order[1:]] != r[order[:-1]]]]
+        r, val, idx = r[first], val[first], idx[first]
+        better = (val < best_val[r]) | ((val == best_val[r]) & (idx < best_idx[r]))
+        best_val[r[better]] = val[better]
+        best_idx[r[better]] = idx[better]
+
+
+def _bnb_scan(phases, coef, grid, width, centre_model, shrink, best_val, best_idx) -> None:
+    """Fill per-trial (min cost, lowest argmin index) by branch and bound.
+
+    Each trial first visits its lowest-bound block.  Its other blocks whose
+    slackened bound is not above that cost are the candidates; they are
+    visited in increasing bound, the next 1, 2, 4, ... per round, and a
+    trial closes at its first candidate whose bound is above its best
+    cost.  Trials are chunked so (trials x blocks) arrays stay within the
+    chunk size.
+    """
+    n_blk = centre_model.shape[1]
+    per_chunk = max(1, _TARGET_ELEMS // n_blk)
+    for a in range(0, phases.shape[0], per_chunk):
+        ph = phases[a : a + per_chunk]
+        t = ph.shape[0]
+        val, idx = best_val[a : a + t], best_idx[a : a + t]
+        lb = _lower_bounds(ph, centre_model, shrink)
+        lb -= _PRUNE_RTOL * np.maximum(lb, 1.0)
+        trials = np.arange(t)
+        first = np.argmin(lb, axis=1)
+        _visit(ph, coef, grid, width, trials, first, val, idx)
+        lb[trials, first] = np.inf
+        rows, blocks = np.nonzero(lb <= val[:, None])
+        bound = lb[rows, blocks]
+        del lb
+        order = np.lexsort((bound, rows))
+        rows, blocks, bound = rows[order], blocks[order], bound[order]
+        start = np.searchsorted(rows, trials)
+        count = np.bincount(rows, minlength=t)
+        pos = np.zeros(t, dtype=np.int64)
+        take = 1
+        while True:
+            live = np.nonzero(pos < count)[0]
+            live = live[bound[start[live] + pos[live]] <= val[live]]
+            if live.size == 0:
+                break
+            ahead = pos[live, None] + np.arange(take)
+            keep = ahead < count[live, None]
+            nxt = np.where(keep, start[live, None] + ahead, 0)
+            # Each trial's bounds are sorted, so the kept ones are a prefix.
+            keep &= bound[nxt] <= val[live, None]
+            pos[live] += keep.sum(axis=1)
+            nxt = nxt[keep]
+            _visit(ph, coef, grid, width, rows[nxt], blocks[nxt], val, idx)
+            take = min(2 * take, n_blk)  # (trials x take) stays within the chunk
+
+
 def ls_estimate_batch(
     phases: np.ndarray, plan: FrequencyPlan, cfg: EstimatorConfig, workers: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grid-search estimates for a (trials x N) block of phase vectors.
 
-    Returns (q_hat, cost_at_min, grid_index) arrays.  Ties break toward
-    the smallest range.  With ``refine`` set, a 3-point parabolic fit
-    around each interior grid minimum sharpens q_hat below the grid step;
-    the reported cost is re-evaluated at the refined point.  Worker count
+    Returns (q_hat, cost_at_min, grid_index) arrays.  Phases are wrapped
+    to (-pi, pi] on entry (values already there keep their bits) and must
+    be finite.  The search is the exact branch and bound of the module
+    docstring: blocks of max(1, floor(lambda_min / (3*step))) cells,
+    bounded below by LB = sum_i max(0, |wrap(phi_i - c_i*q_c)| - c_i*h)^2
+    (|wrap| is 1-Lipschitz and c_i*q moves by at most c_i*h in the block),
+    visited in increasing LB until LB - 1e-9*max(LB, 1) exceeds the best
+    cost.  c_i*h carries a few ulps of the largest model phase so rounding
+    cannot lift LB above a cell's computed cost.  The result equals a full
+    scan's bit for bit, and ties break toward the smallest range (lowest
+    grid index).  With ``refine`` set, a 3-point parabolic fit around
+    each interior grid minimum sharpens q_hat below the grid step; the
+    reported cost is re-evaluated at the refined point.  Worker count
     defaults to the MFIRANGE_WORKERS environment variable; partitioning is
     by trial, so results do not depend on it.
     """
-    phases = np.asarray(phases, dtype=float)
+    phases = np.array(phases, dtype=float)
     if phases.ndim != 2 or phases.shape[1] != plan.n:
         raise ValueError("phases must be (trials, N) matching the plan")
+    if not np.all(np.isfinite(phases)):
+        raise ValueError("phases must be finite")
+    _wrap_inplace(phases)
     if cfg.step > plan.lambda_min / 4.0:
         warnings.warn(
             "grid step exceeds lambda_min/4; carrier-period minima may be missed",
@@ -191,25 +358,25 @@ def ls_estimate_batch(
         )
     grid = cfg.grid()
     coef = (TWO_PI / plan.c) * plan.frequencies
+    width = _block_width(plan, cfg.step)
     t = phases.shape[0]
     best_val = np.full(t, np.inf)
     best_idx = np.zeros(t, dtype=np.int64)
     if workers is None:
         workers = _default_workers()
+    args = (coef, grid, width, *_blocks(coef, grid, width))
     if workers > 1 and t > 1:
         bounds = np.linspace(0, t, workers + 1, dtype=int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(
-                    _scan_block, phases[a:b], coef, grid, best_val[a:b], best_idx[a:b]
-                )
+                pool.submit(_bnb_scan, phases[a:b], *args, best_val[a:b], best_idx[a:b])
                 for a, b in zip(bounds[:-1], bounds[1:])
                 if b > a
             ]
             for f in futures:
                 f.result()
     else:
-        _scan_block(phases, coef, grid, best_val, best_idx)
+        _bnb_scan(phases, *args, best_val, best_idx)
 
     q_hat = grid[best_idx]
     cost = best_val

@@ -300,11 +300,19 @@ def run_ambiguity_sweep(
     )
 
 
+# Relative tolerance under which the two PUMR costs count as a tie.
+_TIE_RTOL = 1e-9
+
+
 @dataclass(frozen=True)
 class PumrCheck:
     """Empirical confusion at the practical-UMR dip versus the bound."""
 
-    confusion_rate: float  # fraction of trials with cost(dip) < cost(q0)
+    # Fraction of trials with cost(dip) < cost(q0); a trial whose two costs
+    # agree within 1e-9 * max(cost(q0), 1) is a tie and counts 1/2.  At
+    # zero grid offset the costs are equal in exact arithmetic, so every
+    # trial ties and the rate is 0.5 rather than a coin flip on rounding.
+    confusion_rate: float
     bound: float
     bound_valid: bool  # False outside f1/B >= 4 or SNR <= 0 dB
     f1_over_b: float
@@ -325,7 +333,8 @@ def run_pumr_check(
     """Compare the costs at q0 and at the practical-UMR dip across trials.
 
     The headline rate is P(cost at q0 + practical UMR < cost at q0), the
-    quantity the closed-form bound addresses.  When a window and step are
+    quantity the closed-form bound addresses, with ties within rounding
+    counted as 1/2 (see :class:`PumrCheck`).  When a window and step are
     supplied, a full grid search also reports the fraction of estimates
     landing within lambda_min of either +-dip, which is the observable
     failure rate of a wide search.
@@ -337,7 +346,8 @@ def run_pumr_check(
     )
     s0 = ls_cost(phases, plan, q0)
     s1 = ls_cost(phases, plan, q0 + dl_p)
-    rate = float((s1 < s0).mean())
+    tie = np.abs(s1 - s0) <= _TIE_RTOL * np.maximum(s0, 1.0)
+    rate = float(np.where(tie, 0.5, s1 < s0).mean())
     far_rate = None
     if window is not None:
         if step is None:

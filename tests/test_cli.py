@@ -224,6 +224,17 @@ class TestEstimateReplay:
         q_hat = float(out.splitlines()[0].split("=")[1])
         assert q_hat == pytest.approx(5.0, abs=1e-9)
 
+    def test_estimate_nan_phase_is_invalid_value(self, tmp_path, capsys):
+        from mfirange import FrequencyPlan
+
+        write_plan_file(tmp_path / "p.plan", FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1, 1)))
+        rc = run_cli(
+            "estimate", "--plan", tmp_path / "p.plan", "--phases", "0.1,nan,0.3",
+            "--lo", 0, "--hi", 10, "--step", 0.01,
+        )
+        assert rc != 0
+        assert capsys.readouterr().err.startswith("error: invalid-value:")
+
     def test_estimate_phases_without_value_is_usage_error(self, tmp_path, capsys):
         from mfirange import FrequencyPlan
 

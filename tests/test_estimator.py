@@ -1,14 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfirange import (
     C_PAPER,
+    DesignParams,
     EstimatorConfig,
     FrequencyPlan,
     NoiseModel,
     coherence_cost,
+    design_prime_max_error,
+    design_prime_min_error,
     design_rips,
     grid_offset,
     ls_cost,
@@ -21,8 +26,26 @@ from mfirange import (
     unwrap_ok,
     wrap_phase,
 )
+from mfirange import estimator
 
 TWO_PI = 2 * math.pi
+
+_PRIME = DesignParams(bandwidth=20e6, n=21, resolution=65.0)
+PLANS = {
+    "rips": design_rips(400e6, 20e6, 21, c=C_PAPER),
+    "prime-min": design_prime_min_error(_PRIME, 400e6, c=C_PAPER),
+    "prime-max": design_prime_max_error(_PRIME, 400e6, c=C_PAPER),
+    "narrowband": FrequencyPlan(f1=390.1e6, resolution=1e6, spacings=(1,) * 39, c=C_PAPER),
+}
+
+
+def full_scan(phases, plan, cfg):
+    """(cost, grid_index) of the full-scan reference kernel."""
+    coef = (TWO_PI / plan.c) * plan.frequencies
+    best_val = np.full(phases.shape[0], np.inf)
+    best_idx = np.zeros(phases.shape[0], dtype=np.int64)
+    estimator._scan_block(phases, coef, cfg.grid(), best_val, best_idx)
+    return best_val, best_idx
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +158,25 @@ class TestLsEstimate:
         with pytest.raises(ValueError):
             EstimatorConfig(0.0, 1.0, -0.1)
 
+    def test_phases_off_by_whole_turns(self, plan21):
+        # Noise-free phases rounded to multiples of 2^-49: phi + 4*pi is then
+        # exact, and wrapping it back returns phi bit for bit.
+        ph = synth_phases(plan21, 12.34, NoiseModel.none()).as_array()
+        ph = np.round(ph * 2.0**49) / 2.0**49
+        cfg = EstimatorConfig(-150.0, 150.0, 0.01)
+        est = ls_estimate(ph, plan21, cfg)
+        assert est.q_hat == pytest.approx(12.34, abs=1e-9)
+        assert ls_estimate(ph + 2 * TWO_PI, plan21, cfg) == est
+
+    def test_non_finite_phases_rejected(self, plan21):
+        ph = synth_phases(plan21, 1.0, NoiseModel.none()).as_array().copy()
+        ph[3] = np.nan
+        cfg = EstimatorConfig(-1.0, 1.0, 0.01)
+        with pytest.raises(ValueError):
+            ls_estimate(ph, plan21, cfg)
+        with pytest.raises(ValueError):
+            ls_estimate_batch(np.full((2, plan21.n), np.inf), plan21, cfg)
+
     def test_coarse_step_warns(self, plan21):
         pv = synth_phases(plan21, 0.0, NoiseModel.none())
         with pytest.warns(UserWarning):
@@ -199,3 +241,121 @@ class TestUnwrapOk:
         got = unwrap_ok(q_hat, 5.0, plan21)
         assert got.tolist() == [unwrap_ok(float(q), 5.0, plan21) for q in q_hat]
         assert got.tolist() == [True, True, True, False, False]
+
+
+class TestBranchAndBound:
+    @given(
+        label=st.sampled_from(sorted(PLANS)),
+        snr_db=st.one_of(st.none(), st.floats(-35.0, 40.0)),
+        # lambda_min / step: block widths 1 (step above lambda_min/3), 2, 8, 23
+        cells_per_lambda=st.sampled_from([2.9, 7.0, 25.0, 70.0]),
+        n_pts=st.one_of(st.integers(2, 30), st.integers(31, 3000)),
+        lo=st.floats(-200.0, 200.0),
+        q0_frac=st.floats(-0.1, 1.1),
+        trials=st.integers(1, 40),
+        workers=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_matches_full_scan(
+        self, label, snr_db, cells_per_lambda, n_pts, lo, q0_frac, trials, workers, seed
+    ):
+        plan = PLANS[label]
+        step = plan.lambda_min / cells_per_lambda
+        cfg = EstimatorConfig(lo, lo + (n_pts - 0.5) * step, step)
+        assert cfg.size == n_pts
+        noise = NoiseModel.none() if snr_db is None else NoiseModel.phase_gaussian(snr_db=snr_db)
+        q0 = lo + q0_frac * (n_pts - 1) * step
+        phases = synth_trial_matrix(plan, q0, noise, seed, "bnb", 0, trials)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # steps above lambda_min/4 warn
+            _, cost, idx = ls_estimate_batch(phases, plan, cfg, workers=workers)
+        ref_cost, ref_idx = full_scan(phases, plan, cfg)
+        assert np.array_equal(cost, ref_cost)
+        assert np.array_equal(idx, ref_idx)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_noise_free_ambiguity_matches_full_scan(self, workers):
+        plan = PLANS["rips"]
+        cfg = EstimatorConfig(-20.0, 330.0, 0.01)  # holds 12.34 and 12.34 + UMR
+        phases = synth_trial_matrix(plan, 12.34, NoiseModel.none(), 1, "amb", 0, 3)
+        q, cost, idx = ls_estimate_batch(phases, plan, cfg, workers=workers)
+        ref_cost, ref_idx = full_scan(phases, plan, cfg)
+        assert np.array_equal(cost, ref_cost)
+        assert np.array_equal(idx, ref_idx)
+        assert np.allclose(q, 12.34, atol=1e-9)
+        assert ls_cost(phases[0], plan, 12.34 + umr(plan)) <= 1e-12
+
+    # Zero phases on a dyadic grid: the model c_i*q and its wrap are odd in
+    # q bit for bit, so cost(-q) == cost(q) exactly and the cells at
+    # -step/2 and +step/2 tie as the minimum.  ``window(w)`` gives the
+    # window's ends in steps for block width w.
+    TIE_STEP = 2.0**-7
+
+    def tie_window(self, plan, window):
+        w = estimator._block_width(plan, self.TIE_STEP)
+        lo, hi = window(w)
+        return w, EstimatorConfig(lo * self.TIE_STEP, hi * self.TIE_STEP, self.TIE_STEP)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "window, layout",
+        [
+            (lambda w: (-4 * w - 0.5, 4 * w + 0.5), "one block"),
+            (lambda w: (-4 * w + 0.5, 4 * w - 0.5), "two blocks, equal bounds"),
+            # The +step/2 cell opens a 3-cell last block, whose bound is
+            # lower, so B&B visits it before the -step/2 cell's block.
+            (lambda w: (-4 * w + 0.5, 2.5), "short last block first"),
+        ],
+    )
+    def test_exact_tie_goes_to_lower_index(self, workers, window, layout):
+        plan = PLANS["rips"]
+        zeros = np.zeros(plan.n)
+        assert ls_cost(zeros, plan, -self.TIE_STEP / 2) == ls_cost(zeros, plan, self.TIE_STEP / 2)
+        width, cfg = self.tie_window(plan, window)
+        low = int(np.nonzero(cfg.grid() == -self.TIE_STEP / 2)[0][0])
+        assert (low // width == (low + 1) // width) == (layout == "one block")
+        phases = np.zeros((3, plan.n))
+        _, cost, idx = ls_estimate_batch(phases, plan, cfg, workers=workers)
+        ref_cost, ref_idx = full_scan(phases, plan, cfg)
+        assert np.array_equal(cost, ref_cost)
+        assert idx.tolist() == ref_idx.tolist() == [low] * 3
+
+    # Blocks 3 and 4 hold the -step/2 and +step/2 cells: visited in one
+    # call (either order) or the higher block first, then the lower one.
+    @pytest.mark.parametrize("calls", [[[3, 4]], [[4, 3]], [[4], [3]]])
+    def test_visits_keep_lower_index_of_a_tie(self, calls):
+        plan = PLANS["rips"]
+        width, cfg = self.tie_window(plan, lambda w: (-4 * w + 0.5, 4 * w - 0.5))
+        coef = (TWO_PI / plan.c) * plan.frequencies
+        val, idx = np.full(1, np.inf), np.zeros(1, dtype=np.int64)
+        for blocks in calls:
+            rows = np.zeros(len(blocks), dtype=np.int64)
+            estimator._visit(
+                np.zeros((1, plan.n)), coef, cfg.grid(), width, rows, np.array(blocks), val, idx
+            )
+        assert idx[0] == 4 * width - 1
+
+    @pytest.mark.parametrize("label", sorted(PLANS))
+    def test_bound_below_block_costs(self, label):
+        plan = PLANS[label]
+        coef = (TWO_PI / plan.c) * plan.frequencies
+        grid = EstimatorConfig(-40.0, 40.0, 0.01).grid()
+        rng = np.random.default_rng(2024)
+        phases = np.vstack([
+            synth_trial_matrix(plan, 1.5, NoiseModel.phase_gaussian(snr_db=5.0), 3, "lb", 0, 4),
+            synth_trial_matrix(plan, -7.0, NoiseModel.none(), 3, "lb", 0, 1),
+            rng.uniform(-math.pi, math.pi, (3, plan.n)),
+        ])
+        cost = ls_cost(phases[:, None, :], plan, grid[None, :])
+        # 400 cells span 3.99 m, so c_i*h >= pi for every i but in the
+        # one-cell last block.
+        for width in (1, 5, 23, 400):
+            centre, shrink = estimator._blocks(coef, grid, width)
+            lb = estimator._lower_bounds(phases, centre, shrink)
+            block_min = np.minimum.reduceat(cost, np.arange(0, grid.size, width), axis=1)
+            assert (lb <= block_min).all()
+            assert lb.max() > 0.0
+            whole_cycle = (shrink >= math.pi).all(axis=0)
+            assert (lb[:, whole_cycle] == 0.0).all()
+            assert whole_cycle.any() == (width == 400)

@@ -11,6 +11,7 @@ noise is generated, with the SNR convention SNR = 1/(2*sigma_theta^2).
 from __future__ import annotations
 
 import math
+from collections.abc import Sized
 from dataclasses import dataclass
 from functools import reduce
 from numbers import Integral
@@ -33,16 +34,29 @@ def wrap_phase(x):
     The interval is half-open on the left: ``wrap_phase(-pi) == pi``.
     Accepts scalars or ndarrays; rejects non-finite input.
     """
-    arr = np.asarray(x, dtype=float)
+    r = _wrap_phase_inplace(np.array(x, dtype=float))
+    if r.ndim == 0:
+        return float(r)
+    return r
+
+
+def _wrap_phase_inplace(arr: np.ndarray) -> np.ndarray:
+    """:func:`wrap_phase` on a float array, overwriting it."""
     if not np.all(np.isfinite(arr)):
         raise ValueError("wrap_phase: input must be finite")
     # np.remainder is fmod-based and therefore exact up to one rounding of
     # the sign correction, which matters for multi-million-radian inputs.
-    r = np.remainder(arr, TWO_PI)
-    r = np.where(r > math.pi, r - TWO_PI, r)
-    if arr.ndim == 0:
-        return float(r)
-    return r
+    np.remainder(arr, TWO_PI, out=arr)
+    np.subtract(arr, TWO_PI, out=arr, where=arr > math.pi)
+    return arr
+
+
+def _check_phases(arr: np.ndarray) -> None:
+    """Raise unless every entry is finite and in (-pi, pi]."""
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("phases must be finite")
+    if np.any(arr <= -math.pi) or np.any(arr > math.pi):
+        raise ValueError("phases must lie in (-pi, pi]")
 
 
 def sigma_theta_from_snr_db(snr_db: float) -> float:
@@ -150,10 +164,7 @@ class PhaseVector:
         arr = np.asarray(self.phases, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("phases must be a 1-D sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("phases must be finite")
-        if np.any(arr <= -math.pi) or np.any(arr > math.pi):
-            raise ValueError("phases must lie in (-pi, pi]")
+        _check_phases(arr)
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "phases", arr)
@@ -223,14 +234,27 @@ class NoiseModel:
         return sigma_theta_from_snr_db(float(self.snr_db))
 
 
-def synth_phases(plan: FrequencyPlan, q0: float, noise: NoiseModel, rng=None) -> PhaseVector:
-    """Synthesize one wrapped phase vector for a true range ``q0``.
+def synth_phases(
+    plan: FrequencyPlan, q0: float, noise: NoiseModel, rng=None
+) -> PhaseVector | np.ndarray:
+    """Synthesize wrapped phase vectors for a true range ``q0``.
 
     phi(i) = wrap(2*pi*q0*f_i/c + theta_e(i) + bias_i) with theta_e drawn
     per ``noise``: i.i.d. N(0, sigma_theta^2) for ``phase-gaussian``, the
     phase of exp(j*phi0) + n with complex n of variance 2*sigma_theta^2 for
-    ``complex-awgn``, and 0 for ``none``.  ``rng`` is a numpy Generator and
-    is required for the noisy kinds.
+    ``complex-awgn``, and 0 for ``none``.
+
+    ``rng`` is a numpy Generator (required for the noisy kinds), and the
+    result is one :class:`PhaseVector`.  ``rng`` may instead be an
+    iterable of Generators, one per trial, and the result is then a
+    (trials, N) array whose row t equals, bit for bit, the single result
+    for the t-th Generator.  Each trial's normals (N of them, or 2N for
+    ``complex-awgn``: the real parts, then the imaginary parts) are drawn
+    into one row of a preallocated buffer, in trial order, and the
+    formula, the wrap and the range check then run once on the whole
+    buffer.  A sized iterable is read one Generator at a time, each drawn
+    from before the next is taken, so it may hand out one re-keyed
+    Generator (as :func:`mfirange.montecarlo.synth_trial_matrix` does).
     """
     if not math.isfinite(q0):
         raise ValueError("q0 must be finite")
@@ -239,15 +263,33 @@ def synth_phases(plan: FrequencyPlan, q0: float, noise: NoiseModel, rng=None) ->
         if len(noise.bias) != plan.n:
             raise ValueError("bias length must equal the plan frequency count")
         ideal = ideal + np.asarray(noise.bias)
+    single = rng is None or isinstance(rng, np.random.Generator)
+    if single:
+        streams = (rng,)
+    else:
+        streams = rng if isinstance(rng, Sized) else list(rng)
+    n = plan.n
     if noise.kind == "none":
-        return PhaseVector(wrap_phase(ideal))
-    if rng is None:
-        raise ValueError("rng is required for noisy synthesis")
-    sigma = noise.sigma
-    if noise.kind == "phase-gaussian":
-        phases = ideal + sigma * rng.standard_normal(plan.n)
-    else:  # complex-awgn: per-component std is sigma_theta
-        z = np.exp(1j * wrap_phase(ideal))
-        z = z + sigma * (rng.standard_normal(plan.n) + 1j * rng.standard_normal(plan.n))
-        phases = np.angle(z)
-    return PhaseVector(wrap_phase(phases))
+        out = np.empty((len(streams), n))
+        out[:] = ideal
+    else:
+        draws = n if noise.kind == "phase-gaussian" else 2 * n
+        buf = np.empty((len(streams), draws))
+        for row, g in zip(buf, streams, strict=True):
+            if g is None:
+                raise ValueError("rng is required for noisy synthesis")
+            g.standard_normal(out=row)
+        sigma = noise.sigma
+        if noise.kind == "phase-gaussian":
+            buf *= sigma
+            buf += ideal
+            out = buf
+        else:  # complex-awgn: per-component std is sigma_theta
+            z = np.exp(1j * wrap_phase(ideal))
+            z = z + sigma * (buf[:, :n] + 1j * buf[:, n:])
+            out = np.angle(z)
+    _wrap_phase_inplace(out)
+    if single:
+        return PhaseVector(out[0])
+    _check_phases(out)
+    return out

@@ -22,8 +22,9 @@ cells are costed with the full scan's per-cell arithmetic and ties go to
 the lower grid index, so the answers equal a full scan's bit for bit;
 :func:`_scan_block` is that full scan, kept as the test reference.  The
 batch path chunks every temporary to about 32 MB and can spread trials
-over a thread pool (trial-partitioned, so results are identical at any
-worker count).
+over a thread pool, once a batch gives each thread enough trials to pay
+for it (trial-partitioned, so results are identical at any worker
+count).
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ _INV_TWO_PI = 1.0 / TWO_PI
 _TARGET_ELEMS = 4_000_000
 
 WORKERS_ENV = "MFIRANGE_WORKERS"
+# Fewest trials a pool thread is given.  The B&B runs many small numpy
+# calls per round, which hold the GIL, so threads overlap only on large
+# batches.  Two threads on two cores broke even at about 1000 trials each
+# for 21- and 31-frequency plans over 601 cells (refine on), and at
+# 250-500 each over 30001 cells; below that they were up to 4.5x slower.
+_MIN_TRIALS_PER_WORKER = 1000
+_warned_workers: set[str] = set()
 
 
 @dataclass(frozen=True)
@@ -141,10 +149,25 @@ def coherence_cost(phases, plan: FrequencyPlan, q) -> np.ndarray | float:
 
 
 def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
+    """Worker count from MFIRANGE_WORKERS: unset or empty is 1; a value
+    that is not a positive integer warns once, naming it, and gives 1."""
+    raw = os.environ.get(WORKERS_ENV, "").strip()
+    if not raw:
         return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers >= 1:
+        return workers
+    if raw not in _warned_workers:
+        _warned_workers.add(raw)
+        warnings.warn(
+            f"{WORKERS_ENV}={raw!r} is not a positive integer; using 1 worker",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return 1
 
 
 def _scan_block(
@@ -342,8 +365,9 @@ def ls_estimate_batch(
     grid index).  With ``refine`` set, a 3-point parabolic fit around
     each interior grid minimum sharpens q_hat below the grid step; the
     reported cost is re-evaluated at the refined point.  Worker count
-    defaults to the MFIRANGE_WORKERS environment variable; partitioning is
-    by trial, so results do not depend on it.
+    defaults to the MFIRANGE_WORKERS environment variable, and a batch is
+    split only as far as each thread gets ``_MIN_TRIALS_PER_WORKER`` trials;
+    partitioning is by trial, so results do not depend on it.
     """
     phases = np.array(phases, dtype=float)
     if phases.ndim != 2 or phases.shape[1] != plan.n:
@@ -365,13 +389,13 @@ def ls_estimate_batch(
     if workers is None:
         workers = _default_workers()
     args = (coef, grid, width, *_blocks(coef, grid, width))
-    if workers > 1 and t > 1:
+    workers = min(workers, t // _MIN_TRIALS_PER_WORKER)
+    if workers > 1:
         bounds = np.linspace(0, t, workers + 1, dtype=int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_bnb_scan, phases[a:b], *args, best_val[a:b], best_idx[a:b])
                 for a, b in zip(bounds[:-1], bounds[1:])
-                if b > a
             ]
             for f in futures:
                 f.result()

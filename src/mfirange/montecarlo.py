@@ -1,11 +1,15 @@
 """Seeded Monte Carlo campaigns over frequency plans.
 
 Campaigns are bit-reproducible: every trial draws its noise from a
-counter-based substream keyed by (master seed, plan label, SNR index,
-trial index), so results are identical regardless of execution order or
-worker count.  Curve runners emit :class:`CurveRow` records that pair the
-empirical metric with the closed-form predictions for the same plan and
-noise level.
+counter-based Philox substream keyed by (master seed, plan label, SNR
+index, trial index), so results are identical regardless of execution
+order or worker count.  :func:`trial_stream` builds one such stream;
+:func:`synth_trial_matrix` synthesizes a whole (plan, SNR) block in one
+batch call to :func:`~mfirange.core.synth_phases`, re-keying a single
+Philox per trial (counter zeroed, buffer emptied) instead of building
+one, with the same draws bit for bit.  Curve runners emit
+:class:`CurveRow` records that pair the empirical metric with the
+closed-form predictions for the same plan and noise level.
 """
 
 from __future__ import annotations
@@ -33,13 +37,45 @@ class CampaignValidationError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-def trial_stream(seed: int, label: str, snr_index: int, trial_index: int) -> np.random.Generator:
-    """Counter-keyed generator for one trial of one plan at one SNR."""
+def _trial_key(seed: int, label: str, snr_index: int, trial_index: int) -> list[int]:
+    """Philox key of one trial: (seed, blake2b(label, snr index, trial index))."""
     h = hashlib.blake2b(digest_size=8)
     h.update(label.encode("utf-8"))
     h.update(struct.pack("<qq", snr_index, trial_index))
-    key = np.array([seed & _MASK64, int.from_bytes(h.digest(), "little")], dtype=np.uint64)
+    return [seed & _MASK64, int.from_bytes(h.digest(), "little")]
+
+
+def trial_stream(seed: int, label: str, snr_index: int, trial_index: int) -> np.random.Generator:
+    """Counter-keyed generator for one trial of one plan at one SNR."""
+    key = np.array(_trial_key(seed, label, snr_index, trial_index), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+class _TrialStreams:
+    """The trial streams of one (seed, label, SNR index), from one Philox.
+
+    Iterating yields the same Generator ``trials`` times; before trial t
+    its Philox is re-keyed to :func:`trial_stream`'s key for t, with the
+    counter at zero and the output buffer empty, so each trial's draws
+    equal ``trial_stream(seed, label, snr_index, t)``'s bit for bit.
+    Building a fresh Philox per trial costs more than the trial's draws.
+    """
+
+    def __init__(self, seed: int, label: str, snr_index: int, trials: int):
+        self.args = (seed, label, snr_index)
+        self.trials = trials
+
+    def __len__(self) -> int:
+        return self.trials
+
+    def __iter__(self):
+        bitgen = np.random.Philox(key=[0, 0])
+        gen = np.random.Generator(bitgen)
+        state = bitgen.state  # a copy: counter zero, buffer empty
+        for t in range(self.trials):
+            state["state"]["key"] = _trial_key(*self.args, t)
+            bitgen.state = state
+            yield gen
 
 
 def synth_trial_matrix(
@@ -51,12 +87,9 @@ def synth_trial_matrix(
     snr_index: int,
     trials: int,
 ) -> np.ndarray:
-    """(trials x N) wrapped phase matrix with per-trial substreams."""
-    out = np.empty((trials, plan.n))
-    for t in range(trials):
-        rng = trial_stream(seed, label, snr_index, t)
-        out[t] = synth_phases(plan, q0, noise, rng).as_array()
-    return out
+    """(trials x N) wrapped phase matrix; row t is drawn from
+    ``trial_stream(seed, label, snr_index, t)``."""
+    return synth_phases(plan, q0, noise, _TrialStreams(seed, label, snr_index, trials))
 
 
 @dataclass(frozen=True)

@@ -227,6 +227,50 @@ class TestBatch:
         assert np.array_equal(i1, i4)
 
 
+class TestWorkers:
+    def test_pool_only_when_each_thread_gets_enough_trials(self, plan21, monkeypatch):
+        sizes = []
+
+        class Pool(estimator.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(estimator, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(estimator, "_MIN_TRIALS_PER_WORKER", 10)
+        cfg = EstimatorConfig(-3.0, 3.0, 0.01)
+        phases = synth_trial_matrix(
+            plan21, 0.1237, NoiseModel.phase_gaussian(snr_db=10.0), 3, "pool", 0, 35
+        )
+        ref = ls_estimate_batch(phases, plan21, cfg, workers=1)
+        for workers, pool in [(2, 2), (4, 3), (8, 3)]:
+            got = ls_estimate_batch(phases, plan21, cfg, workers=workers)
+            assert sizes.pop() == pool
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b)
+        ls_estimate_batch(phases[:19], plan21, cfg, workers=4)
+        assert sizes == []
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
+    def test_bad_env_value_warns_once_and_uses_one_worker(self, raw, monkeypatch):
+        monkeypatch.setattr(estimator, "_warned_workers", set())
+        monkeypatch.setenv(estimator.WORKERS_ENV, raw)
+        with pytest.warns(RuntimeWarning, match=repr(raw)):
+            assert estimator._default_workers() == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert estimator._default_workers() == 1
+
+    @pytest.mark.parametrize("raw, workers", [(None, 1), ("", 1), ("3", 3), (" 2 ", 2)])
+    def test_valid_env_values_do_not_warn(self, raw, workers, monkeypatch):
+        if raw is None:
+            monkeypatch.delenv(estimator.WORKERS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(estimator.WORKERS_ENV, raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert estimator._default_workers() == workers
+
 class TestUnwrapOk:
     def test_boundary_convention(self, plan21):
         lam = plan21.lambda_min

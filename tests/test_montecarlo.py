@@ -18,6 +18,7 @@ from mfirange import (
     run_pf_curve,
     run_pumr_check,
     sigma_theta_from_snr_db,
+    synth_phases,
     synth_trial_matrix,
     trial_stream,
 )
@@ -45,6 +46,79 @@ class TestTrialStreams:
         m2 = synth_trial_matrix(plan21, 1.0, NoiseModel.phase_gaussian(snr_db=10.0), 9, "p", 2, 50)
         assert np.array_equal(m1, m2)
 
+
+NOISES = {
+    "phase-gaussian": NoiseModel.phase_gaussian(snr_db=10.0),
+    "complex-awgn": NoiseModel.complex_awgn(snr_db=5.0),
+    "bias": NoiseModel.phase_gaussian(snr_db=10.0, bias=tuple(0.3 * k - 3.0 for k in range(21))),
+    "none": NoiseModel.none(),
+}
+
+
+def per_trial_reference(plan, q0, noise, seed, label, si, trials):
+    """The matrix built one trial at a time from fresh trial streams."""
+    ref = np.empty((trials, plan.n))
+    for t in range(trials):
+        ref[t] = synth_phases(plan, q0, noise, trial_stream(seed, label, si, t)).as_array()
+    return ref
+
+
+def assert_same_bytes(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
+class TestBatchSynthesis:
+    """The batch synthesis path reproduces the per-trial streams bit for bit."""
+
+    @pytest.mark.parametrize("noise", sorted(NOISES))
+    @pytest.mark.parametrize("trials", [0, 1, 257])
+    def test_matrix_equals_per_trial_streams(self, plan21, noise, trials):
+        args = (plan21, 0.1237, NOISES[noise], 101, "uniform", 2, trials)
+        assert_same_bytes(synth_trial_matrix(*args), per_trial_reference(*args))
+
+    def test_back_to_back_calls_do_not_share_state(self, plan21):
+        # Alternate draw counts (2N, N) and keys so a leaked counter, key
+        # or buffered word would shift a later call's rows.
+        calls = [
+            (NOISES["complex-awgn"], "a", 0, 5),
+            (NOISES["phase-gaussian"], "b", 3, 7),
+            (NOISES["bias"], "a", 1, 3),
+            (NOISES["complex-awgn"], "a", 0, 5),
+        ]
+        got = [synth_trial_matrix(plan21, -2.5, nz, 7, lb, si, n) for nz, lb, si, n in calls]
+        for (nz, lb, si, n), m in zip(calls, got):
+            assert_same_bytes(m, per_trial_reference(plan21, -2.5, nz, 7, lb, si, n))
+        assert_same_bytes(got[0], got[3])
+
+    @pytest.mark.parametrize("noise", sorted(NOISES))
+    def test_iterables_of_generators(self, plan21, noise):
+        ref = per_trial_reference(plan21, 4.2, NOISES[noise], 5, "it", 0, 6)
+        as_list = [trial_stream(5, "it", 0, t) for t in range(6)]
+        unsized = (trial_stream(5, "it", 0, t) for t in range(6))
+        assert_same_bytes(synth_phases(plan21, 4.2, NOISES[noise], as_list), ref)
+        assert_same_bytes(synth_phases(plan21, 4.2, NOISES[noise], unsized), ref)
+
+    @pytest.mark.parametrize(
+        "q0, noise, streams",
+        [
+            (math.inf, NOISES["phase-gaussian"], "gen"),
+            (math.nan, NOISES["none"], None),
+            (0.0, NoiseModel.phase_gaussian(snr_db=10.0, bias=(0.1, 0.2)), "gen"),
+            (0.0, NoiseModel(kind="none", bias=(0.1,)), None),
+            (0.0, NOISES["phase-gaussian"], None),
+            (0.0, NOISES["complex-awgn"], None),
+        ],
+    )
+    def test_iterable_form_raises_like_single_form(self, plan21, q0, noise, streams):
+        def rng():
+            return None if streams is None else trial_stream(1, "err", 0, 0)
+
+        with pytest.raises(ValueError) as single:
+            synth_phases(plan21, q0, noise, rng())
+        with pytest.raises(ValueError) as batch:
+            synth_phases(plan21, q0, noise, [rng(), rng()])
+        assert str(batch.value) == str(single.value)
 
 class TestCampaignValidation:
     def test_all_problems_reported_at_once(self, plan21):

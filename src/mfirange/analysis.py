@@ -18,6 +18,10 @@ import numpy as np
 
 from .core import TWO_PI, FrequencyPlan, spacing_gcd, wrap_phase
 
+# Chunk sizing keeps each (points x frequencies) complex128 temporary of the
+# sidelobe scan around 8 MB.
+_SCAN_ELEMS = 1 << 19
+
 
 def umr(plan: FrequencyPlan) -> float:
     """Unambiguous measurement range c / (spacing GCD in Hz).
@@ -137,7 +141,7 @@ def sidelobe_scan(
     n_pts = int((hi - lo) / step) + 1
     best_val = -1.0
     best_loc = lo
-    chunk = 1 << 18
+    chunk = max(1, _SCAN_ELEMS // plan.n)
     for start in range(0, n_pts, chunk):
         dq = lo + step * np.arange(start, min(start + chunk, n_pts))
         vals = ambiguity_fn(plan, dq)

@@ -14,6 +14,19 @@ keys, followed by data rows ``experiment_id,freq_hz,phase_rad[,q0_m]``.
 Every experiment id must cover all N plan frequencies exactly once;
 phases are wrapped to (-pi, pi].  Ground-truth q0 per experiment is
 optional but must be consistent across its rows when present.
+
+Non-finite values: a phase of nan or +-inf is outside (-pi, pi]; a
+frequency of nan or +-inf matches no plan frequency; a q0 of nan or +-inf
+is refused with its own error, which names the experiment and the value.
+
+Errors name the first failing data row in file order (data rows count
+from 1; blank and '#' lines are not counted), and within that row the
+first failing check of: 3 or 4 fields; ``float()`` of the frequency,
+phase and q0 fields, in that order; phase in (-pi, pi]; frequency within
+max(1e-3, 1e-9 f) Hz of its nearest plan frequency f (the lower one on
+ties); that frequency not already given for the experiment; q0 finite; q0
+equal to the experiment's earlier q0.  Only when every row passes is the
+first experiment, in first-seen order, that misses a frequency reported.
 """
 
 from __future__ import annotations
@@ -118,65 +131,129 @@ def _parse_header(lines: list[str]) -> FrequencyPlan:
         raise RecordFormatError(f"bad plan header: {exc}") from exc
 
 
-def read_record(path) -> PhaseRecord:
-    """Parse and validate a phase record file."""
-    header: list[str] = []
-    rows: list[list[str]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                header.append(line)
-            else:
-                rows.append(next(csv.reader([line])))
-    plan = _parse_header(header)
-    freqs = plan.frequencies
-    by_id: dict[str, dict] = {}
-    order: list[str] = []
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) not in (3, 4):
-            raise RecordFormatError(f"data row {lineno}: expected 3 or 4 fields, got {len(row)}")
-        exp_id = row[0]
+def _floats(texts: Sequence[str]) -> tuple[np.ndarray, dict[int, ValueError]]:
+    """``float()`` of every text (nan where it fails), and its errors by position."""
+    try:
+        return np.fromiter(map(float, texts), float, len(texts)), {}
+    except ValueError:
+        pass
+    values = np.full(len(texts), np.nan)
+    errors = {}
+    for k, text in enumerate(texts):
         try:
-            f = float(row[1])
-            ph = float(row[2])
-            q0 = float(row[3]) if len(row) == 4 else None
+            values[k] = float(text)
         except ValueError as exc:
-            raise RecordFormatError(f"data row {lineno}: {exc}") from exc
-        if not (-math.pi < ph <= math.pi) or not math.isfinite(ph):
-            raise RecordFormatError(
-                f"experiment {exp_id}: phase {ph} at {f} Hz outside (-pi, pi]"
-            )
-        idx = int(np.argmin(np.abs(freqs - f)))
-        if abs(freqs[idx] - f) > max(1e-3, 1e-9 * freqs[idx]):
-            raise RecordFormatError(
-                f"experiment {exp_id}: frequency {f} Hz matches no plan frequency"
-            )
-        if exp_id not in by_id:
-            by_id[exp_id] = {"phases": np.full(plan.n, np.nan), "q0": q0}
-            order.append(exp_id)
-        slot = by_id[exp_id]
-        if not math.isnan(slot["phases"][idx]):
-            raise RecordFormatError(
-                f"experiment {exp_id}: frequency {freqs[idx]} Hz appears more than once"
-            )
-        slot["phases"][idx] = ph
-        if q0 is not None:
-            if slot["q0"] is not None and slot["q0"] != q0:
-                raise RecordFormatError(f"experiment {exp_id}: inconsistent q0 values")
-            slot["q0"] = q0
-    experiments = []
-    for exp_id in order:
-        slot = by_id[exp_id]
-        missing = np.isnan(slot["phases"])
-        if missing.any():
-            absent = ", ".join(repr(float(f)) for f in freqs[missing])
-            raise RecordFormatError(
-                f"experiment {exp_id}: missing phase rows for frequencies {absent}"
-            )
-        experiments.append(
-            Experiment(experiment_id=exp_id, phases=slot["phases"], q0=slot["q0"])
+            errors[k] = exc
+    return values, errors
+
+
+def read_record(path) -> PhaseRecord:
+    """Parse and validate a phase record file.
+
+    The data rows are read as columns and every check is a mask over the
+    rows; see the module docstring for the order in which they are judged.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = [raw.strip() for raw in fh]
+    data = [line for line in lines if line and not line.startswith("#")]
+    rows = list(csv.reader(data))
+    if len(rows) < len(data):
+        # A line that ends inside an open quote ran on into the next line;
+        # split each line on its own, where csv closes the quote at its end.
+        rows = [next(csv.reader([line])) for line in data]
+    plan = _parse_header([line for line in lines if line.startswith("#")])
+    freqs = plan.frequencies
+    n = plan.n
+
+    counts = np.fromiter(map(len, rows), np.intp, len(rows))
+    miscounted = np.flatnonzero((counts != 3) & (counts != 4))
+    # Rows after the first miscounted one are never judged.
+    m = int(miscounted[0]) if miscounted.size else len(rows)
+    rows = rows[:m]
+    ids = [row[0] for row in rows]
+    f, f_errors = _floats([row[1] for row in rows])
+    ph, ph_errors = _floats([row[2] for row in rows])
+    has_q0 = counts[:m] == 4
+    q0_rows = np.flatnonzero(has_q0)
+    q0 = np.full(m, np.nan)
+    q0[q0_rows], q0_errors = _floats([rows[r][3] for r in q0_rows])
+    parse_errors: dict[int, ValueError] = {}  # by row: its first field float() refuses
+    for errors in (f_errors, ph_errors, {int(q0_rows[k]): e for k, e in q0_errors.items()}):
+        for r, exc in errors.items():
+            parse_errors.setdefault(r, exc)
+    unparsed = np.zeros(m, bool)
+    unparsed[list(parse_errors)] = True
+
+    # Nearest plan frequency, the lower index on ties (as argmin picks);
+    # NaN sorts last and matches nothing.
+    above = np.searchsorted(freqs, f)
+    lower = np.maximum(above - 1, 0)
+    upper = np.minimum(above, n - 1)
+    slot = np.where(np.abs(freqs[lower] - f) <= np.abs(freqs[upper] - f), lower, upper)
+    slot = np.searchsorted(freqs, freqs[slot])  # first of equal plan frequencies
+    near = freqs[slot]
+    no_match = ~(np.abs(near - f) <= np.maximum(1e-3, 1e-9 * near))
+
+    # Experiments in first-seen order; object strings keep trailing NULs.
+    uniq, first, inverse = np.unique(
+        np.array(ids, dtype=object), return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    group = rank[inverse]
+    exp_ids = uniq[order]
+
+    repeated = np.ones(m, bool)
+    repeated[np.unique(group * n + slot, return_index=True)[1]] = False
+    first_q0 = np.full(exp_ids.size, m)
+    np.minimum.at(first_q0, group[q0_rows], q0_rows)
+    last_q0 = np.full(exp_ids.size, -1)
+    np.maximum.at(last_q0, group[q0_rows], q0_rows)
+    ref = first_q0[group]
+    conflict = has_q0 & (ref < np.arange(m)) & (q0 != q0[np.minimum(ref, m - 1)])
+
+    checks = (  # in the order one row is judged
+        (unparsed, lambda r: f"data row {r + 1}: {parse_errors[r]}"),
+        (
+            ~((-math.pi < ph) & (ph <= math.pi)),
+            lambda r: f"experiment {ids[r]}: phase {float(ph[r])} at {float(f[r])} Hz "
+            "outside (-pi, pi]",
+        ),
+        (
+            no_match,
+            lambda r: f"experiment {ids[r]}: frequency {float(f[r])} Hz matches no plan frequency",
+        ),
+        (
+            repeated,
+            lambda r: f"experiment {ids[r]}: frequency {float(near[r])} Hz appears more than once",
+        ),
+        (
+            has_q0 & ~np.isfinite(q0),
+            lambda r: f"experiment {ids[r]}: q0 {float(q0[r])} is not finite",
+        ),
+        (conflict, lambda r: f"experiment {ids[r]}: inconsistent q0 values"),
+    )
+    failed = np.vstack([mask for mask, _ in checks])
+    failing = failed.any(axis=0)
+    if failing.any():
+        r = int(np.argmax(failing))
+        raise RecordFormatError(checks[int(np.argmax(failed[:, r]))][1](r))
+    if miscounted.size:
+        raise RecordFormatError(f"data row {m + 1}: expected 3 or 4 fields, got {counts[m]}")
+
+    phases = np.full((exp_ids.size, n), np.nan)
+    phases[group, slot] = ph
+    missing = np.isnan(phases)
+    if missing.any():
+        k = int(np.argmax(missing.any(axis=1)))
+        absent = ", ".join(repr(float(x)) for x in freqs[missing[k]])
+        raise RecordFormatError(
+            f"experiment {exp_ids[k]}: missing phase rows for frequencies {absent}"
         )
-    return PhaseRecord(plan=plan, experiments=tuple(experiments))
+    # Consistent q0 values compare equal; the last row's is kept (its sign of zero).
+    experiments = tuple(
+        Experiment(experiment_id=exp_id, phases=row, q0=None if last < 0 else float(q0[last]))
+        for exp_id, row, last in zip(exp_ids, phases, last_q0)
+    )
+    return PhaseRecord(plan=plan, experiments=experiments)

@@ -1,9 +1,12 @@
-"""Golden digests: campaign outputs stay byte-identical across changes.
+"""Golden digests: campaign, design and replay outputs stay byte-identical
+across changes.
 
-The digests below were computed on the per-trial synthesis loop that the
-batch synthesis path replaced.  A change that alters the noise stream or
-the campaign arithmetic on purpose updates them and says so in its change
-notes; any other change must leave them as they are.
+The campaign digests below were computed on the per-trial synthesis loop
+that the batch synthesis path replaced, and the design and replay digests
+on the row-at-a-time record parser and fixed-size sidelobe chunks.  A
+change that alters the noise stream or the arithmetic on purpose updates
+them and says so in its change notes; any other change must leave them as
+they are.
 """
 
 import hashlib
@@ -11,8 +14,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from mfirange import C_PAPER, NoiseModel, design_rips, synth_trial_matrix
-from mfirange.cli import main, write_plan_file
+from mfirange import (
+    C_PAPER,
+    NoiseModel,
+    design_rips,
+    synth_phases,
+    synth_trial_matrix,
+    write_record,
+)
+from mfirange.cli import main, read_plan_file, write_plan_file
+from mfirange.records import Experiment
 
 SIMULATE_SHA256 = {
     "mse.csv": "22d5fb36b008eded483e755f77dfb1579088690d1e90912ca7081e3ab2d3f34f",
@@ -70,3 +81,62 @@ def test_simulate_csv_digests(tmp_path):
 def test_synth_trial_matrix_digest(name, noise):
     m = synth_trial_matrix(PLAN21, 0.1237, noise, 2024, "golden", 1, 64)
     assert sha256(np.ascontiguousarray(m, dtype="<f8").tobytes()) == MATRIX_SHA256[name]
+
+
+# The replay path: the plan-replay design (prime min-error, N=31, whose
+# sidelobe scan spans several chunks) and a small seeded record replayed
+# with and without refine.
+DESIGN_SHA256 = {
+    "replay.plan": "38a77515e75bd779d021ccc70356d9ff03530b7f36c7fbe0be2650788378a767",
+    "replay_report.csv": "d3aa43c625587a635a157785216d55f4168cc643b51baebd9ab5eab0a460bab1",
+}
+
+REPLAY_SHA256 = {
+    False: {
+        "golden_estimates.csv": "490529e9431aa4607d98927e7acadfdb3f400b3a5bf3a01cd4c6cca7eed89992",
+        "golden_summary.csv": "1a59ab9141bea25439a13008d5e25fd89996625d973a414844f98809ab1f7e34",
+        "golden_histogram.csv": "f0ee6732fd795207cb307af105ff3d5a278c7c17943e035495c389ab0539f710",
+    },
+    True: {
+        "golden_estimates.csv": "fea51faf4faef33da154ae2e009d1abfaeef59e6a96c5f89d5eda0aa7c7e56b1",
+        "golden_summary.csv": "66afeab383936e3dfb12167a8d143b145e53ffe8742d297b763a5f7464e0358b",
+        "golden_histogram.csv": "8cccff28acdffa9b89811d78ea1a6af8e5a95e27d29bb0b12407347b48164ef6",
+    },
+}
+
+DESIGN_ARGV = [
+    "design", "--method", "prime-min-error", "--c-mode", "paper-repro", "--label", "replay",
+    "--f1", "410000000.0", "--B", "40378000.0", "--N", "31", "--res", "65.0", "--i", "12",
+]
+
+
+@pytest.fixture(scope="module")
+def designed(tmp_path_factory):
+    out = tmp_path_factory.mktemp("design")
+    assert main(DESIGN_ARGV + ["--out", str(out)]) == 0
+    return out
+
+
+def test_design_digests(designed):
+    got = {name: sha256((designed / name).read_bytes()) for name in DESIGN_SHA256}
+    assert got == DESIGN_SHA256
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_replay_digests(designed, tmp_path, refine):
+    plan = read_plan_file(designed / "replay.plan")
+    rng = np.random.default_rng(2024)
+    noise = NoiseModel.phase_gaussian(snr_db=14.0)
+    exps = []
+    for e in range(60):
+        q0 = float(rng.uniform(-2.0, 2.0))
+        phases = synth_phases(plan, q0, noise, rng).as_array()
+        exps.append(Experiment(f"e{e:03d}", phases, q0))
+    record = tmp_path / "golden.csv"
+    write_record(record, plan, exps)
+    argv = ["replay", "--record", str(record), "--out", str(tmp_path / "out")]
+    argv += ["--lo", "-3.0", "--hi", "3.0", "--step", "0.01"] + (["--refine"] if refine else [])
+    assert main(argv) == 0
+    expected = REPLAY_SHA256[refine]
+    got = {name: sha256((tmp_path / "out" / name).read_bytes()) for name in expected}
+    assert got == expected

@@ -1,7 +1,10 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfirange import (
     C_PAPER,
@@ -15,14 +18,15 @@ from mfirange import (
     write_record,
 )
 from mfirange.cli import CliError, read_plan_file, write_plan_file
-from mfirange.records import Experiment
+from mfirange.records import Experiment, PhaseRecord, _parse_header, plan_header
 
 TWO_PI = 2 * math.pi
+PLAN4 = FrequencyPlan(f1=410e6, resolution=65.0, spacings=(7400, 8200, 9400), c=C_PAPER)
 
 
 @pytest.fixture()
 def plan():
-    return FrequencyPlan(f1=410e6, resolution=65.0, spacings=(7400, 8200, 9400), c=C_PAPER)
+    return PLAN4
 
 
 def make_record(tmp_path, plan, experiments, name="rec.csv"):
@@ -147,3 +151,289 @@ class TestPlanHeaderCodec:
         (tmp_path / "r.csv").write_text("".join(f"# {k}\n" for k in keys) + "e,4e8,0.0\n")
         with pytest.raises(RecordFormatError, match="spacings_grid"):
             read_record(tmp_path / "r.csv")
+
+
+def _reference_read_record(path) -> PhaseRecord:
+    """The row-at-a-time parser that the columnar ``read_record`` replaced,
+    kept as its reference: one csv reader and one argmin per data row."""
+    header: list[str] = []
+    rows: list[list[str]] = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                header.append(line)
+            else:
+                rows.append(next(csv.reader([line])))
+    plan = _parse_header(header)
+    freqs = plan.frequencies
+    by_id: dict[str, dict] = {}
+    order: list[str] = []
+    for lineno, row in enumerate(rows, start=1):
+        if len(row) not in (3, 4):
+            raise RecordFormatError(f"data row {lineno}: expected 3 or 4 fields, got {len(row)}")
+        exp_id = row[0]
+        try:
+            f = float(row[1])
+            ph = float(row[2])
+            q0 = float(row[3]) if len(row) == 4 else None
+        except ValueError as exc:
+            raise RecordFormatError(f"data row {lineno}: {exc}") from exc
+        if not (-math.pi < ph <= math.pi) or not math.isfinite(ph):
+            raise RecordFormatError(
+                f"experiment {exp_id}: phase {ph} at {f} Hz outside (-pi, pi]"
+            )
+        idx = int(np.argmin(np.abs(freqs - f)))
+        if abs(freqs[idx] - f) > max(1e-3, 1e-9 * freqs[idx]):
+            raise RecordFormatError(
+                f"experiment {exp_id}: frequency {f} Hz matches no plan frequency"
+            )
+        if exp_id not in by_id:
+            by_id[exp_id] = {"phases": np.full(plan.n, np.nan), "q0": q0}
+            order.append(exp_id)
+        slot = by_id[exp_id]
+        if not math.isnan(slot["phases"][idx]):
+            raise RecordFormatError(
+                f"experiment {exp_id}: frequency {freqs[idx]} Hz appears more than once"
+            )
+        slot["phases"][idx] = ph
+        if q0 is not None:
+            if slot["q0"] is not None and slot["q0"] != q0:
+                raise RecordFormatError(f"experiment {exp_id}: inconsistent q0 values")
+            slot["q0"] = q0
+    experiments = []
+    for exp_id in order:
+        slot = by_id[exp_id]
+        missing = np.isnan(slot["phases"])
+        if missing.any():
+            absent = ", ".join(repr(float(f)) for f in freqs[missing])
+            raise RecordFormatError(
+                f"experiment {exp_id}: missing phase rows for frequencies {absent}"
+            )
+        experiments.append(
+            Experiment(experiment_id=exp_id, phases=slot["phases"], q0=slot["q0"])
+        )
+    return PhaseRecord(plan=plan, experiments=tuple(experiments))
+
+
+def _outcome(parse, path):
+    """What a parser makes of a file: its error message, or the record with
+    phases and q0 compared bit for bit."""
+    try:
+        rec = parse(path)
+    except RecordFormatError as exc:
+        return ("error", str(exc))
+    exps = [(e.experiment_id, repr(e.q0), e.phases.dtype, e.phases.tobytes()) for e in rec.experiments]
+    return ("ok", rec.plan, exps)
+
+
+def _csv_line(fields) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(fields)
+    return buf.getvalue()
+
+
+def _record_text(plan, lines) -> str:
+    header = ["# mfirange phase record"] + [f"# {k} = {v}" for k, v in plan_header(plan)]
+    return "\n".join(header + list(lines)) + "\n"
+
+
+# Ids that csv must quote (commas, quotes), but no surrounding blanks (a
+# line is stripped) and no leading '#' (a header line).
+IDS = st.text(alphabet='ab7,"_ -', min_size=1, max_size=6).filter(
+    lambda s: s == s.strip() and not s.startswith("#")
+)
+FILLERS = ["", "   ", "# a comment, with a comma", "#no space"]
+
+
+@st.composite
+def valid_rows(draw, plan=PLAN4):
+    """Shuffled data rows of several experiments: mixed 3- and 4-field rows,
+    frequencies within the match tolerance of their plan frequency."""
+    rows = []
+    for exp_id in draw(st.lists(IDS, min_size=1, max_size=5, unique=True)):
+        q0 = draw(st.none() | st.floats(-1e3, 1e3, allow_nan=False))
+        for f in plan.frequencies:
+            ph = draw(st.floats(-math.pi, math.pi, exclude_min=True))
+            jitter = draw(st.sampled_from([0.0, 0.2, -0.2, 0.4]))
+            row = [exp_id, repr(float(f) + jitter), repr(ph)]
+            if q0 is not None and draw(st.booleans()):
+                row.append(repr(q0))
+            rows.append(row)
+    return draw(st.permutations(rows))
+
+
+def _lines_with_fillers(draw, rows):
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(FILLERS), max_size=2))
+        lines.append(_csv_line(row))
+    return lines
+
+
+CORRUPTIONS = (
+    "drop",
+    "duplicate",
+    "field_count",
+    "unparseable",
+    "phase_range",
+    "unknown_frequency",
+    "q0_conflict",
+)
+
+
+def _corrupt(draw, rows, kind):
+    """Apply one corruption in place; each one makes the record invalid."""
+    whole = [k for k, row in enumerate(rows) if len(row) in (3, 4)]
+    i = draw(st.sampled_from(whole))
+    row = list(rows[i])
+    if kind == "drop":
+        del rows[i]
+        return
+    if kind == "duplicate":
+        rows.insert(draw(st.integers(0, len(rows))), row)
+        return
+    if kind == "field_count":
+        row = (row + ["0.5"] * 3)[: draw(st.sampled_from([1, 2, 5, 6]))]
+    elif kind == "unparseable":
+        col = draw(st.integers(1, len(row) - 1))
+        row[col] = draw(st.sampled_from(["", "abc", "1.2.3", "0x10", "1e", "--1"]))
+    elif kind == "phase_range":
+        row[2] = draw(st.sampled_from(["3.5", "-4.0", repr(-math.pi), "inf", "-inf", "nan"]))
+    elif kind == "unknown_frequency":
+        f = float(row[1]) if _parses(row[1]) else 410e6
+        row[1] = draw(st.sampled_from([repr(f + 1.0), repr(f - 0.5), "123456.0", "inf", "-1e300"]))
+    else:  # q0_conflict: two rows of one experiment disagree
+        others = [k for k in whole if k != i and rows[k][0] == row[0]]
+        if not others:  # the experiment has one whole row left: give it a partner
+            rows.append([row[0], row[1], row[2]])
+            others = [len(rows) - 1]
+        j = draw(st.sampled_from(others))
+        row = row[:3] + ["1.5"]
+        rows[j] = rows[j][:3] + ["2.5"]
+    rows[i] = row
+
+
+def _parses(text) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def record_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("records")
+
+
+class TestColumnarParser:
+    """``read_record`` against the row-at-a-time reference: the same record,
+    or the same error message for the same row or experiment."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_valid_records_match_reference(self, record_dir, data):
+        rows = data.draw(valid_rows())
+        path = record_dir / "valid.csv"
+        path.write_text(_record_text(PLAN4, _lines_with_fillers(data.draw, rows)), encoding="utf-8")
+        expected = _outcome(_reference_read_record, path)
+        assert expected[0] == "ok"
+        assert _outcome(read_record, path) == expected
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_malformed_records_raise_reference_message(self, record_dir, data):
+        rows = [list(row) for row in data.draw(valid_rows())]
+        kinds = data.draw(st.lists(st.sampled_from(CORRUPTIONS), min_size=1, max_size=2))
+        # A drop applied after a duplicate could remove the copy again.
+        for kind in sorted(kinds, key=CORRUPTIONS.index):
+            _corrupt(data.draw, rows, kind)
+        path = record_dir / "malformed.csv"
+        path.write_text(_record_text(PLAN4, _lines_with_fillers(data.draw, rows)), encoding="utf-8")
+        expected = _outcome(_reference_read_record, path)
+        assert expected[0] == "error", kinds
+        assert _outcome(read_record, path) == expected
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_frequency_match_agrees_with_argmin(self, record_dir, data):
+        # A 2^-11 Hz grid puts two plan frequencies inside one tolerance
+        # (1 mHz) with exact midpoints, and a 1e-9 Hz grid at 400 MHz rounds
+        # three of them onto one value: ties and equal frequencies go to the
+        # lower index, as argmin picks.
+        plan = data.draw(st.sampled_from([
+            FrequencyPlan(f1=1.0, resolution=2.0**-11, spacings=(1, 1, 2)),
+            FrequencyPlan(f1=4e8, resolution=1e-9, spacings=(1, 1, 10**9)),
+            PLAN4,
+        ]))
+        freqs = plan.frequencies
+        mids = (freqs[:-1] + freqs[1:]) / 2
+        tol = np.maximum(1e-3, 1e-9 * freqs)
+        candidates = list(freqs) + list(mids) + list(freqs + tol) + list(freqs - 1.5 * tol)
+        picks = data.draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=6))
+        lines = [_csv_line(["e", repr(float(f)), "0.25"]) for f in picks]
+        path = record_dir / "dense.csv"
+        path.write_text(_record_text(plan, lines), encoding="utf-8")
+        assert _outcome(read_record, path) == _outcome(_reference_read_record, path)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            [],
+            ["", "# only a comment"],
+            # A line that ends inside an open quote: csv closes it at the
+            # line's end, so the row is e,<f>,0.5 and the next row stands.
+            ['e,{f0},"0.5', "e,{f1},0.5", "e,{f2},0.5", "e,{f3},0.5"],
+            ['e,{f0},"0.5', "e,{f1},0.5"],
+            # Ids that differ only by a trailing NUL are two experiments.
+            ["a,{f0},0.1", "a,{f1},0.1", "a,{f2},0.1", "a,{f3},0.1",
+             "a\x00,{f0},0.1", "a\x00,{f1},0.1", "a\x00,{f2},0.1", "a\x00,{f3},0.1"],
+            # Consistent q0 of +0.0 and -0.0: the last row's is kept.
+            ["z,{f0},0.1,0.0", "z,{f1},0.1,-0.0", "z,{f2},0.1", "z,{f3},0.1"],
+            # The first failing row wins, whatever its check.
+            ["x,{f0},0.1", "x,{f0},9.0", "x,{f1},abc"],
+            ["x,{f0},0.1,1", "x,{f1},0.1", "x,{f2},0.1,2", "x,{f2},0.1"],
+            ["x,{f0},0.1,1,extra", "y,{f0},0.1,abc"],
+            ["y,{f0},0.1,abc", "x,{f0},0.1,1,extra"],
+        ],
+    )
+    def test_edge_files_match_reference(self, tmp_path, lines):
+        names = {f"f{k}": repr(float(f)) for k, f in enumerate(PLAN4.frequencies)}
+        path = tmp_path / "edge.csv"
+        path.write_text(_record_text(PLAN4, [ln.format(**names) for ln in lines]), encoding="utf-8")
+        assert _outcome(read_record, path) == _outcome(_reference_read_record, path)
+
+
+class TestNonFinite:
+    def _rows(self, freqs, q0=None):
+        return [f"e1,{float(f)!r},0.1" + ("" if q0 is None else f",{q0}") for f in freqs]
+
+    def test_nan_frequency_matches_no_plan_frequency(self, tmp_path):
+        # argmin over an all-NaN distance array returns 0 and abs(nan) > tol
+        # is False, so the row-at-a-time parser filled slot 0 with it.
+        rows = self._rows(PLAN4.frequencies[1:]) + ["e1,nan,0.1"]
+        path = tmp_path / "nan_freq.csv"
+        path.write_text(_record_text(PLAN4, rows), encoding="utf-8")
+        assert _reference_read_record(path).experiments[0].phases[0] == 0.1
+        with pytest.raises(RecordFormatError) as info:
+            read_record(path)
+        assert str(info.value) == "experiment e1: frequency nan Hz matches no plan frequency"
+
+    @pytest.mark.parametrize("q0", ["nan", "inf", "-inf"])
+    def test_non_finite_q0_refused(self, tmp_path, q0):
+        path = tmp_path / "q0.csv"
+        path.write_text(_record_text(PLAN4, self._rows(PLAN4.frequencies, q0=q0)), encoding="utf-8")
+        with pytest.raises(RecordFormatError) as info:
+            read_record(path)
+        assert str(info.value) == f"experiment e1: q0 {float(q0)} is not finite"
+
+    def test_non_finite_q0_refused_after_finite_ones(self, tmp_path):
+        rows = self._rows(PLAN4.frequencies, q0="2.0")
+        rows[-1] = rows[-1][: rows[-1].rindex(",")] + ",inf"
+        path = tmp_path / "q0_late.csv"
+        path.write_text(_record_text(PLAN4, rows), encoding="utf-8")
+        with pytest.raises(RecordFormatError, match=r"^experiment e1: q0 inf is not finite$"):
+            read_record(path)

@@ -5,6 +5,21 @@ normalized ambiguity function and sidelobe scan, range-likelihood PDFs,
 the spacing quadratic form behind the moderate-SNR MSE, the high-SNR
 MSE / Cramer-Rao bound pair, and the co-primality check on normalized
 spacings.
+
+The sidelobe scan is an exact branch and bound over its grid.  With
+S(x) = sum_i exp(j k_i x), k_i = 2 pi f_i / c, |S(x)| equals
+|sum_i exp(j (k_i - k_ref) x)| for any k_ref, so it is Lipschitz with
+L = sum_i |k_i - k_ref|; k_ref is the median k_i, which makes L least.
+A block of grid points with centre x_c and half-width h therefore has
+AF <= (|S(x_c)| + L h + slack)^2 / N^2 at every point.  The slack,
+32 N ulps of the largest phase k_N x the scan reaches, covers the
+rounding of the computed phases, exponentials and sums, so the bound also
+holds for the computed AF values.  Blocks are visited in decreasing
+bound; the scan stops at the first block whose bound is below the best
+value so far, since no point in it or after it can reach that value.
+Every visited point is costed by :func:`ambiguity_fn` on its own, so its
+value is the one a full scan computes, and the result (the maximum, at
+the lowest grid location among equal values) is the full scan's.
 """
 
 from __future__ import annotations
@@ -91,6 +106,12 @@ def confusion_bound_for_plan(plan: FrequencyPlan, snr_db: float) -> ConfusionBou
     return confusion_bound(plan.f1, plan.bandwidth, plan.n, grid_offset(plan), snr_db)
 
 
+def _array_sum(plan: FrequencyPlan, dq: np.ndarray) -> np.ndarray:
+    """S(dq) = sum_i exp(j*2*pi*f_i*dq/c), one complex sum per range offset."""
+    phase = (TWO_PI / plan.c) * np.multiply.outer(dq, plan.frequencies)
+    return np.exp(1j * phase).sum(axis=-1)
+
+
 def ambiguity_fn(plan: FrequencyPlan, dq) -> np.ndarray | float:
     """Normalized ambiguity function |sum_i exp(j*2*pi*f_i*dq/c)|^2 / N^2.
 
@@ -98,8 +119,7 @@ def ambiguity_fn(plan: FrequencyPlan, dq) -> np.ndarray | float:
     proportional to the outlier probability at that range offset.
     """
     arr = np.asarray(dq, dtype=float)
-    phase = (TWO_PI / plan.c) * np.multiply.outer(arr, plan.frequencies)
-    s = np.exp(1j * phase).sum(axis=-1)
+    s = _array_sum(plan, arr)
     val = (s.real**2 + s.imag**2) / plan.n**2
     if arr.ndim == 0:
         return float(val)
@@ -112,6 +132,38 @@ class SidelobePeak:
     location: float  # meters
 
 
+def _sidelobe_slope(plan: FrequencyPlan) -> float:
+    """L = sum_i |k_i - k_ref|, k_ref the median k_i: |S| changes by at most
+    L per meter of range offset."""
+    k = (TWO_PI / plan.c) * plan.frequencies
+    return float(np.abs(k - np.median(k)).sum())
+
+
+def _sidelobe_block_width(plan: FrequencyPlan, step: float, slope: float) -> int:
+    """Grid points per B&B block: L*h about sqrt(N)/2, the size of a typical
+    off-peak |S|, so a block's bound stays near its values; at most one chunk."""
+    cells = min(_SCAN_ELEMS // plan.n, 1.0 + math.sqrt(plan.n) / (slope * step))
+    return max(1, int(cells))
+
+
+def _block_bounds(
+    plan: FrequencyPlan, lo: float, step: float, n_pts: int, width: int, slope: float
+) -> np.ndarray:
+    """Upper bound on the computed AF over each block of ``width`` grid points
+    of ``lo + step*k``, k < n_pts (the last block may be shorter)."""
+    starts = np.arange(0, n_pts, width)
+    ends = np.minimum(starts + width, n_pts) - 1
+    centres = lo + step * (0.5 * (starts + ends))
+    half = (0.5 * step) * (ends - starts)
+    mag = np.empty(starts.size)
+    chunk = max(1, _SCAN_ELEMS // plan.n)
+    for a in range(0, starts.size, chunk):
+        mag[a : a + chunk] = np.abs(_array_sum(plan, centres[a : a + chunk]))
+    reach = (TWO_PI / plan.c) * plan.frequencies[-1] * (lo + step * (n_pts - 1)) + TWO_PI
+    slack = 32.0 * plan.n * np.spacing(reach)
+    return np.square((mag + slope * half + slack) / plan.n)
+
+
 def sidelobe_scan(
     plan: FrequencyPlan,
     mainlobe_width: float | None = None,
@@ -119,37 +171,64 @@ def sidelobe_scan(
 ) -> SidelobePeak:
     """Highest ambiguity-function sidelobe outside the mainlobe.
 
-    Scans B_m/2 <= dq <= UMR/2 on a regular grid and returns the maximum
-    and its location (lowest location on ties).  The upper half of the
-    range adds nothing: f_i * UMR / c is one common phase plus an integer
-    for every frequency, and |.| drops that phase, so AF(UMR - dq) =
-    AF(dq) and every sidelobe in (UMR/2, UMR - B_m/2] mirrors one scanned
-    here.  The mainlobe width defaults to the null-to-null extent c/B of
-    the band-limited main peak; the step defaults to lambda_min/20 so
-    carrier-period structure is resolved.
+    Returns the maximum of AF on the grid B_m/2 + step*k, k >= 0, up to
+    UMR/2, and its location (the lowest location on ties).  The upper half
+    of the range adds nothing: f_i * UMR / c is one common phase plus an
+    integer for every frequency, and |.| drops that phase, so AF(UMR - dq)
+    = AF(dq) and every sidelobe in (UMR/2, UMR - B_m/2] mirrors one
+    scanned here.  The mainlobe width defaults to the null-to-null extent
+    c/B of the band-limited main peak; the step defaults to lambda_min/20
+    so carrier-period structure is resolved.  Both must be finite and
+    positive.
+
+    The grid is searched by branch and bound (see the module docstring):
+    each block of grid points has the bound
+    (|S(x_c)| + L*h + slack)^2 / N^2, blocks are visited in decreasing
+    bound, and the search stops at the first block whose bound is below
+    the best value.  A visited point with a value equal to the best
+    replaces it only if it lies lower, so the result is the full scan's
+    bit for bit.
     """
     if mainlobe_width is None:
         mainlobe_width = plan.c / plan.bandwidth
     if step is None:
         step = plan.lambda_min / 20.0
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (
+        math.isfinite(mainlobe_width) and mainlobe_width > 0 and math.isfinite(step) and step > 0
+    ):
+        raise ValueError(
+            f"mainlobe_width and step must be finite and positive, got {mainlobe_width!r} "
+            f"and {step!r}"
+        )
     lo = mainlobe_width / 2.0
     hi = umr(plan) / 2.0
     if not lo < hi:
         raise ValueError("empty scan interval: mainlobe covers the whole range")
     n_pts = int((hi - lo) / step) + 1
-    best_val = -1.0
-    best_loc = lo
-    chunk = max(1, _SCAN_ELEMS // plan.n)
-    for start in range(0, n_pts, chunk):
-        dq = lo + step * np.arange(start, min(start + chunk, n_pts))
-        vals = ambiguity_fn(plan, dq)
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_loc = float(dq[i])
-    return SidelobePeak(value=best_val, location=best_loc)
+    slope = _sidelobe_slope(plan)
+    width = _sidelobe_block_width(plan, step, slope)
+    bounds = _block_bounds(plan, lo, step, n_pts, width, slope)
+    order = np.argsort(-bounds, kind="stable")
+    falling = -bounds[order]  # ascending
+    cells = np.arange(width)
+    cap = max(1, _SCAN_ELEMS // (plan.n * width))  # blocks per batch
+    best_val, best_k = -1.0, 0
+    done, batch = 0, 1
+    while True:
+        # Blocks ranked past ``open_blocks`` have bounds below the best value.
+        open_blocks = int(np.searchsorted(falling, -best_val, side="right"))
+        if done >= open_blocks:
+            break
+        blocks = np.sort(order[done : min(done + batch, open_blocks)])
+        k = (blocks[:, None] * width + cells).ravel()
+        k = k[k < n_pts]
+        vals = ambiguity_fn(plan, lo + step * k)
+        i = int(np.argmax(vals))  # k ascends: the lowest among equal maxima
+        if vals[i] > best_val or (vals[i] == best_val and k[i] < best_k):
+            best_val, best_k = float(vals[i]), int(k[i])
+        done += blocks.size
+        batch = min(2 * batch, cap)
+    return SidelobePeak(value=best_val, location=lo + step * best_k)
 
 
 def quadform(spacings_hz: Sequence[float], method: str = "partial-sum") -> float:

@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import C_EXACT, C_PAPER, FrequencyPlan
+from .core import C_EXACT, C_PAPER, FrequencyPlan, _check_phases
 
 C_MODES = {"exact": C_EXACT, "paper-repro": C_PAPER}
 
@@ -99,8 +99,21 @@ class PhaseRecord:
 
 
 def write_record(path, plan: FrequencyPlan, experiments: Sequence[Experiment]) -> None:
-    """Write a phase record file for a plan and a list of experiments."""
-    freqs = plan.frequencies
+    """Write a phase record file for a plan and a list of experiments.
+
+    Refuses, with a ValueError that names the experiment and before
+    anything is written, what :func:`read_record` could not read back as
+    written: an id that starts with '#' or a blank (the reader takes the
+    first as a header line and strips the second), holds a line break or
+    repeats an earlier id; a phase count other than N; a phase outside
+    (-pi, pi], nan and +-inf included; a non-finite q0.  An empty id is
+    refused too: it reads back, but names nothing in the reader's errors.
+    """
+    experiments = tuple(experiments)
+    seen: set[str] = set()
+    for exp in experiments:
+        _check_experiment(plan, exp, seen)
+        seen.add(exp.experiment_id)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# mfirange phase record\n")
         for key, value in plan_header(plan):
@@ -108,14 +121,33 @@ def write_record(path, plan: FrequencyPlan, experiments: Sequence[Experiment]) -
         fh.write("# columns: experiment_id,freq_hz,phase_rad[,q0_m]\n")
         writer = csv.writer(fh)
         for exp in experiments:
-            phases = np.asarray(exp.phases, dtype=float)
-            if phases.size != plan.n:
-                raise ValueError(f"experiment {exp.experiment_id}: needs {plan.n} phases")
-            for f, ph in zip(freqs, phases):
+            for f, ph in zip(plan.frequencies, np.asarray(exp.phases, dtype=float)):
                 row = [exp.experiment_id, repr(float(f)), repr(float(ph))]
                 if exp.q0 is not None:
                     row.append(repr(float(exp.q0)))
                 writer.writerow(row)
+
+
+def _check_experiment(plan: FrequencyPlan, exp: Experiment, seen: set[str]) -> None:
+    """Raise ValueError, naming the experiment, if :func:`write_record` must refuse it."""
+    eid = exp.experiment_id
+    try:
+        if not eid:
+            raise ValueError("empty id")
+        if eid.startswith("#") or eid != eid.lstrip():
+            raise ValueError("id starts with '#' or a blank")
+        if "\n" in eid or "\r" in eid:
+            raise ValueError("id holds a line break")
+        if eid in seen:
+            raise ValueError("id appears more than once")
+        phases = np.asarray(exp.phases, dtype=float)
+        if phases.shape != (plan.n,):
+            raise ValueError(f"needs {plan.n} phases")
+        _check_phases(phases)
+        if exp.q0 is not None and not math.isfinite(exp.q0):
+            raise ValueError(f"q0 {float(exp.q0)} is not finite")
+    except ValueError as exc:
+        raise ValueError(f"experiment {eid!r}: {exc}") from None
 
 
 def _parse_header(lines: list[str]) -> FrequencyPlan:

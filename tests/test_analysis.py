@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfirange import (
+    C_EXACT,
     C_PAPER,
     DesignParams,
     FrequencyPlan,
@@ -13,8 +15,11 @@ from mfirange import (
     confusion_bound,
     coprime_check,
     crb,
+    design_prime_max_error,
     design_prime_min_error,
+    design_random,
     design_rips,
+    first_primes,
     grid_offset,
     hmse,
     log_pdf_multi,
@@ -32,6 +37,7 @@ from mfirange import (
     synth_phases,
     umr,
 )
+from mfirange import analysis
 
 TWO_PI = 2 * math.pi
 
@@ -185,6 +191,221 @@ class TestSidelobeScan:
         plan = FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1,), c=C_PAPER)
         with pytest.raises(ValueError):
             sidelobe_scan(plan)  # c/B equals the whole unambiguous range
+
+    @pytest.mark.parametrize(
+        "width, step",
+        [
+            (-5.0, None),  # returned the mainlobe itself, SidelobePeak(1.0, 0.0)
+            (0.0, None),
+            (math.nan, None),  # raised "empty scan interval"
+            (math.inf, None),
+            (None, math.inf),  # returned value -1.0
+            (None, math.nan),
+            (None, 0.0),
+            (None, -0.01),
+        ],
+    )
+    def test_bad_width_or_step_rejected(self, width, step):
+        plan = design_rips(400e6, 20e6, 21, c=C_PAPER)
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            sidelobe_scan(plan, mainlobe_width=width, step=step)
+
+
+def _reference_sidelobe_scan(plan, mainlobe_width=None, step=None):
+    """The chunked full scan that the branch and bound replaced, kept as its
+    reference: every grid point, in order, lowest location on ties.
+
+    ``analysis.ambiguity_fn`` is looked up at call time, so a test that
+    replaces it changes the reference and the scan alike.
+    """
+    if mainlobe_width is None:
+        mainlobe_width = plan.c / plan.bandwidth
+    if step is None:
+        step = plan.lambda_min / 20.0
+    lo = mainlobe_width / 2.0
+    hi = umr(plan) / 2.0
+    n_pts = int((hi - lo) / step) + 1
+    best_val = -1.0
+    best_loc = lo
+    chunk = max(1, analysis._SCAN_ELEMS // plan.n)
+    for start in range(0, n_pts, chunk):
+        dq = lo + step * np.arange(start, min(start + chunk, n_pts))
+        vals = analysis.ambiguity_fn(plan, dq)
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val = float(vals[i])
+            best_loc = float(dq[i])
+    return analysis.SidelobePeak(value=best_val, location=best_loc)
+
+
+def _bits(peak):
+    return (repr(peak.value), repr(peak.location))
+
+
+def _scan_geometry(plan, mainlobe_width=None, step=None):
+    """(lo, step, points, slope, block width) of the scan with these settings."""
+    width = plan.c / plan.bandwidth if mainlobe_width is None else mainlobe_width
+    step = plan.lambda_min / 20.0 if step is None else step
+    lo = width / 2.0
+    n_pts = int((umr(plan) / 2.0 - lo) / step) + 1
+    slope = analysis._sidelobe_slope(plan)
+    return lo, step, n_pts, slope, analysis._sidelobe_block_width(plan, step, slope)
+
+
+# Plans whose UMR is a few hundred meters, so the reference scan is quick.
+ODD_PLAN = FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1,) + (2,) * 8, c=C_PAPER)
+TWO_PLAN = FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1,), c=C_PAPER)
+UNIFORM_PLAN = design_rips(400e6, 20e6, 21, c=C_PAPER)
+
+
+@st.composite
+def scan_plans(draw):
+    kind = draw(st.sampled_from(["rips", "prime", "random", "two", "odd"]))
+    f1 = draw(st.floats(100e6, 500e6))
+    c = draw(st.sampled_from([C_PAPER, C_EXACT]))
+    res = draw(st.sampled_from([0.25e6, 0.5e6, 1e6]))
+    if kind == "rips":
+        n = draw(st.integers(2, 12))
+        return design_rips(f1, (n - 1) * res, n, c=c)
+    if kind == "prime":
+        n, index = draw(st.integers(2, 8)), draw(st.integers(1, 3))
+        window = sum(first_primes(index + n - 2)[index - 1 :])
+        bandwidth = res * (draw(st.integers(1, 2)) * window + draw(st.integers(0, window - 1)))
+        params = DesignParams(bandwidth=bandwidth, n=n, resolution=res, prime_index=index)
+        designer = draw(st.sampled_from([design_prime_min_error, design_prime_max_error]))
+        return designer(params, f1, c=c)
+    if kind == "random":
+        n = draw(st.integers(3, 10))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return design_random(f1, res * draw(st.integers(n - 1, 3 * n)), n, res, rng, c=c)
+    if kind == "two":
+        return FrequencyPlan(f1=f1, resolution=res, spacings=(draw(st.integers(1, 3)),), c=c)
+    return FrequencyPlan(f1=f1, resolution=res, spacings=(1,) + (2,) * draw(st.integers(1, 9)), c=c)
+
+
+@st.composite
+def scan_cases(draw):
+    """A plan with a default or explicit mainlobe width and step; the steps
+    reach past sqrt(N)/L, where blocks hold one grid point, and the widths
+    near the UMR, where the scan is shorter than one block."""
+    plan = draw(scan_plans())
+    width = draw(st.one_of(st.none(), st.floats(1e-4, 0.999)))
+    if width is None and plan.c / plan.bandwidth >= umr(plan):  # N = 2: c/B is the UMR
+        width = draw(st.floats(1e-4, 0.999))
+    if width is not None:
+        width *= umr(plan)
+    step = draw(st.one_of(st.none(), st.floats(0.01, 4.0)))
+    if step is not None:
+        step *= plan.lambda_min
+    return plan, width, step
+
+
+class TestSidelobeBranchAndBound:
+    """``sidelobe_scan`` against the full scan it replaced: the same value and
+    location, bit for bit."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(case=scan_cases())
+    def test_matches_full_scan(self, case):
+        plan, width, step = case
+        got = sidelobe_scan(plan, mainlobe_width=width, step=step)
+        assert _bits(got) == _bits(_reference_sidelobe_scan(plan, width, step))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(case=scan_cases(), levels=st.sampled_from([4, 16, 64]))
+    def test_ties_take_the_lowest_location(self, case, levels):
+        # AF floored onto a few levels has many exact ties at its maximum,
+        # and stays below every block bound, so the pruning is still exact.
+        plan, width, step = case
+        exact = analysis.ambiguity_fn
+
+        def floored(plan, dq):
+            return np.floor(exact(plan, dq) * levels) / levels
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "ambiguity_fn", floored)
+            got = sidelobe_scan(plan, mainlobe_width=width, step=step)
+            expected = _reference_sidelobe_scan(plan, width, step)
+        assert _bits(got) == _bits(expected)
+
+    @pytest.mark.parametrize(
+        "plan, width, step",
+        [
+            (UNIFORM_PLAN, 2 * C_PAPER / 21e6, None),  # the first Dirichlet sidelobe
+            (TWO_PLAN, 30.0, 0.01),  # cos^2 falls from lo; its equal mirror is not scanned
+            (design_prime_min_error(DesignParams(20e6, 21, 65.0), 400e6, c=C_PAPER), None, None),
+        ],
+    )
+    def test_named_plans_match_full_scan(self, plan, width, step):
+        got = sidelobe_scan(plan, mainlobe_width=width, step=step)
+        assert _bits(got) == _bits(_reference_sidelobe_scan(plan, width, step))
+
+    def test_peak_at_lo(self):
+        lo, *_ = _scan_geometry(UNIFORM_PLAN)
+        got = sidelobe_scan(UNIFORM_PLAN)  # c/B/2 lies on the mainlobe's slope
+        assert got.location == lo
+        assert _bits(got) == _bits(_reference_sidelobe_scan(UNIFORM_PLAN))
+
+    def test_peak_at_last_point_in_a_short_last_block(self):
+        lo, step, n_pts, _, width = _scan_geometry(ODD_PLAN)
+        assert n_pts % width != 0
+        got = sidelobe_scan(ODD_PLAN)
+        assert got.location == lo + step * (n_pts - 1)
+        assert got.value == pytest.approx((8 / 10) ** 2, abs=1e-4)  # S(UMR/2) = 1 - 9
+        assert _bits(got) == _bits(_reference_sidelobe_scan(ODD_PLAN))
+
+    def test_equal_lobes_take_the_lowest(self):
+        # The uniform plan's AF capped at 0.004 (<= AF, so every bound still
+        # holds): its first sidelobes all reach the cap, and the lowest grid
+        # point, on the first one's rising edge, is reported.
+        width = 2 * C_PAPER / 21e6
+        exact = analysis.ambiguity_fn
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "ambiguity_fn", lambda p, dq: np.minimum(exact(p, dq), 0.004))
+            got = sidelobe_scan(UNIFORM_PLAN, mainlobe_width=width)
+            expected = _reference_sidelobe_scan(UNIFORM_PLAN, width)
+            lo, step, n_pts, *_ = _scan_geometry(UNIFORM_PLAN, width)
+            vals = analysis.ambiguity_fn(UNIFORM_PLAN, lo + step * np.arange(n_pts))
+        at_max = np.flatnonzero(vals == vals.max())
+        assert np.count_nonzero(np.diff(at_max) > 1) >= 2  # three or more lobes tie
+        assert got.location == lo + step * at_max[0]
+        assert _bits(got) == _bits(expected)
+
+    def test_one_cell_blocks(self):
+        plan = design_rips(400e6, 20e6, 21, c=C_PAPER)
+        step = 1.5 * math.sqrt(plan.n) / analysis._sidelobe_slope(plan)
+        *_, width = _scan_geometry(plan, step=step)
+        assert width == 1
+        got = sidelobe_scan(plan, step=step)
+        assert _bits(got) == _bits(_reference_sidelobe_scan(plan, step=step))
+
+    def test_scan_shorter_than_one_block(self):
+        width = 0.999 * umr(TWO_PLAN)
+        _, _, n_pts, _, cells = _scan_geometry(TWO_PLAN, width)
+        assert n_pts < cells
+        got = sidelobe_scan(TWO_PLAN, mainlobe_width=width)
+        assert _bits(got) == _bits(_reference_sidelobe_scan(TWO_PLAN, width))
+
+    def test_block_width_from_plan(self):
+        # L*h about sqrt(N)/2: 21 grid points on the N=31 plan-replay plan.
+        params = DesignParams(bandwidth=40.378e6, n=31, resolution=65.0, prime_index=12)
+        plan = design_prime_min_error(params, 410e6, c=C_PAPER)
+        step = plan.lambda_min / 20.0
+        slope = analysis._sidelobe_slope(plan)
+        width = analysis._sidelobe_block_width(plan, step, slope)
+        assert width == 21
+        assert slope * step * (width - 1) / 2 == pytest.approx(math.sqrt(plan.n) / 2, rel=0.05)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(case=scan_cases(), cells=st.one_of(st.just(1), st.integers(2, 400)))
+    def test_bound_covers_its_block(self, case, cells):
+        plan, width, step = case
+        lo, step, n_pts, slope, _ = _scan_geometry(plan, width, step)
+        n_pts = min(n_pts, 20_000)
+        bounds = analysis._block_bounds(plan, lo, step, n_pts, cells, slope)
+        vals = analysis.ambiguity_fn(plan, lo + step * np.arange(n_pts))
+        padded = np.concatenate([vals, np.zeros(bounds.size * cells - n_pts)])
+        assert np.all(padded.reshape(bounds.size, cells).max(axis=1) <= bounds)
 
 
 class TestQuadform:

@@ -2,8 +2,9 @@
 across changes.
 
 The campaign digests below were computed on the per-trial synthesis loop
-that the batch synthesis path replaced, and the design and replay digests
-on the row-at-a-time record parser and fixed-size sidelobe chunks.  A
+that the batch synthesis path replaced, the design and replay digests on
+the row-at-a-time record parser and fixed-size sidelobe chunks, and the
+analyze digests on the full (unpruned) sidelobe scan.  A
 change that alters the noise stream or the arithmetic on purpose updates
 them and says so in its change notes; any other change must leave them as
 they are.
@@ -16,7 +17,10 @@ import pytest
 
 from mfirange import (
     C_PAPER,
+    DesignParams,
     NoiseModel,
+    design_prime_max_error,
+    design_prime_min_error,
     design_rips,
     synth_phases,
     synth_trial_matrix,
@@ -140,3 +144,29 @@ def test_replay_digests(designed, tmp_path, refine):
     expected = REPLAY_SHA256[refine]
     got = {name: sha256((tmp_path / "out" / name).read_bytes()) for name in expected}
     assert got == expected
+
+
+# The analyze report of the three N=21 campaign plans at 10 dB: the
+# sidelobe peak sits at 3.6 km for min-error and at the scan start for
+# max-error and uniform.
+ANALYZE_SHA256 = {
+    "min_error": "d2678722f195c57652124f82b1addbe5417ca0d71130e428068cfa0a551fa2ff",
+    "uniform": "b47eb321d506e704700668a91601335ff61013cc52630172e559091bb4bb5a03",
+    "max_error": "8e8f963c2b7a352f4fff1b9a164bf2385b24668a2416b43662fb0cf7f9fd6eff",
+}
+
+CAMPAIGN_PARAMS = DesignParams(bandwidth=20e6, n=21, resolution=65.0)
+CAMPAIGN_PLANS = {
+    "min_error": design_prime_min_error(CAMPAIGN_PARAMS, 400e6, c=C_PAPER),
+    "uniform": PLAN21,
+    "max_error": design_prime_max_error(CAMPAIGN_PARAMS, 400e6, c=C_PAPER),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_SHA256))
+def test_analyze_digests(tmp_path, name):
+    write_plan_file(tmp_path / f"{name}.plan", CAMPAIGN_PLANS[name])
+    argv = ["analyze", "--plan", str(tmp_path / f"{name}.plan"), "--snr", "10"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    got = sha256((tmp_path / "out" / f"{name}_report.csv").read_bytes())
+    assert got == ANALYZE_SHA256[name]

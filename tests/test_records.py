@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -437,3 +438,120 @@ class TestNonFinite:
         path.write_text(_record_text(PLAN4, rows), encoding="utf-8")
         with pytest.raises(RecordFormatError, match=r"^experiment e1: q0 inf is not finite$"):
             read_record(path)
+
+
+# Characters the record syntax gives a meaning to, mixed into generated ids.
+ID_CHARS = st.one_of(
+    st.sampled_from(["#", " ", "\t", "\n", "\r", ",", '"', "\x00", "\x0b", "\x1c", "\x85", " "]),
+    st.characters(),
+)
+GOOD_PHASES = st.floats(-math.pi, math.pi).filter(lambda x: x > -math.pi)
+BAD_IDS = ["", "#e1", " e2 ", "\te", "e\n3", "e\r3", "\re"]
+
+
+def _good_id(eid: str) -> bool:
+    return bool(eid) and eid[0] != "#" and eid == eid.lstrip() and not set(eid) & {"\n", "\r"}
+
+
+READABLE = st.lists(
+    st.builds(
+        Experiment,
+        st.text(ID_CHARS, min_size=1, max_size=6).filter(_good_id),
+        st.lists(GOOD_PHASES, min_size=4, max_size=4).map(np.array),
+        st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+    ),
+    max_size=5,
+    unique_by=lambda e: e.experiment_id,
+)
+
+
+@st.composite
+def maybe_unreadable(draw):
+    """Readable experiments with one of them given any id, phase or q0, or
+    an earlier experiment's id."""
+    exps = draw(READABLE)
+    if not exps:
+        return exps
+    k = draw(st.integers(0, len(exps) - 1))
+    eid, phases, q0 = exps[k].experiment_id, exps[k].phases.copy(), exps[k].q0
+    kind = draw(st.sampled_from(["id", "phase", "q0", "repeat"]))
+    if kind == "id":
+        eid = draw(st.one_of(st.sampled_from(BAD_IDS), st.text(ID_CHARS, max_size=4)))
+    elif kind == "phase":
+        phases[draw(st.integers(0, 3))] = draw(st.floats())
+    elif kind == "q0":
+        q0 = draw(st.floats())
+    else:
+        eid = exps[draw(st.integers(0, k))].experiment_id
+    exps[k] = Experiment(eid, phases, q0)
+    return exps
+
+
+def _written_back(tmp_path, exps):
+    """``read_record`` of ``write_record(exps)``, as comparable tuples."""
+    path = tmp_path / "round_trip.csv"
+    write_record(path, PLAN4, exps)
+    rec = read_record(path)
+    assert rec.plan == PLAN4
+    return [(e.experiment_id, e.phases.tobytes(), repr(e.q0)) for e in rec.experiments]
+
+
+def _as_written(exps):
+    return [
+        (e.experiment_id, np.asarray(e.phases, dtype=float).tobytes(),
+         repr(None if e.q0 is None else float(e.q0)))
+        for e in exps
+    ]
+
+
+class TestWriteRefusals:
+    """``write_record`` refuses what ``read_record`` cannot read back as
+    written, and names the experiment."""
+
+    GOOD = np.array([0.1, -0.2, math.pi, 3.0])
+
+    @pytest.mark.parametrize(
+        "eid, phases, q0, problem",
+        [
+            ("", GOOD, None, "empty id"),
+            ("#e1", GOOD, None, "starts with '#' or a blank"),
+            (" e2 ", GOOD, None, "starts with '#' or a blank"),
+            ("\te", GOOD, None, "starts with '#' or a blank"),
+            ("e\n3", GOOD, None, "line break"),
+            ("e\r3", GOOD, None, "line break"),
+            ("e4", GOOD[:3], None, "needs 4 phases"),
+            ("e5", [0.1, -math.pi, 0.0, 0.0], None, r"\(-pi, pi\]"),
+            ("e6", [0.1, 3.5, 0.0, 0.0], None, r"\(-pi, pi\]"),
+            ("e7", [0.1, math.nan, 0.0, 0.0], None, "must be finite"),
+            ("e8", [0.1, math.inf, 0.0, 0.0], None, "must be finite"),
+            ("e9", GOOD, math.nan, "q0 nan is not finite"),
+            ("e10", GOOD, -math.inf, "q0 -inf is not finite"),
+        ],
+    )
+    def test_refused_and_named(self, tmp_path, eid, phases, q0, problem):
+        path = tmp_path / "r.csv"
+        exps = [Experiment("ok", self.GOOD, 1.0), Experiment(eid, np.asarray(phases), q0)]
+        with pytest.raises(ValueError, match=r"^experiment " + re.escape(repr(eid)) + ": .*" + problem):
+            write_record(path, PLAN4, exps)
+        assert not path.exists()  # refused before anything is written
+
+    def test_duplicate_id_refused(self, tmp_path):
+        exps = [Experiment("e1", self.GOOD), Experiment("e2", self.GOOD), Experiment("e1", self.GOOD)]
+        with pytest.raises(ValueError, match=r"^experiment 'e1': id appears more than once$"):
+            write_record(tmp_path / "r.csv", PLAN4, exps)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(exps=READABLE)
+    def test_readable_experiments_round_trip(self, record_dir, exps):
+        assert _written_back(record_dir, exps) == _as_written(exps)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(exps=maybe_unreadable())
+    def test_written_means_read_back_as_written(self, record_dir, exps):
+        try:
+            back = _written_back(record_dir, exps)
+        except ValueError as exc:
+            assert not isinstance(exc, RecordFormatError)
+            assert any(str(exc).startswith(f"experiment {e.experiment_id!r}: ") for e in exps)
+        else:
+            assert back == _as_written(exps)

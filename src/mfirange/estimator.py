@@ -6,25 +6,43 @@ range grid, and returns the lowest grid index among the cells of least
 cost.  A normalized coherent-sum surrogate of the same cost is provided
 for cross-checks.
 
-The grid search is an exact branch and bound (B&B).  The grid is split
-into blocks of ``max(1, floor(lambda_min / (3*step)))`` consecutive
-cells, so no block spans more than lambda_min/3.  For a block with
-centre q_c and half-width h, every cell q in it has
+The grid search is an exact branch and bound (B&B) over *combs*.  The
+cost splits like the paper's two regimes: the frequency spread sets the
+envelope and the mean frequency the carrier cycle.  With cbar =
+(c_max + c_min)/2 and delta_i = c_i - cbar, the grid is tiled by
+super-blocks of consecutive cells.  A cell q = q_s + x of a super-block
+with centre q_s gets the carrier class k = round(wrap(cbar*x)/(2*pi/n_u))
+mod n_u, with u_k = 2*pi*k/n_u and v = wrap(cbar*x - u_k); a comb is
+the cells of one super-block that share one class.  As
+phi_i - c_i*q == (phi_i - c_i*q_s - u_k) - v - delta_i*x (mod 2*pi) and
+|wrap(x)|, the distance from x to 2*pi*Z, is 1-Lipschitz, every cell q
+of a comb has
 
-    LS(q) >= LB = sum_i max(0, |wrap(phi_i - c_i*q_c)| - c_i*h)^2,
+    LS(q) >= LB = sum_i max(0, |wrap(phi_i - cm_i)| - s_i)^2,
+    cm_i = wrap(c_i*q_s + u_k),  s_i = max|v| + |delta_i|*max|x| + pad,
 
-because |wrap(x)| is the distance from x to 2*pi*Z, a 1-Lipschitz
-function, and c_i*q moves by at most c_i*h across the block.  Each
-trial visits its blocks in increasing LB, 1, 2, 4, ... blocks a round,
-and stops at the first block whose LB - 1e-9*max(LB, 1) is above the
-best cost found so far.  Visited
-cells are costed with the full scan's per-cell arithmetic and ties go to
-the lower grid index, so the answers equal a full scan's bit for bit;
-:func:`_scan_block` is that full scan, kept as the test reference.  The
-batch path chunks every temporary to about 32 MB and can spread trials
-over a thread pool, once a batch gives each thread enough trials to pay
-for it (trial-partitioned, so results are identical at any worker
-count).
+where the maxima run over the comb's cells in a full super-block and the
+pad is 16 ulps of the largest model phase, so rounding in the cell costs
+cannot put a cell below its comb's bound.  The layout comes from the plan
+and the grid alone.  A narrowband plan (4*pi*max|delta_i| < c_max, that is B/f_max <
+1/(2*pi)) gets n_u = max(3, round(min(sqrt(G), sqrt(2*pi / (max|delta_i|
+* step * sqrt(G)))))) classes and super-blocks of 2*H/step cells (at most
+G, the grid size) with max|delta_i|*H = pi/n_u: about sqrt(G) combs of
+about sqrt(G) cells, which balances the bound pass (per comb) against a
+visit (per cell).  Each tooth of a comb, its cells within one carrier
+cycle, spans at most lambda_bar/n_u <= lambda_bar/3, lambda_bar =
+2*pi/cbar.  A wideband plan falls back to cbar = 0 and n_u = 1, which
+makes the combs contiguous blocks of max(1, floor(lambda_min/(3*step)))
+cells with s_i = c_i*h for a block of half-width h.  Each trial visits
+its combs in increasing LB, 1, 2, 4, ... combs a round, and stops at the
+first comb whose LB - 1e-9*max(LB, 1) is above the best cost found so
+far.  Visited cells are costed with the full scan's per-cell arithmetic
+and ties go to the lower grid index, so the answers equal a full scan's
+bit for bit; :func:`_scan_block` is that full scan, kept as the test
+reference.  The batch path chunks every temporary to about 32 MB and can
+spread trials over a thread pool, once a batch gives each thread enough
+trials to pay for it (trial-partitioned, so results are identical at any
+worker count).
 """
 
 from __future__ import annotations
@@ -46,9 +64,10 @@ _TARGET_ELEMS = 4_000_000
 WORKERS_ENV = "MFIRANGE_WORKERS"
 # Fewest trials a pool thread is given.  The B&B runs many small numpy
 # calls per round, which hold the GIL, so threads overlap only on large
-# batches.  Two threads on two cores broke even at about 1000 trials each
-# for 21- and 31-frequency plans over 601 cells (refine on), and at
-# 250-500 each over 30001 cells; below that they were up to 4.5x slower.
+# batches.  Two threads against one on two cores, uniform N=21 plan: over
+# 601 cells (refine on, 26 dB) 0.51-0.84x at 125-500 trials each,
+# 0.88-1.21x at 1000 and 1.26-1.49x at 2000; over 30001 cells (12 dB)
+# 0.94-1.15x at 125, 1.04-1.70x at 250 and 1.18-1.97x at 500-2000.
 _MIN_TRIALS_PER_WORKER = 1000
 _warned_workers: set[str] = set()
 
@@ -211,34 +230,81 @@ def _scan_block(
         best_idx[better] = idx[better] + start
 
 
-# A block is pruned only when LB - _PRUNE_RTOL * max(LB, 1) > best cost.
+# A comb is pruned only when LB - _PRUNE_RTOL * max(LB, 1) > best cost.
 _PRUNE_RTOL = 1e-9
 
 
-def _block_width(plan: FrequencyPlan, step: float) -> int:
-    """Cells per B&B block: the widest block spans at most lambda_min/3."""
-    return max(1, int(plan.lambda_min / (3.0 * step)))
+def _layout(coef, step, n_pts) -> tuple[float, int, int]:
+    """(cbar, n_u, super-block size in cells) of the module docstring's rule."""
+    c_max = float(coef.max())
+    spread = 0.5 * (c_max - float(coef.min()))
+    if 4.0 * math.pi * spread >= c_max:
+        # Wideband: contiguous blocks of at most lambda_min/3.
+        return 0.0, 1, max(1, int(TWO_PI / (3.0 * c_max * step)))
+    # About sqrt(n_pts) combs, with spread*H = pi/n_u for the super-block
+    # half-width H, so each tooth of a comb spans at most lambda_bar/n_u.
+    root = math.sqrt(n_pts)
+    if spread == 0.0:
+        return c_max, max(3, round(root)), n_pts
+    n_u = max(3, round(min(root, math.sqrt(TWO_PI / (spread * step * root)))))
+    return c_max - spread, n_u, min(n_pts, max(1, int(TWO_PI / (n_u * spread * step))))
 
 
-def _blocks(coef, grid, width) -> tuple[np.ndarray, np.ndarray]:
-    """Wrapped centre model c_i*q_c and shrink c_i*h of each block, (N, blocks).
+def _combs(coef, grid, step) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """B&B comb layout of the module docstring for a plan's ``coef`` and a grid.
 
-    The shrink carries a few ulps of the largest model phase, so rounding
-    in the cell costs cannot put a cell below its block's bound.
+    Returns the cell table (combs x width), each row a comb's grid indices
+    in increasing order, and the centre model and shrink, (N x combs).  One
+    super-block's class pattern is tiled over the grid, so no sort runs
+    over the whole grid.  A comb with fewer cells than the widest repeats
+    its last cell, which changes no argmin.  The clipped last super-block
+    keeps its pattern's centre and maxima; its past-the-end cells repeat
+    the comb's last real cell, and a comb with no real cell is dropped.
     """
-    starts = np.arange(0, grid.size, width)
-    ends = np.minimum(starts + width, grid.size) - 1
-    centre_model = _wrap_inplace(coef[:, None] * (0.5 * (grid[starts] + grid[ends])))
-    reach = np.abs(coef).max() * max(abs(grid[0]), abs(grid[-1])) + TWO_PI
-    shrink = coef[:, None] * (0.5 * (grid[ends] - grid[starts])) + 8.0 * np.spacing(reach)
-    return centre_model, shrink
+    n_pts = grid.size
+    c_bar, n_u, size = _layout(coef, step, n_pts)
+    x = (np.arange(size) - 0.5 * (size - 1)) * step
+    w = _wrap_inplace(c_bar * x)
+    turns = np.rint(w * (n_u / TWO_PI))
+    v = w - turns * (TWO_PI / n_u)
+    # Class j holds the cells whose turn is j - half, u = (j - half)*2*pi/n_u.
+    half = (n_u - 1) // 2
+    cls = (turns.astype(np.int64) + half) % n_u
+    order = np.argsort(cls, kind="stable")
+    counts = np.bincount(cls, minlength=n_u)
+    classes = np.nonzero(counts)[0]
+    counts = counts[classes]
+    first = np.cumsum(counts) - counts
+    width = int(counts.max())
+    pat = order[first[:, None] + np.minimum(np.arange(width), counts[:, None] - 1)]
+    v_max = np.abs(v)[pat].max(axis=1)
+    x_max = np.abs(x)[pat].max(axis=1)
+
+    n_super = -(-n_pts // size)
+    base = np.arange(n_super) * size
+    table = base[:, None, None] + pat  # (super-blocks, classes, width)
+    # Clipped last super-block: past-the-end cells repeat the comb's last
+    # real cell (rows are ascending), and a comb with no real cell goes.
+    n_real = (table[-1] < n_pts).sum(axis=1)
+    last_real = table[-1, np.arange(classes.size), np.maximum(n_real - 1, 0)]
+    np.minimum(table[-1], last_real[:, None], out=table[-1])
+    keep = np.ones((n_super, classes.size), dtype=bool)
+    keep[-1] = n_real > 0
+    centre = grid[0] + step * (base + 0.5 * (size - 1))
+    u = (classes - half) * (TWO_PI / n_u)
+    centre_model = _wrap_inplace(coef[:, None, None] * centre[:, None] + u)[:, keep]
+    reach = coef.max() * (abs(grid[0]) + abs(grid[-1] - grid[0]) + size * step) + TWO_PI
+    shrink = v_max + np.abs(coef - c_bar)[:, None] * x_max + 16.0 * np.spacing(reach)
+    shrink = np.broadcast_to(shrink[:, None, :], (coef.size, n_super, classes.size))[:, keep]
+    return table[keep], centre_model, shrink
 
 
 def _lower_bounds(phases, centre_model, shrink) -> np.ndarray:
-    """(trials x blocks) LB = sum_i max(0, |wrap(phi_i - c_i*q_c)| - c_i*h)^2.
+    """(trials x combs) LB = sum_i max(0, |wrap(phi_i - cm_i)| - s_i)^2.
 
-    A term is 0 where c_i*h >= pi: the block then covers a whole carrier
-    cycle of frequency i.
+    ``centre_model`` is cm_i and ``shrink`` s_i, (N, combs).  A term is 0
+    where s_i >= pi: the comb's residuals of frequency i then reach every
+    phase.
     """
     lb = np.zeros((phases.shape[0], centre_model.shape[1]))
     d = np.empty_like(lb)
@@ -256,10 +322,10 @@ def _lower_bounds(phases, centre_model, shrink) -> np.ndarray:
     return lb
 
 
-def _cell_costs(phases, model, rows, blocks) -> np.ndarray:
-    """(pairs x width) costs of block ``blocks[p]`` for trial ``rows[p]``.
+def _cell_costs(phases, model, rows, combs) -> np.ndarray:
+    """(pairs x width) costs of comb ``combs[p]`` for trial ``rows[p]``.
 
-    ``model`` is the wrapped model of each block's cells, (N, blocks,
+    ``model`` is the wrapped model of each comb's cells, (N, combs,
     width); the per-cell arithmetic and the plan-order sum are those of
     :func:`_scan_block`, so every cost equals the full scan's bit for bit.
     """
@@ -267,7 +333,7 @@ def _cell_costs(phases, model, rows, blocks) -> np.ndarray:
     d = np.empty_like(acc)
     tmp = np.empty_like(acc)
     for i in range(model.shape[0]):
-        np.take(model[i], blocks, axis=0, out=d, mode="clip")
+        np.take(model[i], combs, axis=0, out=d, mode="clip")
         np.subtract(phases[rows, i : i + 1], d, out=d)
         np.abs(d, out=d)
         np.subtract(TWO_PI, d, out=tmp)
@@ -277,16 +343,17 @@ def _cell_costs(phases, model, rows, blocks) -> np.ndarray:
     return acc
 
 
-def _visit(phases, coef, grid, width, rows, blocks, best_val, best_idx) -> None:
-    """Cost the (trial, block) pairs and keep each trial's lowest-index minimum."""
-    n_pts = grid.size
-    span = np.arange(width)
-    per_chunk = max(1, _TARGET_ELEMS // (width * coef.size))
+def _visit(phases, coef, grid, table, rows, combs, best_val, best_idx) -> None:
+    """Cost the (trial, comb) pairs and keep each trial's lowest-index minimum.
+
+    ``table`` holds each comb's grid indices, ascending, so a comb's first
+    least-cost cell is its lowest-index one.
+    """
+    per_chunk = max(1, _TARGET_ELEMS // (table.shape[1] * coef.size))
     for a in range(0, rows.size, per_chunk):
-        r, b = rows[a : a + per_chunk], blocks[a : a + per_chunk]
+        r, b = rows[a : a + per_chunk], combs[a : a + per_chunk]
         uniq, inv = np.unique(b, return_inverse=True)
-        # A short last block repeats the last cell, which changes no argmin.
-        cells = np.minimum(uniq[:, None] * width + span, n_pts - 1)
+        cells = table[uniq]
         model = _wrap_inplace(coef[:, None, None] * grid[cells])
         acc = _cell_costs(phases, model, r, inv)
         j = np.argmin(acc, axis=1)
@@ -300,18 +367,18 @@ def _visit(phases, coef, grid, width, rows, blocks, best_val, best_idx) -> None:
         best_idx[r[better]] = idx[better]
 
 
-def _bnb_scan(phases, coef, grid, width, centre_model, shrink, best_val, best_idx) -> None:
+def _bnb_scan(phases, coef, grid, table, centre_model, shrink, best_val, best_idx) -> None:
     """Fill per-trial (min cost, lowest argmin index) by branch and bound.
 
-    Each trial first visits its lowest-bound block.  Its other blocks whose
+    Each trial first visits its lowest-bound comb.  Its other combs whose
     slackened bound is not above that cost are the candidates; they are
     visited in increasing bound, the next 1, 2, 4, ... per round, and a
     trial closes at its first candidate whose bound is above its best
-    cost.  Trials are chunked so (trials x blocks) arrays stay within the
+    cost.  Trials are chunked so (trials x combs) arrays stay within the
     chunk size.
     """
-    n_blk = centre_model.shape[1]
-    per_chunk = max(1, _TARGET_ELEMS // n_blk)
+    n_comb = centre_model.shape[1]
+    per_chunk = max(1, _TARGET_ELEMS // n_comb)
     for a in range(0, phases.shape[0], per_chunk):
         ph = phases[a : a + per_chunk]
         t = ph.shape[0]
@@ -320,13 +387,13 @@ def _bnb_scan(phases, coef, grid, width, centre_model, shrink, best_val, best_id
         lb -= _PRUNE_RTOL * np.maximum(lb, 1.0)
         trials = np.arange(t)
         first = np.argmin(lb, axis=1)
-        _visit(ph, coef, grid, width, trials, first, val, idx)
+        _visit(ph, coef, grid, table, trials, first, val, idx)
         lb[trials, first] = np.inf
-        rows, blocks = np.nonzero(lb <= val[:, None])
-        bound = lb[rows, blocks]
+        rows, combs = np.nonzero(lb <= val[:, None])
+        bound = lb[rows, combs]
         del lb
         order = np.lexsort((bound, rows))
-        rows, blocks, bound = rows[order], blocks[order], bound[order]
+        rows, combs, bound = rows[order], combs[order], bound[order]
         start = np.searchsorted(rows, trials)
         count = np.bincount(rows, minlength=t)
         pos = np.zeros(t, dtype=np.int64)
@@ -343,8 +410,8 @@ def _bnb_scan(phases, coef, grid, width, centre_model, shrink, best_val, best_id
             keep &= bound[nxt] <= val[live, None]
             pos[live] += keep.sum(axis=1)
             nxt = nxt[keep]
-            _visit(ph, coef, grid, width, rows[nxt], blocks[nxt], val, idx)
-            take = min(2 * take, n_blk)  # (trials x take) stays within the chunk
+            _visit(ph, coef, grid, table, rows[nxt], combs[nxt], val, idx)
+            take = min(2 * take, n_comb)  # (trials x take) stays within the chunk
 
 
 def ls_estimate_batch(
@@ -355,16 +422,20 @@ def ls_estimate_batch(
     Returns (q_hat, cost_at_min, grid_index) arrays.  Phases are wrapped
     to (-pi, pi] on entry (values already there keep their bits) and must
     be finite.  The search is the exact branch and bound of the module
-    docstring: blocks of max(1, floor(lambda_min / (3*step))) cells,
-    bounded below by LB = sum_i max(0, |wrap(phi_i - c_i*q_c)| - c_i*h)^2
-    (|wrap| is 1-Lipschitz and c_i*q moves by at most c_i*h in the block),
-    visited in increasing LB until LB - 1e-9*max(LB, 1) exceeds the best
-    cost.  c_i*h carries a few ulps of the largest model phase so rounding
-    cannot lift LB above a cell's computed cost.  The result equals a full
-    scan's bit for bit, and ties break toward the smallest range (lowest
-    grid index).  With ``refine`` set, a 3-point parabolic fit around
-    each interior grid minimum sharpens q_hat below the grid step; the
-    reported cost is re-evaluated at the refined point.  Worker count
+    docstring over combs: the cells of one envelope super-block that share
+    one carrier-phase class.  A comb with centre model cm_i =
+    wrap(c_i*q_s + u_k) is bounded below by LB = sum_i max(0,
+    |wrap(phi_i - cm_i)| - s_i)^2, s_i = max|v| + |c_i - cbar|*max|x| plus
+    16 ulps of the largest model phase, so rounding cannot lift LB above a
+    cell's computed cost.  A narrowband plan gets n_u >= 3 carrier classes
+    and about sqrt(G) combs for G grid cells; a plan with B/f_max >=
+    1/(2*pi) falls back to contiguous blocks of max(1, floor(lambda_min /
+    (3*step))) cells (cbar = 0, n_u = 1).  Combs are visited in increasing
+    LB until LB - 1e-9*max(LB, 1) exceeds the best cost.  The result
+    equals a full scan's bit for bit, and ties break toward the smallest
+    range (lowest grid index).  With ``refine`` set, a 3-point parabolic
+    fit around each interior grid minimum sharpens q_hat below the grid
+    step; the reported cost is re-evaluated at the refined point.  Worker count
     defaults to the MFIRANGE_WORKERS environment variable, and a batch is
     split only as far as each thread gets ``_MIN_TRIALS_PER_WORKER`` trials;
     partitioning is by trial, so results do not depend on it.
@@ -382,13 +453,12 @@ def ls_estimate_batch(
         )
     grid = cfg.grid()
     coef = (TWO_PI / plan.c) * plan.frequencies
-    width = _block_width(plan, cfg.step)
     t = phases.shape[0]
     best_val = np.full(t, np.inf)
     best_idx = np.zeros(t, dtype=np.int64)
     if workers is None:
         workers = _default_workers()
-    args = (coef, grid, width, *_blocks(coef, grid, width))
+    args = (coef, grid, *_combs(coef, grid, cfg.step))
     workers = min(workers, t // _MIN_TRIALS_PER_WORKER)
     if workers > 1:
         bounds = np.linspace(0, t, workers + 1, dtype=int)

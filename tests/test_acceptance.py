@@ -6,7 +6,6 @@ pytest capture) so a full run doubles as a checklist.
 
 import itertools
 import math
-import os
 import sys
 
 import numpy as np
@@ -43,6 +42,7 @@ from mfirange import (
     ls_estimate_batch,
     umr,
 )
+from mfirange import estimator
 from mfirange.cli import main as cli_main
 
 ACCEPT_SEED = 20260810
@@ -320,7 +320,7 @@ def test_confusion_rate_vs_bound():
     assert ok
 
 
-def test_estimator_sanity_and_determinism(tmp_path):
+def test_estimator_sanity_and_determinism(tmp_path, monkeypatch):
     plan = design_rips(400e6, 20e6, 21, c=C_PAPER)
 
     # Noise-free on-grid recovery is exact.
@@ -361,24 +361,30 @@ def test_estimator_sanity_and_determinism(tmp_path):
     )
     assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r1")]) == 0
     assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r2")]) == 0
-    old = os.environ.get("MFIRANGE_WORKERS")
-    os.environ["MFIRANGE_WORKERS"] = "4"
-    try:
+    # r3 spreads each 300-trial batch over a 4-thread pool: the per-thread
+    # trial floor is lowered so that the batch really splits.
+    pools = []
+
+    class Pool(estimator.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    with monkeypatch.context() as m:
+        m.setenv(estimator.WORKERS_ENV, "4")
+        m.setattr(estimator, "_MIN_TRIALS_PER_WORKER", 75)
+        m.setattr(estimator, "ThreadPoolExecutor", Pool)
         assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r3")]) == 0
-    finally:
-        if old is None:
-            os.environ.pop("MFIRANGE_WORKERS")
-        else:
-            os.environ["MFIRANGE_WORKERS"] = old
+    split = pools == [4, 4]
     b1 = (tmp_path / "r1" / "pf.csv").read_bytes()
     identical = b1 == (tmp_path / "r2" / "pf.csv").read_bytes() and b1 == (
         tmp_path / "r3" / "pf.csv"
     ).read_bytes()
 
-    ok = exact and on_floor and identical
+    ok = exact and on_floor and identical and split
     report(
         "estimator sanity and determinism", ok,
         f"noise-free exact={exact}; 30 dB mse/crb={mse / floor:.3f} in [1-3se, 1.5]; "
-        f"byte-identical reruns={identical}",
+        f"byte-identical reruns={identical}, the last on pools of {pools} threads",
     )
     assert ok

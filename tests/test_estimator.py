@@ -287,24 +287,45 @@ class TestUnwrapOk:
         assert got.tolist() == [True, True, True, False, False]
 
 
+# B/f_max = 0.79: the wideband plan of the confusion-rate acceptance check,
+# whose B&B falls back to contiguous blocks.
+WIDE = FrequencyPlan(f1=105e6, resolution=10e6, spacings=(1,) * 40, c=C_PAPER)
+BNB_PLANS = {**PLANS, "wideband": WIDE}
+
+
+def coef_of(plan):
+    return (TWO_PI / plan.c) * plan.frequencies
+
+
+def kernel_costs(phases, plan, grid):
+    """(trials x grid) costs in the full scan's per-cell arithmetic."""
+    coef = coef_of(plan)
+    model = estimator._wrap_inplace(coef[:, None] * grid)[:, None, :]
+    rows = np.arange(phases.shape[0])
+    return estimator._cell_costs(phases, model, rows, np.zeros_like(rows))
+
+
 class TestBranchAndBound:
     @given(
-        label=st.sampled_from(sorted(PLANS)),
+        label=st.sampled_from(sorted(BNB_PLANS)),
         snr_db=st.one_of(st.none(), st.floats(-35.0, 40.0)),
-        # lambda_min / step: block widths 1 (step above lambda_min/3), 2, 8, 23
+        # lambda_min / step: the step is above lambda_min/3 at 2.9
         cells_per_lambda=st.sampled_from([2.9, 7.0, 25.0, 70.0]),
-        n_pts=st.one_of(st.integers(2, 30), st.integers(31, 3000)),
+        # Short windows are one super-block, with n_u at its floor of 3 up
+        # to 12 cells; longer ones mostly end in a partial super-block, and
+        # coarse steps put n_u at its floor too.
+        n_pts=st.one_of(st.integers(2, 30), st.integers(31, 3000), st.integers(3001, 12000)),
         lo=st.floats(-200.0, 200.0),
         q0_frac=st.floats(-0.1, 1.1),
         trials=st.integers(1, 40),
         workers=st.sampled_from([1, 2]),
         seed=st.integers(0, 2**16),
     )
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=200, derandomize=True, deadline=None)
     def test_matches_full_scan(
         self, label, snr_db, cells_per_lambda, n_pts, lo, q0_frac, trials, workers, seed
     ):
-        plan = PLANS[label]
+        plan = BNB_PLANS[label]
         step = plan.lambda_min / cells_per_lambda
         cfg = EstimatorConfig(lo, lo + (n_pts - 0.5) * step, step)
         assert cfg.size == n_pts
@@ -314,6 +335,60 @@ class TestBranchAndBound:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # steps above lambda_min/4 warn
             _, cost, idx = ls_estimate_batch(phases, plan, cfg, workers=workers)
+        ref_cost, ref_idx = full_scan(phases, plan, cfg)
+        assert np.array_equal(cost, ref_cost)
+        assert np.array_equal(idx, ref_idx)
+
+    # (plan, lambda_min/step, cells, layout): each window's layout is
+    # asserted, so a change of the layout rule cannot empty a case.
+    EDGE_WINDOWS = [
+        ("rips", 70.0, 150, "one super-block"),
+        ("prime-max", 25.0, 1000, "partial last super-block"),
+        ("narrowband", 70.0, 30000, "partial last super-block"),
+        ("rips", 70.0, 4, "n_u floor"),
+        ("prime-min", 25.0, 20000, "n_u floor"),
+        ("rips", 2.9, 500, "step above lambda_min/3"),
+        ("narrowband", 2.9, 77, "step above lambda_min/3"),
+        ("wideband", 25.0, 101, "contiguous"),
+        ("wideband", 2.9, 40, "contiguous"),
+    ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("label, cells_per_lambda, n_pts, layout", EDGE_WINDOWS)
+    def test_edge_windows_match_full_scan(self, label, cells_per_lambda, n_pts, layout, workers):
+        plan = BNB_PLANS[label]
+        step = plan.lambda_min / cells_per_lambda
+        cfg = EstimatorConfig(-3.1, -3.1 + (n_pts - 0.5) * step, step)
+        _, n_u, size = estimator._layout(coef_of(plan), step, n_pts)
+        assert {
+            "one super-block": size == n_pts and n_u > 3,
+            "partial last super-block": n_pts % size != 0 and n_pts > size,
+            "n_u floor": n_u == 3,
+            "step above lambda_min/3": n_u == 3 and step > plan.lambda_min / 3,
+            "contiguous": n_u == 1,
+        }[layout]
+        rng = np.random.default_rng(n_pts)
+        phases = np.vstack([
+            synth_trial_matrix(plan, q0, noise, n_pts, "edge", 0, 4)
+            for q0 in rng.uniform(cfg.search_lo, cfg.search_hi, 3)
+            for noise in (NoiseModel.none(), NoiseModel.phase_gaussian(snr_db=8.0))
+        ] + [rng.uniform(-math.pi, math.pi, (4, plan.n))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, cost, idx = ls_estimate_batch(phases, plan, cfg, workers=workers)
+        ref_cost, ref_idx = full_scan(phases, plan, cfg)
+        assert np.array_equal(cost, ref_cost)
+        assert np.array_equal(idx, ref_idx)
+
+    def test_coincident_frequencies_match_full_scan(self):
+        # 1e-8 Hz spacings vanish in f1 = 1 GHz: every c_i is equal, so the
+        # comb bound has no envelope term and the window is one super-block.
+        plan = FrequencyPlan(f1=1e9, resolution=1e-8, spacings=(1, 1), c=C_PAPER)
+        assert np.unique(plan.frequencies).size == 1
+        cfg = EstimatorConfig(-1.0, 1.0, 0.001)
+        noise = NoiseModel.phase_gaussian(snr_db=5.0)
+        phases = synth_trial_matrix(plan, 0.1, noise, 1, "co", 0, 20)
+        _, cost, idx = ls_estimate_batch(phases, plan, cfg)
         ref_cost, ref_idx = full_scan(phases, plan, cfg)
         assert np.array_equal(cost, ref_cost)
         assert np.array_equal(idx, ref_idx)
@@ -330,76 +405,166 @@ class TestBranchAndBound:
         assert np.allclose(q, 12.34, atol=1e-9)
         assert ls_cost(phases[0], plan, 12.34 + umr(plan)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "label, cells_per_lambda, n_pts",
+        [("rips", 70.0, 30001), ("narrowband", 25.0, 5000), ("prime-min", 2.9, 333),
+         ("wideband", 25.0, 1001), ("wideband", 2.9, 50)],
+    )
+    def test_layout_from_plan(self, label, cells_per_lambda, n_pts):
+        plan = BNB_PLANS[label]
+        coef = coef_of(plan)
+        step = plan.lambda_min / cells_per_lambda
+        grid = EstimatorConfig(0.0, (n_pts - 0.5) * step, step).grid()
+        c_bar, n_u, size = estimator._layout(coef, step, n_pts)
+        table, centre, shrink = estimator._combs(coef, grid, step)
+        assert centre.shape == shrink.shape == (plan.n, table.shape[0])
+        # Every cell is in exactly one comb; rows ascend; pads repeat a row's last cell.
+        last = table[:, -1]
+        assert ((table == last[:, None]) | (np.diff(table, axis=1, append=-1) > 0)).all()
+        cells = np.concatenate([np.unique(row) for row in table])
+        assert np.array_equal(np.sort(cells), np.arange(n_pts))
+        if plan.bandwidth / plan.frequencies.max() >= 1.0 / TWO_PI:
+            # Wideband: contiguous blocks of at most lambda_min/3.
+            width = max(1, int(plan.lambda_min / (3.0 * step)))
+            assert (c_bar, n_u, size) == (0.0, 1, width)
+            starts = np.arange(0, n_pts, width)
+            assert np.array_equal(table[:, 0], starts)
+            assert np.array_equal(last, np.minimum(starts + width, n_pts) - 1)
+            return
+        assert c_bar == (coef.max() + coef.min()) / 2 and n_u >= 3
+        assert n_u * (coef.max() - coef.min()) / 2 * size * step <= TWO_PI
+        # A comb's cells share one carrier class within 1/(2 n_u) of a cycle.
+        sup = table[:, 0] // size
+        q_s = grid[0] + step * (sup * size + 0.5 * (size - 1))
+        turns = (c_bar * (grid[table] - q_s[:, None])) / TWO_PI * n_u
+        off = turns - np.round(turns[:, :1])
+        off -= n_u * np.round(off / n_u)
+        assert (np.abs(off) <= 0.5 + 1e-9).all()
+        # Each tooth spans at most lambda_bar/n_u <= lambda_bar/3 < lambda_min.
+        assert TWO_PI / c_bar / n_u < plan.lambda_min
+        # About sqrt(n_pts) combs of about sqrt(n_pts) cells, once the
+        # grid is wide enough that n_u is not at its floor.
+        if n_pts > 10_000:
+            assert 0.5 * math.sqrt(n_pts) <= table.shape[0] <= 2 * math.sqrt(n_pts)
+
     # Zero phases on a dyadic grid: the model c_i*q and its wrap are odd in
     # q bit for bit, so cost(-q) == cost(q) exactly and the cells at
-    # -step/2 and +step/2 tie as the minimum.  ``window(w)`` gives the
-    # window's ends in steps for block width w.
+    # -step/2 and +step/2 tie as the minimum.  A tie window has
+    # ``TIE_CELLS[layout]`` cells, and ``window(size)`` is its first cell in
+    # steps for the super-block size the layout rule gives.  A "block" in
+    # the layout names is a B&B comb.
     TIE_STEP = 2.0**-7
+    TIE_CELLS = {"one block": 200, "two blocks, equal bounds": 1000, "higher comb first": 200}
+    # One super-block centred on 0: both cells sit in the turn-0 class.
+    ONE_COMB = lambda size: -99.5  # noqa: E731
+    # A super-block boundary at 0: the two combs mirror each other.
+    TWO_COMBS = lambda size: 0.5 - 2 * size  # noqa: E731
+    # One super-block centred 43 steps up: a class boundary falls between
+    # the cells, the +step/2 cell opens the first comb and the -step/2 cell
+    # closes the last, whose bound is higher.
+    HIGHER_FIRST = lambda size: -56.5  # noqa: E731
 
-    def tie_window(self, plan, window):
-        w = estimator._block_width(plan, self.TIE_STEP)
-        lo, hi = window(w)
-        return w, EstimatorConfig(lo * self.TIE_STEP, hi * self.TIE_STEP, self.TIE_STEP)
+    def tie_window(self, plan, window, layout):
+        """(cfg, -step/2 cell's index, its comb, the +step/2 cell's comb, layout arrays)."""
+        step, n_pts = self.TIE_STEP, self.TIE_CELLS[layout]
+        first = window(estimator._layout(coef_of(plan), step, n_pts)[2])
+        cfg = EstimatorConfig(first * step, (first + n_pts - 1) * step, step)
+        assert cfg.size == n_pts
+        low = int(np.nonzero(cfg.grid() == -step / 2)[0][0])
+        arrays = estimator._combs(coef_of(plan), cfg.grid(), step)
+        comb_of = lambda cell: int(np.nonzero((arrays[0] == cell).any(axis=1))[0][0])
+        return cfg, low, comb_of(low), comb_of(low + 1), arrays
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
         "window, layout",
         [
-            (lambda w: (-4 * w - 0.5, 4 * w + 0.5), "one block"),
-            (lambda w: (-4 * w + 0.5, 4 * w - 0.5), "two blocks, equal bounds"),
-            # The +step/2 cell opens a 3-cell last block, whose bound is
-            # lower, so B&B visits it before the -step/2 cell's block.
-            (lambda w: (-4 * w + 0.5, 2.5), "short last block first"),
+            (ONE_COMB, "one block"),
+            (TWO_COMBS, "two blocks, equal bounds"),
+            (HIGHER_FIRST, "higher comb first"),
         ],
     )
-    def test_exact_tie_goes_to_lower_index(self, workers, window, layout):
+    def test_exact_tie_goes_to_lower_index(self, workers, window, layout, monkeypatch):
         plan = PLANS["rips"]
         zeros = np.zeros(plan.n)
         assert ls_cost(zeros, plan, -self.TIE_STEP / 2) == ls_cost(zeros, plan, self.TIE_STEP / 2)
-        width, cfg = self.tie_window(plan, window)
-        low = int(np.nonzero(cfg.grid() == -self.TIE_STEP / 2)[0][0])
-        assert (low // width == (low + 1) // width) == (layout == "one block")
+        cfg, low, comb_low, comb_high, (_, centre, shrink) = self.tie_window(plan, window, layout)
         phases = np.zeros((3, plan.n))
+        lb = estimator._lower_bounds(phases[:1], centre, shrink)[0]
+        visits = []
+        visit = estimator._visit
+
+        def spy(ph, coef, grid, table, rows, combs, val, idx):
+            visits.append(set(combs.tolist()))
+            visit(ph, coef, grid, table, rows, combs, val, idx)
+
+        monkeypatch.setattr(estimator, "_visit", spy)
         _, cost, idx = ls_estimate_batch(phases, plan, cfg, workers=workers)
         ref_cost, ref_idx = full_scan(phases, plan, cfg)
         assert np.array_equal(cost, ref_cost)
         assert idx.tolist() == ref_idx.tolist() == [low] * 3
+        when = lambda comb: min(k for k, combs in enumerate(visits) if comb in combs)
+        if layout == "one block":
+            assert comb_low == comb_high
+        elif layout == "two blocks, equal bounds":
+            assert comb_low != comb_high and lb[comb_low] == lb[comb_high]
+        else:
+            assert comb_high < comb_low and lb[comb_high] < lb[comb_low]
+            assert when(comb_high) < when(comb_low)
 
-    # Blocks 3 and 4 hold the -step/2 and +step/2 cells: visited in one
-    # call (either order) or the higher block first, then the lower one.
-    @pytest.mark.parametrize("calls", [[[3, 4]], [[4, 3]], [[4], [3]]])
+    # The tied cells' combs of the mirrored window, visited in one call
+    # (either order) or the higher cell's comb first, then the lower one.
+    @pytest.mark.parametrize(
+        "calls", [[["low", "high"]], [["high", "low"]], [["high"], ["low"]]]
+    )
     def test_visits_keep_lower_index_of_a_tie(self, calls):
         plan = PLANS["rips"]
-        width, cfg = self.tie_window(plan, lambda w: (-4 * w + 0.5, 4 * w - 0.5))
-        coef = (TWO_PI / plan.c) * plan.frequencies
+        cfg, low, comb_low, comb_high, (table, _, _) = self.tie_window(
+            plan, type(self).TWO_COMBS, "two blocks, equal bounds"
+        )
+        assert comb_low != comb_high
+        comb = {"low": comb_low, "high": comb_high}
         val, idx = np.full(1, np.inf), np.zeros(1, dtype=np.int64)
-        for blocks in calls:
-            rows = np.zeros(len(blocks), dtype=np.int64)
+        for call in calls:
+            rows = np.zeros(len(call), dtype=np.int64)
+            combs = np.array([comb[c] for c in call])
             estimator._visit(
-                np.zeros((1, plan.n)), coef, cfg.grid(), width, rows, np.array(blocks), val, idx
+                np.zeros((1, plan.n)), coef_of(plan), cfg.grid(), table, rows, combs, val, idx
             )
-        assert idx[0] == 4 * width - 1
+        assert idx[0] == low
 
-    @pytest.mark.parametrize("label", sorted(PLANS))
+    # A "block" is a B&B comb; on the wideband plan it is a contiguous block.
+    @pytest.mark.parametrize("label", sorted(BNB_PLANS))
     def test_bound_below_block_costs(self, label):
-        plan = PLANS[label]
-        coef = (TWO_PI / plan.c) * plan.frequencies
-        grid = EstimatorConfig(-40.0, 40.0, 0.01).grid()
+        plan = BNB_PLANS[label]
+        coef = coef_of(plan)
         rng = np.random.default_rng(2024)
-        phases = np.vstack([
-            synth_trial_matrix(plan, 1.5, NoiseModel.phase_gaussian(snr_db=5.0), 3, "lb", 0, 4),
-            synth_trial_matrix(plan, -7.0, NoiseModel.none(), 3, "lb", 0, 1),
-            rng.uniform(-math.pi, math.pi, (3, plan.n)),
-        ])
-        cost = ls_cost(phases[:, None, :], plan, grid[None, :])
-        # 400 cells span 3.99 m, so c_i*h >= pi for every i but in the
-        # one-cell last block.
-        for width in (1, 5, 23, 400):
-            centre, shrink = estimator._blocks(coef, grid, width)
+        windows = [(70.0, -40.0, 8001), (25.0, 3.3, 777), (2.9, -1e3, 301)]
+        for cells_per_lambda, lo, n_pts in windows:
+            step = plan.lambda_min / cells_per_lambda
+            grid = EstimatorConfig(lo, lo + (n_pts - 0.5) * step, step).grid()
+            table, centre, shrink = estimator._combs(coef, grid, step)
+            # Phases equal to the kernel's model at 200 cells (cost exactly 0
+            # there), noisy and noise-free synthesized ones, and uniform ones.
+            at = rng.choice(n_pts, 200, replace=False)
+            phases = np.vstack([
+                estimator._wrap_inplace(coef[None, :] * grid[at, None]),
+                synth_trial_matrix(plan, lo + 1.5, NoiseModel.phase_gaussian(snr_db=5.0), 3,
+                                   "lb", 0, 4),
+                synth_trial_matrix(plan, grid[n_pts // 3], NoiseModel.none(), 3, "lb", 0, 1),
+                rng.uniform(-math.pi, math.pi, (3, plan.n)),
+            ])
             lb = estimator._lower_bounds(phases, centre, shrink)
-            block_min = np.minimum.reduceat(cost, np.arange(0, grid.size, width), axis=1)
-            assert (lb <= block_min).all()
+            costs = (kernel_costs(phases, plan, grid), ls_cost(phases[:, None, :], plan, grid))
+            for cost in costs:
+                comb_min = cost[:, table].min(axis=2)  # padded cells included
+                assert (lb <= comb_min).all()
             assert lb.max() > 0.0
-            whole_cycle = (shrink >= math.pi).all(axis=0)
-            assert (lb[:, whole_cycle] == 0.0).all()
-            assert whole_cycle.any() == (width == 400)
+            # A term whose shrink is pi or more gives exactly 0.
+            wide = shrink.copy()
+            wide[:, ::2] = np.maximum(wide[:, ::2], math.pi)
+            wide[0, 1::2] = math.pi
+            lb_wide = estimator._lower_bounds(phases, centre, wide)
+            assert (lb_wide[:, ::2] == 0.0).all()
+            assert (lb_wide <= lb).all() and lb_wide.max() > 0.0
+            assert (shrink < math.pi).all()

@@ -14,12 +14,13 @@ A block of grid points with centre x_c and half-width h therefore has
 AF <= (|S(x_c)| + L h + slack)^2 / N^2 at every point.  The slack,
 32 N ulps of the largest phase k_N x the scan reaches, covers the
 rounding of the computed phases, exponentials and sums, so the bound also
-holds for the computed AF values.  Blocks are visited in decreasing
-bound; the scan stops at the first block whose bound is below the best
-value so far, since no point in it or after it can reach that value.
-Every visited point is costed by :func:`ambiguity_fn` on its own, so its
-value is the one a full scan computes, and the result (the maximum, at
-the lowest grid location among equal values) is the full scan's.
+holds for the computed AF values.  The scan makes two passes: it visits
+the block of highest bound, then, in one batch, every other block whose
+bound is not below the best value that first block gave; a block whose
+bound is below it holds no point that can reach it.  Every visited point
+is costed by :func:`ambiguity_fn` on its own, so its value is the one a
+full scan computes, and the result (the maximum, at the lowest grid
+location among equal values) is the full scan's.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TWO_PI, FrequencyPlan, spacing_gcd, wrap_phase
+from .core import TWO_PI, FrequencyPlan, sigma_theta_from_snr_db, spacing_gcd, wrap_phase
 
 # Chunk sizing keeps each (points x frequencies) complex128 temporary of the
 # sidelobe scan around 8 MB.
@@ -92,8 +93,6 @@ def confusion_bound(
     value is still returned, flagged as out of window; in the wideband
     regime it badly misjudges the actual confusion rate.
     """
-    from .core import sigma_theta_from_snr_db
-
     sigma = sigma_theta_from_snr_db(snr_db)
     w = TWO_PI * abs(offset) * bandwidth / f1
     arg = math.sqrt(n) * w / (2.0 * math.sqrt(2.0) * sigma)
@@ -183,11 +182,12 @@ def sidelobe_scan(
 
     The grid is searched by branch and bound (see the module docstring):
     each block of grid points has the bound
-    (|S(x_c)| + L*h + slack)^2 / N^2, blocks are visited in decreasing
-    bound, and the search stops at the first block whose bound is below
-    the best value.  A visited point with a value equal to the best
-    replaces it only if it lies lower, so the result is the full scan's
-    bit for bit.
+    (|S(x_c)| + L*h + slack)^2 / N^2.  The block of highest bound is
+    visited first; then every other block whose bound is not below the
+    best value is visited, in ascending order and chunks of at most
+    ``_SCAN_ELEMS`` elements.  A visited point with a value equal to the
+    best replaces it only if it lies lower, so the result is the full
+    scan's bit for bit.
     """
     if mainlobe_width is None:
         mainlobe_width = plan.c / plan.bandwidth
@@ -208,26 +208,26 @@ def sidelobe_scan(
     slope = _sidelobe_slope(plan)
     width = _sidelobe_block_width(plan, step, slope)
     bounds = _block_bounds(plan, lo, step, n_pts, width, slope)
-    order = np.argsort(-bounds, kind="stable")
-    falling = -bounds[order]  # ascending
     cells = np.arange(width)
-    cap = max(1, _SCAN_ELEMS // (plan.n * width))  # blocks per batch
     best_val, best_k = -1.0, 0
-    done, batch = 0, 1
-    while True:
-        # Blocks ranked past ``open_blocks`` have bounds below the best value.
-        open_blocks = int(np.searchsorted(falling, -best_val, side="right"))
-        if done >= open_blocks:
-            break
-        blocks = np.sort(order[done : min(done + batch, open_blocks)])
+
+    def visit(blocks):
+        nonlocal best_val, best_k
         k = (blocks[:, None] * width + cells).ravel()
         k = k[k < n_pts]
         vals = ambiguity_fn(plan, lo + step * k)
         i = int(np.argmax(vals))  # k ascends: the lowest among equal maxima
         if vals[i] > best_val or (vals[i] == best_val and k[i] < best_k):
             best_val, best_k = float(vals[i]), int(k[i])
-        done += blocks.size
-        batch = min(2 * batch, cap)
+
+    top = int(np.argmax(bounds))
+    visit(np.array([top]))
+    # A block whose bound equals the best value may still tie it lower down.
+    open_blocks = np.nonzero(bounds >= best_val)[0]
+    open_blocks = open_blocks[open_blocks != top]
+    cap = max(1, _SCAN_ELEMS // (plan.n * width))  # blocks per batch
+    for a in range(0, open_blocks.size, cap):
+        visit(open_blocks[a : a + cap])
     return SidelobePeak(value=best_val, location=lo + step * best_k)
 
 
@@ -387,20 +387,18 @@ def analyze(
     sigma_theta: float | None = None,
     snr_db: float | None = None,
     include_sidelobe: bool = True,
-    mainlobe_width: float | None = None,
-    sidelobe_step: float | None = None,
 ) -> AnalysisReport:
     """Assemble the full closed-form report for a plan.
 
     Exactly one of ``sigma_theta``/``snr_db`` selects the noise level; the
-    CRB column uses the matching complex-noise std sqrt(2)*sigma_theta.
+    CRB column uses the matching complex-noise std sqrt(2)*sigma_theta.  The
+    sidelobe columns come from :func:`sidelobe_scan` at its default mainlobe
+    width and step.
     """
-    from .core import sigma_theta_from_snr_db
-
     if (sigma_theta is None) == (snr_db is None):
         raise ValueError("give exactly one of sigma_theta or snr_db")
     sigma = sigma_theta if sigma_theta is not None else sigma_theta_from_snr_db(snr_db)
-    peak = sidelobe_scan(plan, mainlobe_width, sidelobe_step) if include_sidelobe else None
+    peak = sidelobe_scan(plan) if include_sidelobe else None
     return AnalysisReport(
         umr=umr(plan),
         practical_umr=practical_umr(plan),

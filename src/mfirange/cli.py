@@ -455,11 +455,11 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--c-mode", choices=tuple(C_MODES), default="exact")
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("design", help="design a frequency plan and report on it")
     common(p)
+    p.add_argument("--c-mode", choices=tuple(C_MODES), default="exact")
+    p.add_argument("--seed", type=int, default=None, help="RNG key (random method)")
     p.add_argument("--method", choices=DESIGN_METHODS, required=True)
     p.add_argument("--f1", type=float, help="base (lowest) frequency, Hz")
     p.add_argument("--fN", type=float, help="top frequency, Hz (towers)")
@@ -483,8 +483,7 @@ def build_parser() -> _Parser:
     # Default to stdout for analyze; --out still redirects to a file.
     p.set_defaults(func=cmd_analyze, out=None)
 
-    p = sub.add_parser("estimate", help="one LS grid-search estimate")
-    common(p)
+    p = sub.add_parser("estimate", help="one LS grid-search estimate (printed to stdout)")
     p.add_argument("--plan", help="plan file (with --phases)")
     p.add_argument(
         "--phases",

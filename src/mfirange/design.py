@@ -267,9 +267,15 @@ def permute_max_error(sorted_spacings: Sequence[int]):
     return best
 
 
-def _grid_count(bandwidth: float, resolution: float) -> int:
-    """M = floor(B / resolution), tolerant of float division residue."""
+def _grid_count(bandwidth: float, resolution: float, n: int) -> int:
+    """M = floor(B / resolution), tolerant of float division residue; raises
+    :class:`DesignInfeasible` when M < N-1 leaves no room for N frequencies."""
     m = int(bandwidth / resolution + 1e-9)
+    if m < n - 1:
+        raise DesignInfeasible(
+            f"grid count M = {m} is smaller than N-1 = {n - 1}; "
+            "not enough grid room for the requested frequency count"
+        )
     return m
 
 
@@ -343,12 +349,7 @@ def design_constrained_optimal(
     single large gap in the middle.  Optimal only when the range is known
     a priori to lie within the +-c/2B mainlobe.
     """
-    m = _grid_count(bandwidth, resolution)
-    if m < n - 1:
-        raise DesignInfeasible(
-            f"grid count M = {m} is smaller than N-1 = {n - 1}; "
-            "not enough grid room for the requested frequency count"
-        )
+    m = _grid_count(bandwidth, resolution, n)
     multiset = sorted([1] * (n - 2) + [m + 2 - n])
     spacings = tuple(permute_min_error(multiset))
     return FrequencyPlan(f1=f1, resolution=resolution, spacings=spacings, c=c)
@@ -386,12 +387,7 @@ def design_random(
     uniformly without replacement from the interior grid points, so the
     spacings are positive integers summing exactly to M = floor(B/res).
     """
-    m = _grid_count(bandwidth, resolution)
-    if m < n - 1:
-        raise DesignInfeasible(
-            f"grid count M = {m} is smaller than N-1 = {n - 1}; "
-            "not enough grid room for the requested frequency count"
-        )
+    m = _grid_count(bandwidth, resolution, n)
     interior = rng.choice(np.arange(1, m), size=n - 2, replace=False) if n > 2 else np.empty(0, int)
     points = np.sort(np.concatenate(([0], interior, [m]))).astype(np.int64)
     spacings = tuple(int(d) for d in np.diff(points))

@@ -33,10 +33,11 @@ visit (per cell).  Each tooth of a comb, its cells within one carrier
 cycle, spans at most lambda_bar/n_u <= lambda_bar/3, lambda_bar =
 2*pi/cbar.  A wideband plan falls back to cbar = 0 and n_u = 1, which
 makes the combs contiguous blocks of max(1, floor(lambda_min/(3*step)))
-cells with s_i = c_i*h for a block of half-width h.  Each trial visits
-its combs in increasing LB, 1, 2, 4, ... combs a round, and stops at the
-first comb whose LB - 1e-9*max(LB, 1) is above the best cost found so
-far.  Visited cells are costed with the full scan's per-cell arithmetic
+cells with s_i = c_i*h for a block of half-width h.  Each trial is
+searched in two passes: it visits its comb of least LB, and then, in one
+batch, every other comb whose LB - 1e-9*max(LB, 1) is not above the cost
+that first comb gave; no other comb can hold a cell of that cost or
+less.  Visited cells are costed with the full scan's per-cell arithmetic
 and ties go to the lower grid index, so the answers equal a full scan's
 bit for bit; :func:`_scan_block` is that full scan, kept as the test
 reference.  The batch path chunks every temporary to about 32 MB and can
@@ -63,11 +64,12 @@ _TARGET_ELEMS = 4_000_000
 
 WORKERS_ENV = "MFIRANGE_WORKERS"
 # Fewest trials a pool thread is given.  The B&B runs many small numpy
-# calls per round, which hold the GIL, so threads overlap only on large
-# batches.  Two threads against one on two cores, uniform N=21 plan: over
-# 601 cells (refine on, 26 dB) 0.51-0.84x at 125-500 trials each,
-# 0.88-1.21x at 1000 and 1.26-1.49x at 2000; over 30001 cells (12 dB)
-# 0.94-1.15x at 125, 1.04-1.70x at 250 and 1.18-1.97x at 500-2000.
+# calls per pass, which hold the GIL, so threads overlap only on large
+# batches.  Two threads against one on two cores, uniform N=21 plan, with
+# the earlier round-by-round visit schedule: over 601 cells (refine on,
+# 26 dB) 0.51-0.84x at 125-500 trials each, 0.88-1.21x at 1000 and
+# 1.26-1.49x at 2000; over 30001 cells (12 dB) 0.94-1.15x at 125,
+# 1.04-1.70x at 250 and 1.18-1.97x at 500-2000.
 _MIN_TRIALS_PER_WORKER = 1000
 _warned_workers: set[str] = set()
 
@@ -189,6 +191,16 @@ def _default_workers() -> int:
     return 1
 
 
+def _add_wrapped_square(d: np.ndarray, tmp: np.ndarray, acc: np.ndarray) -> None:
+    """acc += min(|d|, 2*pi - |d|)^2, the wrapped square of a residual d in
+    (-2*pi, 2*pi); ``d`` and ``tmp`` are overwritten."""
+    np.abs(d, out=d)
+    np.subtract(TWO_PI, d, out=tmp)
+    np.minimum(d, tmp, out=d)
+    np.multiply(d, d, out=d)
+    acc += d
+
+
 def _scan_block(
     phases: np.ndarray, coef: np.ndarray, grid: np.ndarray, best_val: np.ndarray, best_idx: np.ndarray
 ) -> None:
@@ -200,7 +212,8 @@ def _scan_block(
     observed phases and the per-chunk model phases pre-wrapped to
     (-pi, pi], the residual lies in (-2*pi, 2*pi) and its wrapped square
     is min(|d|, 2*pi - |d|)^2, which avoids a rounding pass per element;
-    :func:`_cell_costs` repeats this arithmetic on the cells B&B visits.
+    :func:`_cell_costs` applies the same :func:`_add_wrapped_square` to
+    the cells B&B visits.
     """
     t = phases.shape[0]
     n_pts = grid.size
@@ -218,11 +231,7 @@ def _scan_block(
         acc = np.zeros((t, g.size))
         for i in range(coef.size):
             np.subtract(wrapped[:, i : i + 1], model[i][None, :], out=d)
-            np.abs(d, out=d)
-            np.subtract(TWO_PI, d, out=tmp)
-            np.minimum(d, tmp, out=d)
-            np.multiply(d, d, out=d)
-            acc += d
+            _add_wrapped_square(d, tmp, acc)
         idx = np.argmin(acc, axis=1)
         val = acc[np.arange(t), idx]
         better = val < best_val  # strict: earlier chunks win ties (lower q)
@@ -335,11 +344,7 @@ def _cell_costs(phases, model, rows, combs) -> np.ndarray:
     for i in range(model.shape[0]):
         np.take(model[i], combs, axis=0, out=d, mode="clip")
         np.subtract(phases[rows, i : i + 1], d, out=d)
-        np.abs(d, out=d)
-        np.subtract(TWO_PI, d, out=tmp)
-        np.minimum(d, tmp, out=d)
-        np.multiply(d, d, out=d)
-        acc += d
+        _add_wrapped_square(d, tmp, acc)
     return acc
 
 
@@ -370,15 +375,14 @@ def _visit(phases, coef, grid, table, rows, combs, best_val, best_idx) -> None:
 def _bnb_scan(phases, coef, grid, table, centre_model, shrink, best_val, best_idx) -> None:
     """Fill per-trial (min cost, lowest argmin index) by branch and bound.
 
-    Each trial first visits its lowest-bound comb.  Its other combs whose
-    slackened bound is not above that cost are the candidates; they are
-    visited in increasing bound, the next 1, 2, 4, ... per round, and a
-    trial closes at its first candidate whose bound is above its best
-    cost.  Trials are chunked so (trials x combs) arrays stay within the
-    chunk size.
+    Two passes per chunk of trials.  Each trial first visits its
+    lowest-bound comb; then every other comb whose slackened bound is not
+    above the cost that visit found is visited, all trials' in one call.
+    A skipped comb's cells all cost more than that, so they can neither
+    win nor tie.  Trials are chunked so (trials x combs) arrays stay
+    within the chunk size.
     """
-    n_comb = centre_model.shape[1]
-    per_chunk = max(1, _TARGET_ELEMS // n_comb)
+    per_chunk = max(1, _TARGET_ELEMS // centre_model.shape[1])
     for a in range(0, phases.shape[0], per_chunk):
         ph = phases[a : a + per_chunk]
         t = ph.shape[0]
@@ -390,28 +394,8 @@ def _bnb_scan(phases, coef, grid, table, centre_model, shrink, best_val, best_id
         _visit(ph, coef, grid, table, trials, first, val, idx)
         lb[trials, first] = np.inf
         rows, combs = np.nonzero(lb <= val[:, None])
-        bound = lb[rows, combs]
         del lb
-        order = np.lexsort((bound, rows))
-        rows, combs, bound = rows[order], combs[order], bound[order]
-        start = np.searchsorted(rows, trials)
-        count = np.bincount(rows, minlength=t)
-        pos = np.zeros(t, dtype=np.int64)
-        take = 1
-        while True:
-            live = np.nonzero(pos < count)[0]
-            live = live[bound[start[live] + pos[live]] <= val[live]]
-            if live.size == 0:
-                break
-            ahead = pos[live, None] + np.arange(take)
-            keep = ahead < count[live, None]
-            nxt = np.where(keep, start[live, None] + ahead, 0)
-            # Each trial's bounds are sorted, so the kept ones are a prefix.
-            keep &= bound[nxt] <= val[live, None]
-            pos[live] += keep.sum(axis=1)
-            nxt = nxt[keep]
-            _visit(ph, coef, grid, table, rows[nxt], combs[nxt], val, idx)
-            take = min(2 * take, n_comb)  # (trials x take) stays within the chunk
+        _visit(ph, coef, grid, table, rows, combs, val, idx)
 
 
 def ls_estimate_batch(
@@ -430,8 +414,9 @@ def ls_estimate_batch(
     cell's computed cost.  A narrowband plan gets n_u >= 3 carrier classes
     and about sqrt(G) combs for G grid cells; a plan with B/f_max >=
     1/(2*pi) falls back to contiguous blocks of max(1, floor(lambda_min /
-    (3*step))) cells (cbar = 0, n_u = 1).  Combs are visited in increasing
-    LB until LB - 1e-9*max(LB, 1) exceeds the best cost.  The result
+    (3*step))) cells (cbar = 0, n_u = 1).  Each trial visits its comb of
+    least LB, then every other comb whose LB - 1e-9*max(LB, 1) is not
+    above the cost that comb gave.  The result
     equals a full scan's bit for bit, and ties break toward the smallest
     range (lowest grid index).  With ``refine`` set, a 3-point parabolic
     fit around each interior grid minimum sharpens q_hat below the grid

@@ -256,6 +256,16 @@ def _scan_geometry(plan, mainlobe_width=None, step=None):
 ODD_PLAN = FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1,) + (2,) * 8, c=C_PAPER)
 TWO_PLAN = FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1,), c=C_PAPER)
 UNIFORM_PLAN = design_rips(400e6, 20e6, 21, c=C_PAPER)
+# The plans of the benchmark's campaigns and of its replay (N=31, UMR 23 km).
+_CAMPAIGN = DesignParams(bandwidth=20e6, n=21, resolution=65.0)
+CAMPAIGN_PLANS = {
+    "min_error": design_prime_min_error(_CAMPAIGN, 400e6, c=C_PAPER),
+    "uniform": UNIFORM_PLAN,
+    "max_error": design_prime_max_error(_CAMPAIGN, 400e6, c=C_PAPER),
+}
+REPLAY_PLAN = design_prime_min_error(
+    DesignParams(bandwidth=40.378e6, n=31, resolution=65.0, prime_index=12), 410e6, c=C_PAPER
+)
 
 
 @st.composite
@@ -333,7 +343,7 @@ class TestSidelobeBranchAndBound:
         [
             (UNIFORM_PLAN, 2 * C_PAPER / 21e6, None),  # the first Dirichlet sidelobe
             (TWO_PLAN, 30.0, 0.01),  # cos^2 falls from lo; its equal mirror is not scanned
-            (design_prime_min_error(DesignParams(20e6, 21, 65.0), 400e6, c=C_PAPER), None, None),
+            (CAMPAIGN_PLANS["min_error"], None, None),
         ],
     )
     def test_named_plans_match_full_scan(self, plan, width, step):
@@ -388,13 +398,38 @@ class TestSidelobeBranchAndBound:
 
     def test_block_width_from_plan(self):
         # L*h about sqrt(N)/2: 21 grid points on the N=31 plan-replay plan.
-        params = DesignParams(bandwidth=40.378e6, n=31, resolution=65.0, prime_index=12)
-        plan = design_prime_min_error(params, 410e6, c=C_PAPER)
+        plan = REPLAY_PLAN
         step = plan.lambda_min / 20.0
         slope = analysis._sidelobe_slope(plan)
         width = analysis._sidelobe_block_width(plan, step, slope)
         assert width == 21
         assert slope * step * (width - 1) / 2 == pytest.approx(math.sqrt(plan.n) / 2, rel=0.05)
+
+    @pytest.mark.parametrize(
+        "plan, points, calls",
+        [
+            (CAMPAIGN_PLANS["min_error"], 882, 2),
+            (CAMPAIGN_PLANS["uniform"], 56, 1),
+            (CAMPAIGN_PLANS["max_error"], 87, 1),
+            (REPLAY_PLAN, 2079, 2),
+        ],
+    )
+    def test_two_passes(self, plan, points, calls):
+        # The highest-bound block, then every block still open in one batch:
+        # no more than two ambiguity_fn calls, over the same points that the
+        # earlier round-by-round schedule costed in up to seven.
+        seen = []
+        exact = analysis.ambiguity_fn
+
+        def spy(plan, dq):
+            seen.append(np.size(dq))
+            return exact(plan, dq)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "ambiguity_fn", spy)
+            got = sidelobe_scan(plan)
+        assert (len(seen), sum(seen)) == (calls, points)
+        assert _bits(got) == _bits(_reference_sidelobe_scan(plan))
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(case=scan_cases(), cells=st.one_of(st.just(1), st.integers(2, 400)))

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from mfirange import C_PAPER, NoiseModel, synth_phases
+from mfirange import C_PAPER, FrequencyPlan, NoiseModel, synth_phases
 from mfirange.cli import main, read_plan_file, write_plan_file
 from mfirange.records import Experiment, write_record
 
@@ -74,8 +74,6 @@ class TestDesignAnalyze:
         assert capsys.readouterr().err.startswith("error: usage:")
 
     def test_plan_file_round_trip(self, tmp_path):
-        from mfirange import FrequencyPlan
-
         plan = FrequencyPlan(f1=400.1e6, resolution=65.0, spacings=(3, 1, 4), c=C_PAPER)
         write_plan_file(tmp_path / "x.plan", plan)
         assert read_plan_file(tmp_path / "x.plan") == plan
@@ -209,8 +207,6 @@ class TestEstimateReplay:
         assert line.startswith("error: record-format:") and "e2" in line
 
     def test_estimate_inline_phases(self, tmp_path, capsys):
-        from mfirange import FrequencyPlan
-
         plan = FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1, 1), c=C_PAPER)
         write_plan_file(tmp_path / "p.plan", plan)
         pv = synth_phases(plan, 5.0, NoiseModel.none())
@@ -225,8 +221,6 @@ class TestEstimateReplay:
         assert q_hat == pytest.approx(5.0, abs=1e-9)
 
     def test_estimate_nan_phase_is_invalid_value(self, tmp_path, capsys):
-        from mfirange import FrequencyPlan
-
         write_plan_file(tmp_path / "p.plan", FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1, 1)))
         rc = run_cli(
             "estimate", "--plan", tmp_path / "p.plan", "--phases", "0.1,nan,0.3",
@@ -236,10 +230,30 @@ class TestEstimateReplay:
         assert capsys.readouterr().err.startswith("error: invalid-value:")
 
     def test_estimate_phases_without_value_is_usage_error(self, tmp_path, capsys):
-        from mfirange import FrequencyPlan
-
         write_plan_file(tmp_path / "p.plan", FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1,)))
         for tail in (["--phases", "--lo", "0"], ["--lo", "0", "--phases"]):
             rc = run_cli("estimate", "--plan", tmp_path / "p.plan", "--hi", 10, "--step", 0.1, *tail)
             assert rc != 0
             assert capsys.readouterr().err.startswith("error: usage: argument --phases")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--plan", "{plan}", "--seed", "1"],
+        ["analyze", "--plan", "{plan}", "--c-mode", "exact"],
+        ["estimate", "--plan", "{plan}", "--phases", "0.1,0.2", "--lo", "0", "--hi", "1",
+         "--step", "0.01", "--out", "x"],
+        ["estimate", "--plan", "{plan}", "--phases", "0.1,0.2", "--lo", "0", "--hi", "1",
+         "--step", "0.01", "--format", "json"],
+    ],
+)
+def test_subcommands_refuse_flags_they_do_not_read(tmp_path, capsys, argv):
+    # --seed and --c-mode belong to design alone; estimate prints to stdout.
+    plan = tmp_path / "p.plan"
+    write_plan_file(plan, FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1,), c=C_PAPER))
+    rc = run_cli(*[a.format(plan=plan) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: usage:")
+    assert captured.out == ""

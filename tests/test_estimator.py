@@ -503,6 +503,8 @@ class TestBranchAndBound:
         ref_cost, ref_idx = full_scan(phases, plan, cfg)
         assert np.array_equal(cost, ref_cost)
         assert idx.tolist() == ref_idx.tolist() == [low] * 3
+        # Two passes: the least-bound combs, then every comb left open.
+        assert 1 <= len(visits) <= 2
         when = lambda comb: min(k for k, combs in enumerate(visits) if comb in combs)
         if layout == "one block":
             assert comb_low == comb_high
@@ -511,6 +513,27 @@ class TestBranchAndBound:
         else:
             assert comb_high < comb_low and lb[comb_high] < lb[comb_low]
             assert when(comb_high) < when(comb_low)
+
+    def test_two_visit_passes_at_low_snr(self, monkeypatch):
+        # The wideband plan at -35 dB, where each trial leaves about 170
+        # combs open after its first visit: they are all costed in one more
+        # _visit call, and the answers stay the full scan's.
+        cfg = EstimatorConfig(-32.0, 32.0, 0.02)
+        noise = NoiseModel.phase_gaussian(snr_db=-35.0)
+        phases = synth_trial_matrix(WIDE, 0.0, noise, 7, "passes", 0, 200)
+        pairs = []
+        visit = estimator._visit
+
+        def spy(ph, coef, grid, table, rows, combs, val, idx):
+            pairs.append(rows.size)
+            visit(ph, coef, grid, table, rows, combs, val, idx)
+
+        monkeypatch.setattr(estimator, "_visit", spy)
+        _, cost, idx = ls_estimate_batch(phases, WIDE, cfg, workers=1)
+        ref_cost, ref_idx = full_scan(phases, WIDE, cfg)
+        assert np.array_equal(cost, ref_cost)
+        assert np.array_equal(idx, ref_idx)
+        assert len(pairs) == 2 and pairs[0] == 200 and pairs[1] > 100 * 200
 
     # The tied cells' combs of the mirrored window, visited in one call
     # (either order) or the higher cell's comb first, then the lower one.

@@ -3,8 +3,9 @@ across changes.
 
 The campaign digests below were computed on the per-trial synthesis loop
 that the batch synthesis path replaced, the design and replay digests on
-the row-at-a-time record parser and fixed-size sidelobe chunks, and the
-analyze digests on the full (unpruned) sidelobe scan.  A
+the row-at-a-time record parser and fixed-size sidelobe chunks, the
+analyze digests on the full (unpruned) sidelobe scan, and the ambiguity
+and PUMR digests on the round-scheduled branch and bound.  A
 change that alters the noise stream or the arithmetic on purpose updates
 them and says so in its change notes; any other change must leave them as
 they are.
@@ -170,3 +171,43 @@ def test_analyze_digests(tmp_path, name):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     got = sha256((tmp_path / "out" / f"{name}_report.csv").read_bytes())
     assert got == ANALYZE_SHA256[name]
+
+
+# The ambiguity and PUMR campaigns: an off-grid N=11 plan (practical UMR
+# 149.9 m) and its on-grid twin (UMR 150 m), 40 trials each over a +-160 m
+# window that holds both dips; about half of either plan's 0 dB estimates
+# land on a far cluster.
+SWEEP_SHA256 = {
+    "ambiguity": {
+        "ambiguity_errors.csv": "9038374ac08b0b4c04873d8e6f676437b95b2e922b7842fe46e136d413b29386",
+        "ambiguity_hist.csv": "458a6292de49ca7299fd8efcf75de7d907bb0448f25d5bded65bab2d3c3ad7a9",
+    },
+    "pumr": {
+        "pumr.csv": "58bbdcd97af04c79966bb7d533f25924c20ef4a35c0c48c4c1e074e11d20da1e",
+    },
+}
+
+
+@pytest.mark.parametrize("kind, snr_db", [("ambiguity", "0"), ("pumr", "0,10")])
+def test_sweep_digests(tmp_path, kind, snr_db):
+    write_plan_file(tmp_path / "off.plan", design_rips(400.3e6, 20e6, 11, c=C_PAPER))
+    write_plan_file(tmp_path / "rips11.plan", design_rips(400e6, 20e6, 11, c=C_PAPER))
+    fields = {
+        "kind": kind,
+        "plan.off": "off.plan",
+        "plan.rips11": "rips11.plan",
+        "q0_m": "0.1237",
+        "trials": "40",
+        "seed": "2024",
+        "search_lo_m": "-160.0",
+        "search_hi_m": "160.0",
+        "step_m": "0.01",
+        "snr_db": snr_db,
+    }
+    cfg = tmp_path / "campaign.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    expected = SWEEP_SHA256[kind]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(expected)
+    got = {name: sha256((tmp_path / "out" / name).read_bytes()) for name in expected}
+    assert got == expected

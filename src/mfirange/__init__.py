@@ -23,8 +23,6 @@ from .core import (
 from .design import (
     DesignInfeasible,
     DesignParams,
-    PrimePoolExhausted,
-    PrimeWindow,
     design_constrained_optimal,
     design_prime_max_error,
     design_prime_min_error,
@@ -39,9 +37,6 @@ from .design import (
     towers_ideal_frequencies,
 )
 from .analysis import (
-    AnalysisReport,
-    ConfusionBound,
-    SidelobePeak,
     ambiguity_fn,
     analyze,
     confusion_bound,
@@ -52,7 +47,6 @@ from .analysis import (
     hmse,
     log_pdf_multi,
     log_pdf_multi_via_pairs,
-    log_pdf_single,
     mmse,
     pdf_pair,
     pdf_single,
@@ -62,7 +56,6 @@ from .analysis import (
     umr,
 )
 from .estimator import (
-    Estimate,
     EstimatorConfig,
     coherence_cost,
     ls_cost,
@@ -71,19 +64,14 @@ from .estimator import (
     unwrap_ok,
 )
 from .montecarlo import (
-    AmbiguitySweep,
     CampaignSpec,
     CampaignValidationError,
-    CurveRow,
-    PumrCheck,
     campaign_errors,
-    run_ambiguity_sweep,
     run_mse_curve,
     run_pf_curve,
-    run_pumr_check,
     synth_trial_matrix,
     trial_stream,
 )
-from .records import Experiment, PhaseRecord, RecordFormatError, read_record, write_record
+from .records import Experiment, RecordFormatError, read_record, write_record
 
 __version__ = "0.1.0"

@@ -10,6 +10,17 @@ Plan and campaign files use a flat ``key = value`` text format with the
 unit in the key name (``_hz``, ``_m``, ``_db``); '#' starts a comment.
 Outputs are CSV (default) or JSON with full-precision round-trip floats.
 Every failure exits nonzero after printing one line ``error: <code>: <reason>``.
+
+A campaign config has these keys, and every ``kind`` reads each of them:
+``kind`` (``mse``, ``pf``, ``ambiguity`` or ``pumr``; default ``mse``),
+``plan.<label>`` (a plan file, relative to the config; one or more),
+``q0_m`` (true range; default 0), ``snr_db`` (comma-separated grid; one
+value for ``ambiguity``), ``trials``, ``seed``, ``noise``
+(``phase-gaussian`` or ``complex-awgn``; default ``phase-gaussian``), and
+the estimator's ``search_lo_m``, ``search_hi_m``, ``step_m`` and
+``refine`` (default false).  All four kinds run the one campaign loop of
+:mod:`mfirange.montecarlo`: each (plan, SNR) block is synthesized once
+and estimated once, with that estimator.
 """
 
 from __future__ import annotations
@@ -321,6 +332,9 @@ def _campaign_from_config(fields: dict[str, str], config_path) -> tuple[Campaign
             )
         except ValueError as exc:
             problems.append(str(exc))
+    if kind == "ambiguity" and len(parsed["snr_grid"] or ()) > 1:
+        # The ambiguity tables have no SNR column.
+        problems.append("kind ambiguity takes exactly one snr_db value")
     parsed = {k: v for k, v in parsed.items() if v is not None}
     problems += CampaignSpec.check(**parsed)
     if problems:
@@ -343,24 +357,13 @@ def cmd_simulate(args) -> int:
             print(f"wrote {path}")
         return 0
     if kind == "ambiguity":
+        errors = montecarlo.campaign_errors(spec)
         rows = []
         hist_rows = []
-        for label, plan in spec.plans:
-            sweep = montecarlo.run_ambiguity_sweep(
-                plan,
-                spec.q0,
-                (spec.estimator.search_lo, spec.estimator.search_hi),
-                spec.snr_grid[0],
-                spec.trials,
-                spec.seed,
-                spec.estimator.step,
-                label=label,
-                noise_kind=spec.noise_kind,
-            )
-            rows.extend(
-                [label, t, float(e)] for t, e in enumerate(sweep.errors)
-            )
-            counts, edges = np.histogram(sweep.errors, bins=20)
+        for label, _ in spec.plans:
+            err = errors[(label, 0)]
+            rows.extend([label, t, float(e)] for t, e in enumerate(err))
+            counts, edges = np.histogram(err, bins=20)
             hist_rows.extend(
                 [label, float(lo_e), float(hi_e), int(n)]
                 for lo_e, hi_e, n in zip(edges[:-1], edges[1:], counts)
@@ -373,25 +376,20 @@ def cmd_simulate(args) -> int:
         print(f"wrote {hist_path}")
         return 0
     # kind == "pumr": cost comparison at the practical-UMR dip per SNR.
-    rows = []
-    for label, plan in spec.plans:
-        for snr in spec.snr_grid:
-            check = montecarlo.run_pumr_check(
-                plan,
-                snr,
-                spec.trials,
-                spec.seed,
-                q0=spec.q0,
-                window=(spec.estimator.search_lo, spec.estimator.search_hi),
-                step=spec.estimator.step,
-                label=label,
-                noise_kind=spec.noise_kind,
-            )
-            rows.append([label, snr, "pa_empirical", check.confusion_rate, spec.trials])
-            rows.append([label, snr, "pa_bound", check.bound, spec.trials])
-            rows.append([label, snr, "pa_bound_valid", int(check.bound_valid), spec.trials])
-            if check.far_cluster_rate is not None:
-                rows.append([label, snr, "far_cluster_rate", check.far_cluster_rate, spec.trials])
+    def pumr_metrics(plan, si, phases, errors):
+        bound = analysis.confusion_bound_for_plan(plan, spec.snr_grid[si])
+        return (
+            ("pa_empirical", montecarlo.pumr_confusion_rate(phases, plan, spec.q0)),
+            ("pa_bound", bound.value),
+            ("pa_bound_valid", int(bound.within_validity)),
+            ("far_cluster_rate", float(montecarlo.far_cluster(errors, plan).mean())),
+        )
+
+    rows = [
+        [label, spec.snr_grid[si], metric, value, spec.trials]
+        for (label, si), metrics in montecarlo.run_campaign(spec, pumr_metrics).items()
+        for metric, value in metrics
+    ]
     path = out / f"pumr.{args.format}"
     write_table(path, ["label", "snr_db", "metric", "value", "trials"], rows, args.format)
     print(f"wrote {path}")

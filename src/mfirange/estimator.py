@@ -136,7 +136,7 @@ def ls_cost(phases, plan: FrequencyPlan, q) -> np.ndarray | float:
     against its leading axes; the last axis of the model is the plan's
     frequencies.  This is the one wrapped-residual cost of the package:
     the refine step of :func:`ls_estimate_batch` and the two-point
-    comparison of ``montecarlo.run_pumr_check`` call it, and the scan
+    comparison of ``montecarlo.pumr_confusion_rate`` call it, and the scan
     kernel :func:`_scan_block` is checked against it.
     """
     ph = _phases_array(phases)

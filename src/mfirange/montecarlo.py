@@ -1,5 +1,17 @@
 """Seeded Monte Carlo campaigns over frequency plans.
 
+A :class:`CampaignSpec` names labeled plans, an SNR grid, the trial
+count, the seed and one :class:`~mfirange.estimator.EstimatorConfig`.
+Every campaign runs one loop, :func:`run_campaign`: per (plan, SNR
+index) it synthesizes one (trials x N) phase block with
+:func:`synth_trial_matrix` and estimates it with one
+:func:`~mfirange.estimator.ls_estimate_batch` call under
+``spec.estimator``.  Each ``simulate`` kind reads what it needs from
+those blocks: the MSE and unwrap-failure curves (:func:`rows_from_errors`)
+and the ambiguity errors take the errors of :func:`campaign_errors`; the
+practical-UMR check takes each block's phases
+(:func:`pumr_confusion_rate`) and errors (:func:`far_cluster`).
+
 Campaigns are bit-reproducible: every trial draws its noise from a
 counter-based Philox substream keyed by (master seed, plan label, SNR
 index, trial index), so results are identical regardless of execution
@@ -7,9 +19,9 @@ order or worker count.  :func:`trial_stream` builds one such stream;
 :func:`synth_trial_matrix` synthesizes a whole (plan, SNR) block in one
 batch call to :func:`~mfirange.core.synth_phases`, re-keying a single
 Philox per trial (counter zeroed, buffer emptied) instead of building
-one, with the same draws bit for bit.  Curve runners emit
-:class:`CurveRow` records that pair the empirical metric with the
-closed-form predictions for the same plan and noise level.
+one, with the same draws bit for bit.  Curve rows (:class:`CurveRow`)
+pair the empirical metric with the closed-form predictions for the same
+plan and noise level.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -27,6 +39,7 @@ from .core import FrequencyPlan, NoiseModel, sigma_theta_from_snr_db, synth_phas
 from .estimator import EstimatorConfig, ls_cost, ls_estimate_batch, unwrap_ok
 
 _MASK64 = (1 << 64) - 1
+T = TypeVar("T")
 
 
 class CampaignValidationError(ValueError):
@@ -189,18 +202,30 @@ def _theory(plan: FrequencyPlan, snr_db: float) -> tuple[float, float, float]:
     )
 
 
-def campaign_errors(spec: CampaignSpec) -> dict[tuple[str, int], np.ndarray]:
-    """Estimation errors q_hat - q0 for every (plan label, SNR index)."""
+def run_campaign(
+    spec: CampaignSpec, measure: Callable[[FrequencyPlan, int, np.ndarray, np.ndarray], T]
+) -> dict[tuple[str, int], T]:
+    """The campaign loop: for each plan, then each SNR index, one
+    :func:`synth_trial_matrix` block and one :func:`ls_estimate_batch`
+    call with ``spec.estimator``.  Returns ``measure(plan, SNR index,
+    phases, errors q_hat - q0)`` per (plan label, SNR index).  Only the
+    current block's phases are held while it is estimated, so ``measure``
+    should return a summary of them, not the phases."""
     spec.validate()
-    out: dict[tuple[str, int], np.ndarray] = {}
+    out: dict[tuple[str, int], T] = {}
     for label, plan in spec.plans:
         for si, snr in enumerate(spec.snr_grid):
             phases = synth_trial_matrix(
                 plan, spec.q0, spec.noise_at(snr), spec.seed, label, si, spec.trials
             )
             q_hat, _, _ = ls_estimate_batch(phases, plan, spec.estimator)
-            out[(label, si)] = q_hat - spec.q0
+            out[(label, si)] = measure(plan, si, phases, q_hat - spec.q0)
     return out
+
+
+def campaign_errors(spec: CampaignSpec) -> dict[tuple[str, int], np.ndarray]:
+    """Estimation errors q_hat - q0 for every (plan label, SNR index)."""
+    return run_campaign(spec, lambda plan, si, phases, errors: errors)
 
 
 def _mse_rows(spec, label, plan, si, errors) -> list[CurveRow]:
@@ -284,115 +309,28 @@ def run_pf_curve(spec: CampaignSpec) -> list[CurveRow]:
     return rows_from_errors(spec, campaign_errors(spec), "pf")
 
 
-@dataclass(frozen=True)
-class AmbiguitySweep:
-    """Per-trial errors from a wide-window sweep plus cluster summary."""
-
-    errors: np.ndarray
-    lambda_min: float
-    practical_umr: float
-    near_rate: float  # unwrap_ok: |error| <= lambda_min
-    far_rate: float  # within lambda_min of +-practical UMR
-    far_mean: float  # mean error over far-cluster trials (nan if empty)
-
-
-def run_ambiguity_sweep(
-    plan: FrequencyPlan,
-    q0: float,
-    window: tuple[float, float],
-    snr_db: float,
-    trials: int,
-    seed: int,
-    step: float,
-    label: str = "sweep",
-    noise_kind: str = "phase-gaussian",
-) -> AmbiguitySweep:
-    """Estimate over a window wide enough to include the practical-UMR alias.
-
-    The error histogram concentrates near 0 and near +-practical UMR; the
-    summary reports both cluster rates and the far-cluster mean location.
-    """
+def far_cluster(errors: np.ndarray, plan: FrequencyPlan) -> np.ndarray:
+    """Trials whose error lies within lambda_min of +-practical UMR: the
+    alias cluster that a window wider than the practical UMR can reach."""
     dl_p = analysis.practical_umr(plan)
-    cfg = EstimatorConfig(search_lo=window[0], search_hi=window[1], step=step)
-    phases = synth_trial_matrix(
-        plan, q0, NoiseModel(kind=noise_kind, snr_db=snr_db), seed, label, 0, trials
-    )
-    q_hat, _, _ = ls_estimate_batch(phases, plan, cfg)
-    errors = q_hat - q0
     lam = plan.lambda_min
-    near = unwrap_ok(q_hat, q0, plan)
-    far = (np.abs(errors - dl_p) <= lam) | (np.abs(errors + dl_p) <= lam)
-    far_mean = float(errors[far].mean()) if far.any() else float("nan")
-    return AmbiguitySweep(
-        errors=errors,
-        lambda_min=lam,
-        practical_umr=dl_p,
-        near_rate=float(near.mean()),
-        far_rate=float(far.mean()),
-        far_mean=far_mean,
-    )
+    return (np.abs(errors - dl_p) <= lam) | (np.abs(errors + dl_p) <= lam)
 
 
 # Relative tolerance under which the two PUMR costs count as a tie.
 _TIE_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PumrCheck:
-    """Empirical confusion at the practical-UMR dip versus the bound."""
+def pumr_confusion_rate(phases: np.ndarray, plan: FrequencyPlan, q0: float) -> float:
+    """Fraction of trials with cost(q0 + practical UMR) < cost(q0), the
+    quantity the closed-form confusion bound addresses.
 
-    # Fraction of trials with cost(dip) < cost(q0); a trial whose two costs
-    # agree within 1e-9 * max(cost(q0), 1) is a tie and counts 1/2.  At
-    # zero grid offset the costs are equal in exact arithmetic, so every
-    # trial ties and the rate is 0.5 rather than a coin flip on rounding.
-    confusion_rate: float
-    bound: float
-    bound_valid: bool  # False outside f1/B >= 4 or SNR <= 0 dB
-    f1_over_b: float
-    far_cluster_rate: float | None  # grid-search rate, when a window was given
-
-
-def run_pumr_check(
-    plan: FrequencyPlan,
-    snr_db: float,
-    trials: int,
-    seed: int,
-    q0: float = 0.0,
-    window: tuple[float, float] | None = None,
-    step: float | None = None,
-    label: str = "pumr",
-    noise_kind: str = "phase-gaussian",
-) -> PumrCheck:
-    """Compare the costs at q0 and at the practical-UMR dip across trials.
-
-    The headline rate is P(cost at q0 + practical UMR < cost at q0), the
-    quantity the closed-form bound addresses, with ties within rounding
-    counted as 1/2 (see :class:`PumrCheck`).  When a window and step are
-    supplied, a full grid search also reports the fraction of estimates
-    landing within lambda_min of either +-dip, which is the observable
-    failure rate of a wide search.
+    A trial whose two costs agree within 1e-9 * max(cost(q0), 1) is a tie
+    and counts 1/2.  At zero grid offset the costs are equal in exact
+    arithmetic, so every trial ties and the rate is 0.5 rather than a coin
+    flip on rounding.
     """
-    dl_p = analysis.practical_umr(plan)
-    bound = analysis.confusion_bound_for_plan(plan, snr_db)
-    phases = synth_trial_matrix(
-        plan, q0, NoiseModel(kind=noise_kind, snr_db=snr_db), seed, label, 0, trials
-    )
     s0 = ls_cost(phases, plan, q0)
-    s1 = ls_cost(phases, plan, q0 + dl_p)
+    s1 = ls_cost(phases, plan, q0 + analysis.practical_umr(plan))
     tie = np.abs(s1 - s0) <= _TIE_RTOL * np.maximum(s0, 1.0)
-    rate = float(np.where(tie, 0.5, s1 < s0).mean())
-    far_rate = None
-    if window is not None:
-        if step is None:
-            raise ValueError("step is required when a search window is given")
-        sweep = run_ambiguity_sweep(
-            plan, q0, window, snr_db, trials, seed, step, label=label, noise_kind=noise_kind
-        )
-        far_rate = sweep.far_rate
-    return PumrCheck(
-        confusion_rate=rate,
-        bound=bound.value,
-        bound_valid=bound.within_validity,
-        f1_over_b=plan.f1 / plan.bandwidth,
-        far_cluster_rate=far_rate,
-    )
+    return float(np.where(tie, 0.5, s1 < s0).mean())

@@ -7,7 +7,7 @@ grid units) and ``c_mode`` (``exact``, ``paper-repro`` or a speed in m/s;
 ``exact`` when absent).  :func:`plan_header` and :func:`plan_from_header`
 map a plan to and from these pairs; plan files (``key = value`` lines,
 see the CLI) and phase records each keep their own line syntax around
-them.
+them, and both refuse a key given twice.
 
 A phase record is a UTF-8 CSV: a '#'-prefixed header block with the plan
 keys, followed by data rows ``experiment_id,freq_hz,phase_rad[,q0_m]``.
@@ -156,7 +156,10 @@ def _parse_header(lines: list[str]) -> FrequencyPlan:
         body = line.lstrip("#").strip()
         if "=" in body:
             key, _, value = body.partition("=")
-            fields[key.strip()] = value.strip()
+            key = key.strip()
+            if key in fields:
+                raise RecordFormatError(f"bad plan header: duplicate key {key!r}")
+            fields[key] = value.strip()
     try:
         return plan_from_header(fields)
     except ValueError as exc:

@@ -32,17 +32,19 @@ from mfirange import (
     practical_umr,
     prime_window_select,
     quadform,
-    run_ambiguity_sweep,
+    campaign_errors,
+    confusion_bound_for_plan,
     run_mse_curve,
     run_pf_curve,
-    run_pumr_check,
     sigma_theta_from_snr_db,
     synth_phases,
     synth_trial_matrix,
     ls_estimate_batch,
     umr,
+    unwrap_ok,
 )
 from mfirange import estimator
+from mfirange.montecarlo import far_cluster, pumr_confusion_rate
 from mfirange.cli import main as cli_main
 
 ACCEPT_SEED = 20260810
@@ -280,42 +282,49 @@ def test_wide_window_far_cluster():
     plan = design_prime_min_error(
         DesignParams(bandwidth=40.378e6, n=31, resolution=65.0, prime_index=12), 410e6, c=C_PAPER
     )
-    sweep = run_ambiguity_sweep(
-        plan, q0=19.19, window=(-1000.0, 24000.0), snr_db=14.0, trials=500,
-        seed=ACCEPT_SEED, step=0.05,
+    spec = CampaignSpec.build(
+        plans={"sweep": plan}, q0=19.19, snr_grid=[14.0], trials=500, seed=ACCEPT_SEED,
+        estimator=EstimatorConfig(-1000.0, 24000.0, 0.05),
     )
-    concentration = sweep.near_rate + sweep.far_rate
-    ok = (
-        concentration >= 0.99
-        and sweep.far_rate > 0.0
-        and abs(sweep.far_mean - sweep.practical_umr) <= 2.0
-    )
+    errors = campaign_errors(spec)[("sweep", 0)]
+    far = far_cluster(errors, plan)
+    far_rate = far.mean()
+    far_mean = errors[far].mean() if far.any() else math.nan
+    concentration = unwrap_ok(errors + spec.q0, spec.q0, plan).mean() + far_rate
+    dl_p = practical_umr(plan)
+    ok = concentration >= 0.99 and far_rate > 0.0 and abs(far_mean - dl_p) <= 2.0
     report(
         "wide-window far cluster", ok,
-        f"cluster mass {concentration:.4f} (>=0.99), far cluster at {sweep.far_mean:.2f} m "
-        f"vs predicted {sweep.practical_umr:.2f} m (+-2 m)",
+        f"cluster mass {concentration:.4f} (>=0.99), far cluster at {far_mean:.2f} m "
+        f"vs predicted {dl_p:.2f} m (+-2 m)",
     )
     assert ok
 
 
 def test_confusion_rate_vs_bound():
     narrow = FrequencyPlan(f1=390.1e6, resolution=1e6, spacings=(1,) * 39, c=C_PAPER)
-    chk_n = run_pumr_check(narrow, 5.0, 10_000, ACCEPT_SEED)
-    sigma3 = 3.0 * math.sqrt(chk_n.bound * (1 - chk_n.bound) / 10_000)
-    ok_narrow = chk_n.bound_valid and chk_n.confusion_rate >= chk_n.bound - sigma3
+    phases = synth_trial_matrix(
+        narrow, 0.0, NoiseModel.phase_gaussian(snr_db=5.0), ACCEPT_SEED, "pumr", 0, 10_000
+    )
+    rate_n = pumr_confusion_rate(phases, narrow, 0.0)
+    bound_n = confusion_bound_for_plan(narrow, 5.0)
+    sigma3 = 3.0 * math.sqrt(bound_n.value * (1 - bound_n.value) / 10_000)
+    ok_narrow = bound_n.within_validity and rate_n >= bound_n.value - sigma3
 
     wide = FrequencyPlan(f1=105e6, resolution=10e6, spacings=(1,) * 40, c=C_PAPER)
-    chk_w = run_pumr_check(
-        wide, -35.0, 10_000, ACCEPT_SEED, window=(-32.0, 32.0), step=0.02
+    spec = CampaignSpec.build(
+        plans={"pumr": wide}, q0=0.0, snr_grid=[-35.0], trials=10_000, seed=ACCEPT_SEED,
+        estimator=EstimatorConfig(-32.0, 32.0, 0.02),
     )
-    far = chk_w.far_cluster_rate
+    far = float(far_cluster(campaign_errors(spec)[("pumr", 0)], wide).mean())
+    bound_w = confusion_bound_for_plan(wide, -35.0)
     sigma3_w = 3.0 * math.sqrt(max(far, 1e-6) * (1 - far) / 10_000)
-    ok_wide = (not chk_w.bound_valid) and (far + sigma3_w < chk_w.bound)
+    ok_wide = (not bound_w.within_validity) and (far + sigma3_w < bound_w.value)
     ok = ok_narrow and ok_wide
     report(
         "confusion rate vs bound", ok,
-        f"narrowband rate {chk_n.confusion_rate:.4f} >= bound {chk_n.bound:.4f} - 3sig; "
-        f"wideband far rate {far:.4f} below bound {chk_w.bound:.4f} with validity flag off",
+        f"narrowband rate {rate_n:.4f} >= bound {bound_n.value:.4f} - 3sig; "
+        f"wideband far rate {far:.4f} below bound {bound_w.value:.4f} with validity flag off",
     )
     assert ok
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from mfirange import C_PAPER, FrequencyPlan, NoiseModel, synth_phases
+from mfirange import C_PAPER, EstimatorConfig, FrequencyPlan, NoiseModel, synth_phases
 from mfirange.cli import main, read_plan_file, write_plan_file
 from mfirange.records import Experiment, write_record
 
@@ -140,6 +140,58 @@ class TestSimulate:
         line = [ln for ln in captured.err.splitlines() if ln][0]
         assert line.startswith("error: validation:")
         assert "trials" in line and "snr" in line
+
+    def test_ambiguity_takes_one_snr(self, tmp_path, capsys):
+        # The ambiguity tables have no SNR column; a second SNR is refused
+        # in the same one-line report as every other campaign problem.
+        cfg = self.write_campaign(tmp_path, kind="ambiguity", snr_db="0,10,20", trials="0")
+        rc = run_cli("simulate", "--config", cfg, "--out", tmp_path / "bad")
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if ln]
+        assert rc != 0 and len(lines) == 1
+        assert lines[0].startswith("error: validation:")
+        assert "snr_db" in lines[0] and "trials" in lines[0]
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("kind", ["mse", "pf", "ambiguity", "pumr"])
+    def test_one_synthesis_and_estimate_per_block(self, tmp_path, monkeypatch, kind):
+        from mfirange import design_rips, montecarlo
+
+        write_plan_file(tmp_path / "rips11.plan", design_rips(400.3e6, 20e6, 11, c=C_PAPER))
+        snr_db = "0" if kind == "ambiguity" else "0,10"
+        cfg = self.write_campaign(
+            tmp_path, kind=kind, snr_db=snr_db, trials="5", refine="true",
+            **{"plan.rips11": "rips11.plan"},
+        )
+        synthesized, configs, specs = [], [], []
+        synth, batch, errors = (
+            montecarlo.synth_trial_matrix, montecarlo.ls_estimate_batch, montecarlo.campaign_errors
+        )
+
+        def spy_synth(plan, q0, noise, seed, label, snr_index, trials):
+            synthesized.append((label, snr_index))
+            return synth(plan, q0, noise, seed, label, snr_index, trials)
+
+        def spy_batch(phases, plan, cfg, *args, **kwargs):
+            configs.append(cfg)
+            return batch(phases, plan, cfg, *args, **kwargs)
+
+        def spy_errors(spec):
+            specs.append(spec)
+            return errors(spec)
+
+        monkeypatch.setattr(montecarlo, "synth_trial_matrix", spy_synth)
+        monkeypatch.setattr(montecarlo, "ls_estimate_batch", spy_batch)
+        monkeypatch.setattr(montecarlo, "campaign_errors", spy_errors)
+        assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "o") == 0
+        # Each (plan, SNR index) block is drawn from its own stream once and
+        # estimated once, with the config's estimator.
+        snrs = range(len(snr_db.split(",")))
+        assert synthesized == [(label, si) for label in ("rips", "rips11") for si in snrs]
+        assert len(configs) == len(synthesized)
+        assert all(c == EstimatorConfig(-150.0, 150.0, 0.05, refine=True) for c in configs)
+        if kind == "ambiguity":
+            (spec,) = specs
+            assert spec.estimator.refine
 
     def test_json_output(self, tmp_path):
         cfg = self.write_campaign(tmp_path, kind="mse", snr_db="20", trials="10")

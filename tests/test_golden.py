@@ -176,7 +176,9 @@ def test_analyze_digests(tmp_path, name):
 # The ambiguity and PUMR campaigns: an off-grid N=11 plan (practical UMR
 # 149.9 m) and its on-grid twin (UMR 150 m), 40 trials each over a +-160 m
 # window that holds both dips; about half of either plan's 0 dB estimates
-# land on a far cluster.
+# land on a far cluster.  The 10 dB pumr rates happen to be the same from
+# SNR-index stream 0 as from stream 1, so this digest does not pin which
+# stream an SNR draws from; test_cli's per-block spy test does.
 SWEEP_SHA256 = {
     "ambiguity": {
         "ambiguity_errors.csv": "9038374ac08b0b4c04873d8e6f676437b95b2e922b7842fe46e136d413b29386",

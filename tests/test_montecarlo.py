@@ -12,16 +12,17 @@ from mfirange import (
     NoiseModel,
     confusion_bound_for_plan,
     crb,
+    campaign_errors,
     design_rips,
-    run_ambiguity_sweep,
     run_mse_curve,
     run_pf_curve,
-    run_pumr_check,
     sigma_theta_from_snr_db,
     synth_phases,
     synth_trial_matrix,
     trial_stream,
+    unwrap_ok,
 )
+from mfirange.montecarlo import far_cluster, pumr_confusion_rate
 
 
 @pytest.fixture(scope="module")
@@ -235,53 +236,67 @@ class TestCurves:
         assert row.value >= row.crb * (1.0 - 3.0 * stderr_fraction)
 
 
+def pumr_phases(plan, snr_db, trials, seed):
+    """The block that ``kind = pumr`` draws at q0 = 0 for a plan labeled
+    "pumr" at its first SNR."""
+    noise = NoiseModel.phase_gaussian(snr_db=snr_db)
+    return synth_trial_matrix(plan, 0.0, noise, seed, "pumr", 0, trials)
+
+
 class TestPumrCheck:
     def test_symmetric_at_zero_offset(self, plan21):
         # With f1 an exact grid multiple the dip sits at the true ambiguity,
         # where the two costs are equal in exact arithmetic: every trial is
         # a tie within rounding and counts 1/2, at any SNR.
         for snr_db in (10.0, 0.0):
-            chk = run_pumr_check(plan21, snr_db, 4000, 17)
-            assert chk.confusion_rate == 0.5
+            assert pumr_confusion_rate(pumr_phases(plan21, snr_db, 4000, 17), plan21, 0.0) == 0.5
 
     def test_narrowband_rate_exceeds_bound(self):
         plan = FrequencyPlan(f1=390.1e6, resolution=1e6, spacings=(1,) * 39, c=C_PAPER)
-        chk = run_pumr_check(plan, 5.0, 2000, 777)
-        sigma3 = 3 * math.sqrt(chk.bound * (1 - chk.bound) / 2000)
-        assert chk.bound == pytest.approx(0.3087, abs=0.002)
-        assert chk.bound_valid
-        assert chk.confusion_rate >= chk.bound - sigma3
+        rate = pumr_confusion_rate(pumr_phases(plan, 5.0, 2000, 777), plan, 0.0)
+        bound = confusion_bound_for_plan(plan, 5.0)
+        sigma3 = 3 * math.sqrt(bound.value * (1 - bound.value) / 2000)
+        assert bound.value == pytest.approx(0.3087, abs=0.002)
+        assert bound.within_validity
+        assert rate >= bound.value - sigma3
 
     def test_wideband_flag_fires(self):
         plan = FrequencyPlan(f1=105e6, resolution=10e6, spacings=(1,) * 40, c=C_PAPER)
-        chk = run_pumr_check(plan, 5.0, 500, 3)
-        assert not chk.bound_valid
-        assert chk.f1_over_b < 1.0
+        assert not confusion_bound_for_plan(plan, 5.0).within_validity
+        assert plan.f1 / plan.bandwidth < 1.0
 
     def test_window_reports_far_cluster(self):
         plan = FrequencyPlan(f1=390.1e6, resolution=1e6, spacings=(1,) * 39, c=C_PAPER)
-        chk = run_pumr_check(plan, 5.0, 400, 778, window=(-320.0, 320.0), step=0.05)
-        assert chk.far_cluster_rate is not None
-        assert chk.far_cluster_rate > 0.0
-
-    def test_window_requires_step(self, plan21):
-        with pytest.raises(ValueError):
-            run_pumr_check(plan21, 10.0, 10, 1, window=(-1.0, 1.0))
+        spec = CampaignSpec.build(
+            plans={"pumr": plan},
+            q0=0.0,
+            snr_grid=[5.0],
+            trials=400,
+            seed=778,
+            estimator=EstimatorConfig(-320.0, 320.0, 0.05),
+        )
+        assert far_cluster(campaign_errors(spec)[("pumr", 0)], plan).mean() > 0.0
 
 
 class TestAmbiguitySweep:
     def test_single_cluster_when_window_excludes_alias(self, plan21):
-        sweep = run_ambiguity_sweep(
-            plan21, 0.0, (-140.0, 140.0), 20.0, 200, 31, 0.05
+        spec = CampaignSpec.build(
+            plans={"sweep": plan21},
+            q0=0.0,
+            snr_grid=[20.0],
+            trials=200,
+            seed=31,
+            estimator=EstimatorConfig(-140.0, 140.0, 0.05),
         )
-        assert sweep.near_rate == 1.0
-        assert math.isnan(sweep.far_mean)
+        errors = campaign_errors(spec)[("sweep", 0)]
+        assert unwrap_ok(errors, 0.0, plan21).all()
+        assert not far_cluster(errors, plan21).any()
 
     def test_confusion_bound_is_stochastic_floor(self):
         # At moderate SNR the realized dip-confusion frequency stays above
         # the closed-form floor (checked one-sided on the two-point costs).
         plan = FrequencyPlan(f1=390.1e6, resolution=1e6, spacings=(1,) * 39, c=C_PAPER)
-        chk = run_pumr_check(plan, 5.0, 2000, 424)
+        rate = pumr_confusion_rate(pumr_phases(plan, 5.0, 2000, 424), plan, 0.0)
         bound = confusion_bound_for_plan(plan, 5.0)
         sigma3 = 3 * math.sqrt(bound.value * (1 - bound.value) / 2000)
-        assert chk.confusion_rate >= bound.value - sigma3
+        assert rate >= bound.value - sigma3

@@ -153,6 +153,16 @@ class TestPlanHeaderCodec:
         with pytest.raises(RecordFormatError, match="spacings_grid"):
             read_record(tmp_path / "r.csv")
 
+    def test_repeated_key_refused_by_both(self, tmp_path):
+        keys = [f"{k} = {v}" for k, v in plan_header(PLAN4)] + ["f1_hz = 420000000.0"]
+        (tmp_path / "p.plan").write_text("\n".join(keys) + "\n")
+        with pytest.raises(CliError, match="duplicate key 'f1_hz'"):
+            read_plan_file(tmp_path / "p.plan")
+        rows = [f"e,{float(f)!r},0.0" for f in PLAN4.frequencies]
+        (tmp_path / "r.csv").write_text("".join(f"# {k}\n" for k in keys) + "\n".join(rows) + "\n")
+        with pytest.raises(RecordFormatError, match="duplicate key 'f1_hz'"):
+            read_record(tmp_path / "r.csv")
+
 
 def _reference_read_record(path) -> PhaseRecord:
     """The row-at-a-time parser that the columnar ``read_record`` replaced,

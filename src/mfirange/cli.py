@@ -18,9 +18,10 @@ A campaign config has these keys, and every ``kind`` reads each of them:
 value for ``ambiguity``), ``trials``, ``seed``, ``noise``
 (``phase-gaussian`` or ``complex-awgn``; default ``phase-gaussian``), and
 the estimator's ``search_lo_m``, ``search_hi_m``, ``step_m`` and
-``refine`` (default false).  All four kinds run the one campaign loop of
-:mod:`mfirange.montecarlo`: each (plan, SNR) block is synthesized once
-and estimated once, with that estimator.
+``refine`` (``true``/``false``, ``yes``/``no`` or ``1``/``0`` in any case;
+default false).  Any other key is refused.  All four kinds run the one
+campaign loop of :mod:`mfirange.montecarlo`: each (plan, SNR) block is
+synthesized once and estimated once, with that estimator.
 """
 
 from __future__ import annotations
@@ -258,6 +259,10 @@ def cmd_analyze(args) -> int:
 def cmd_estimate(args) -> int:
     if (args.phases is None) == (args.record is None):
         raise CliError("usage", "give exactly one of --phases / --record")
+    if args.phases is not None and args.plan is None:
+        raise CliError("usage", "--plan is required with --phases")
+    if args.record is not None and args.experiment is None:
+        raise CliError("usage", "--experiment is required with --record")
     cfg = EstimatorConfig(
         search_lo=args.lo, search_hi=args.hi, step=args.step, refine=args.refine
     )
@@ -266,8 +271,6 @@ def cmd_estimate(args) -> int:
         phases = np.array([float(x) for x in args.phases.split(",")])
     else:
         record = read_record(args.record)
-        if args.experiment is None:
-            raise CliError("usage", "--experiment is required with --record")
         match = [e for e in record.experiments if e.experiment_id == args.experiment]
         if not match:
             raise CliError("record", f"experiment {args.experiment!r} not found")
@@ -278,6 +281,16 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOLS[text.lower()]
+    except KeyError:
+        raise ValueError(f"{text!r} is not one of true, false, yes, no, 1, 0") from None
+
+
 def _campaign_from_config(fields: dict[str, str], config_path) -> tuple[CampaignSpec, str]:
     """Parse a campaign config and validate it in one pass.
 
@@ -286,8 +299,10 @@ def _campaign_from_config(fields: dict[str, str], config_path) -> tuple[Campaign
     :class:`CampaignValidationError`.
     """
     problems: list[str] = []
+    read: set[str] = set()
 
     def take(key, conv, default=None, required=False):
+        read.add(key)
         if key not in fields:
             if required:
                 problems.append(f"missing key {key!r}")
@@ -324,7 +339,10 @@ def _campaign_from_config(fields: dict[str, str], config_path) -> tuple[Campaign
     lo = take("search_lo_m", float, required=True)
     hi = take("search_hi_m", float, required=True)
     step = take("step_m", float, required=True)
-    refine = take("refine", lambda s: s.lower() in ("1", "true", "yes"), default=False)
+    refine = take("refine", _parse_bool, default=False)
+    problems += [
+        f"unknown key {key!r}" for key in fields if key not in read and not key.startswith("plan.")
+    ]
     if None not in (lo, hi, step):
         try:
             parsed["estimator"] = EstimatorConfig(
@@ -404,7 +422,7 @@ def cmd_replay(args) -> int:
     )
     exps = record.experiments
     phases = np.array([e.phases for e in exps]).reshape(-1, plan.n)
-    q_hat, cost, _ = ls_estimate_batch(phases, plan, cfg, workers=1)
+    q_hat, cost, _ = ls_estimate_batch(phases, plan, cfg)
     q0 = np.array([np.nan if e.q0 is None else e.q0 for e in exps])
     known = ~np.isnan(q0)
     err = q_hat - q0

@@ -40,18 +40,17 @@ that first comb gave; no other comb can hold a cell of that cost or
 less.  Visited cells are costed with the full scan's per-cell arithmetic
 and ties go to the lower grid index, so the answers equal a full scan's
 bit for bit; :func:`_scan_block` is that full scan, kept as the test
-reference.  The batch path chunks every temporary to about 32 MB and can
-spread trials over a thread pool, once a batch gives each thread enough
-trials to pay for it (trial-partitioned, so results are identical at any
-worker count).
+reference.  The grid and the comb layout depend on the plan and the
+config alone, so one :class:`LsSearch` per (plan, config) holds them and
+searches any number of phase blocks; every temporary is chunked to about
+32 MB.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,17 +60,6 @@ from .core import TWO_PI, FrequencyPlan, PhaseVector
 _INV_TWO_PI = 1.0 / TWO_PI
 # Chunk sizing keeps each (trials x grid) temporary around 32 MB.
 _TARGET_ELEMS = 4_000_000
-
-WORKERS_ENV = "MFIRANGE_WORKERS"
-# Fewest trials a pool thread is given.  The B&B runs many small numpy
-# calls per pass, which hold the GIL, so threads overlap only on large
-# batches.  Two threads against one on two cores, uniform N=21 plan, with
-# the earlier round-by-round visit schedule: over 601 cells (refine on,
-# 26 dB) 0.51-0.84x at 125-500 trials each, 0.88-1.21x at 1000 and
-# 1.26-1.49x at 2000; over 30001 cells (12 dB) 0.94-1.15x at 125,
-# 1.04-1.70x at 250 and 1.18-1.97x at 500-2000.
-_MIN_TRIALS_PER_WORKER = 1000
-_warned_workers: set[str] = set()
 
 
 @dataclass(frozen=True)
@@ -135,7 +123,7 @@ def ls_cost(phases, plan: FrequencyPlan, q) -> np.ndarray | float:
     UMR-multiple offset.  ``phases`` is (..., N) and ``q`` broadcasts
     against its leading axes; the last axis of the model is the plan's
     frequencies.  This is the one wrapped-residual cost of the package:
-    the refine step of :func:`ls_estimate_batch` and the two-point
+    the refine step of :meth:`LsSearch.run` and the two-point
     comparison of ``montecarlo.pumr_confusion_rate`` call it, and the scan
     kernel :func:`_scan_block` is checked against it.
     """
@@ -169,28 +157,6 @@ def coherence_cost(phases, plan: FrequencyPlan, q) -> np.ndarray | float:
     return out
 
 
-def _default_workers() -> int:
-    """Worker count from MFIRANGE_WORKERS: unset or empty is 1; a value
-    that is not a positive integer warns once, naming it, and gives 1."""
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers >= 1:
-        return workers
-    if raw not in _warned_workers:
-        _warned_workers.add(raw)
-        warnings.warn(
-            f"{WORKERS_ENV}={raw!r} is not a positive integer; using 1 worker",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return 1
-
-
 def _add_wrapped_square(d: np.ndarray, tmp: np.ndarray, acc: np.ndarray) -> None:
     """acc += min(|d|, 2*pi - |d|)^2, the wrapped square of a residual d in
     (-2*pi, 2*pi); ``d`` and ``tmp`` are overwritten."""
@@ -206,7 +172,7 @@ def _scan_block(
 ) -> None:
     """Fill per-trial (min cost, lowest argmin index) by a full grid scan.
 
-    The reference for the branch and bound of :func:`ls_estimate_batch`:
+    The reference for the branch and bound of :meth:`LsSearch.run`:
     the tests check that the B&B returns this scan's (cost, index) bit for
     bit, and check this scan against :func:`ls_cost`.  With both the
     observed phases and the per-chunk model phases pre-wrapped to
@@ -218,7 +184,7 @@ def _scan_block(
     t = phases.shape[0]
     n_pts = grid.size
     chunk = max(16, min(n_pts, _TARGET_ELEMS // max(1, t)))
-    wrapped = np.asarray(phases)  # in (-pi, pi]: ls_estimate_batch wraps on entry
+    wrapped = np.asarray(phases)  # in (-pi, pi]: LsSearch.run wraps on entry
     d = np.empty((t, chunk))
     tmp = np.empty((t, chunk))
     for start in range(0, n_pts, chunk):
@@ -398,97 +364,109 @@ def _bnb_scan(phases, coef, grid, table, centre_model, shrink, best_val, best_id
         _visit(ph, coef, grid, table, rows, combs, val, idx)
 
 
-def ls_estimate_batch(
-    phases: np.ndarray, plan: FrequencyPlan, cfg: EstimatorConfig, workers: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid-search estimates for a (trials x N) block of phase vectors.
+class LsSearch:
+    """The grid search of one (plan, config), built once for any number of
+    phase blocks.
 
-    Returns (q_hat, cost_at_min, grid_index) arrays.  Phases are wrapped
-    to (-pi, pi] on entry (values already there keep their bits) and must
-    be finite.  The search is the exact branch and bound of the module
-    docstring over combs: the cells of one envelope super-block that share
-    one carrier-phase class.  A comb with centre model cm_i =
-    wrap(c_i*q_s + u_k) is bounded below by LB = sum_i max(0,
-    |wrap(phi_i - cm_i)| - s_i)^2, s_i = max|v| + |c_i - cbar|*max|x| plus
-    16 ulps of the largest model phase, so rounding cannot lift LB above a
-    cell's computed cost.  A narrowband plan gets n_u >= 3 carrier classes
-    and about sqrt(G) combs for G grid cells; a plan with B/f_max >=
-    1/(2*pi) falls back to contiguous blocks of max(1, floor(lambda_min /
-    (3*step))) cells (cbar = 0, n_u = 1).  Each trial visits its comb of
-    least LB, then every other comb whose LB - 1e-9*max(LB, 1) is not
-    above the cost that comb gave.  The result
-    equals a full scan's bit for bit, and ties break toward the smallest
-    range (lowest grid index).  With ``refine`` set, a 3-point parabolic
-    fit around each interior grid minimum sharpens q_hat below the grid
-    step; the reported cost is re-evaluated at the refined point.  Worker count
-    defaults to the MFIRANGE_WORKERS environment variable, and a batch is
-    split only as far as each thread gets ``_MIN_TRIALS_PER_WORKER`` trials;
-    partitioning is by trial, so results do not depend on it.
+    It holds the plan's ``coef`` c_i = 2*pi*f_i/c, the grid and the comb
+    layout of the module docstring, all read-only.  Building it is the one
+    place for checks that depend on both the plan and the config: a step
+    above lambda_min/4 warns here, once per search.
+
+    :meth:`run` is the exact branch and bound of the module docstring:
+    each trial visits its comb of least bound LB, then every other comb
+    whose LB - 1e-9*max(LB, 1) is not above the cost that comb gave.  The
+    result equals a full scan's bit for bit, and ties break toward the
+    smallest range (lowest grid index).  With ``refine`` set, a 3-point
+    parabolic fit around each interior grid minimum sharpens q_hat below
+    the grid step; the reported cost is re-evaluated at the refined point.
     """
-    phases = np.array(phases, dtype=float)
-    if phases.ndim != 2 or phases.shape[1] != plan.n:
-        raise ValueError("phases must be (trials, N) matching the plan")
-    if not np.all(np.isfinite(phases)):
-        raise ValueError("phases must be finite")
-    _wrap_inplace(phases)
-    if cfg.step > plan.lambda_min / 4.0:
-        warnings.warn(
-            "grid step exceeds lambda_min/4; carrier-period minima may be missed",
-            stacklevel=2,
-        )
-    grid = cfg.grid()
-    coef = (TWO_PI / plan.c) * plan.frequencies
-    t = phases.shape[0]
-    best_val = np.full(t, np.inf)
-    best_idx = np.zeros(t, dtype=np.int64)
-    if workers is None:
-        workers = _default_workers()
-    args = (coef, grid, *_combs(coef, grid, cfg.step))
-    workers = min(workers, t // _MIN_TRIALS_PER_WORKER)
-    if workers > 1:
-        bounds = np.linspace(0, t, workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_bnb_scan, phases[a:b], *args, best_val[a:b], best_idx[a:b])
-                for a, b in zip(bounds[:-1], bounds[1:])
-            ]
-            for f in futures:
-                f.result()
-    else:
-        _bnb_scan(phases, *args, best_val, best_idx)
 
-    q_hat = grid[best_idx]
-    cost = best_val
-    if cfg.refine:
-        interior = (best_idx > 0) & (best_idx < grid.size - 1)
-        if np.any(interior):
-            rows = np.nonzero(interior)[0]
+    def __init__(self, plan: FrequencyPlan, cfg: EstimatorConfig):
+        if cfg.step > plan.lambda_min / 4.0:
+            warnings.warn(
+                "grid step exceeds lambda_min/4; carrier-period minima may be missed",
+                stacklevel=2,
+            )
+        self.plan = plan
+        self.cfg = cfg
+        self.grid = cfg.grid()
+        self.coef = (TWO_PI / plan.c) * plan.frequencies
+        self.combs = _combs(self.coef, self.grid, cfg.step)
+        for arr in (self.grid, self.coef, *self.combs):
+            arr.setflags(write=False)
+
+    def refines(self, grid_index: np.ndarray) -> np.ndarray:
+        """Which estimates :meth:`run` refines: those at an interior grid
+        index, when the config sets ``refine``."""
+        return self.cfg.refine & (grid_index > 0) & (grid_index < self.grid.size - 1)
+
+    def run(self, phases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(q_hat, cost_at_min, grid_index) arrays for a (trials x N)
+        block of phase vectors.  Phases are wrapped to (-pi, pi] on entry
+        (values already there keep their bits) and must be finite."""
+        plan, grid, step = self.plan, self.grid, self.cfg.step
+        phases = np.array(phases, dtype=float)
+        if phases.ndim != 2 or phases.shape[1] != plan.n:
+            raise ValueError("phases must be (trials, N) matching the plan")
+        if not np.all(np.isfinite(phases)):
+            raise ValueError("phases must be finite")
+        _wrap_inplace(phases)
+        t = phases.shape[0]
+        best_val = np.full(t, np.inf)
+        best_idx = np.zeros(t, dtype=np.int64)
+        _bnb_scan(phases, self.coef, grid, *self.combs, best_val, best_idx)
+
+        q_hat = grid[best_idx]
+        cost = best_val
+        rows = np.nonzero(self.refines(best_idx))[0]
+        if rows.size:
             q3 = grid[best_idx[rows, None] + np.array([-1, 0, 1])]
             c3 = ls_cost(phases[rows, None, :], plan, q3)
             denom = c3[:, 0] - 2.0 * c3[:, 1] + c3[:, 2]
             ok = denom > 0
             delta = np.zeros(rows.size)
-            delta[ok] = 0.5 * (c3[ok, 0] - c3[ok, 2]) / denom[ok] * cfg.step
-            np.clip(delta, -cfg.step / 2.0, cfg.step / 2.0, out=delta)
+            delta[ok] = 0.5 * (c3[ok, 0] - c3[ok, 2]) / denom[ok] * step
+            np.clip(delta, -step / 2.0, step / 2.0, out=delta)
             q_ref = q_hat[rows] + delta
             q_hat[rows] = q_ref
             cost[rows] = ls_cost(phases[rows], plan, q_ref)
-    return q_hat, cost, best_idx
+        return q_hat, cost, best_idx
+
+
+# The search of the last (plan, config) asked for.  A campaign loops the
+# SNRs inside each plan, so it builds one search per plan, and at most one
+# search is held between calls.
+_search = functools.lru_cache(maxsize=1)(LsSearch)
+
+
+def ls_estimate_batch(
+    phases: np.ndarray, plan: FrequencyPlan, cfg: EstimatorConfig, workers: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid-search estimates for a (trials x N) block of phase vectors:
+    ``LsSearch(plan, cfg).run(phases)``, reusing the search of the last
+    (plan, cfg).
+
+    ``workers`` is ignored; it stays until the benchmark scripts under
+    ``perfbench/`` stop passing it.
+    """
+    return _search(plan, cfg).run(phases)
 
 
 def ls_estimate(phases, plan: FrequencyPlan, cfg: EstimatorConfig) -> Estimate:
-    """Grid argmin of :func:`ls_cost` over the configured window.
+    """Grid argmin of :func:`ls_cost` over the configured window, for one
+    phase vector.
 
     Ties break toward the smallest range; optional parabolic refinement is
     off by default to match a pure grid search.
     """
-    ph = _phases_array(phases)
-    if ph.size != plan.n:
-        raise ValueError("phase vector length must match the plan")
-    q_hat, cost, idx = ls_estimate_batch(ph[None, :], plan, cfg, workers=1)
-    refined = bool(cfg.refine and 0 < idx[0] < cfg.size - 1)
+    search = _search(plan, cfg)
+    q_hat, cost, idx = search.run(_phases_array(phases)[None, ...])
     return Estimate(
-        q_hat=float(q_hat[0]), cost_at_min=float(cost[0]), grid_index=int(idx[0]), refined=refined
+        q_hat=float(q_hat[0]),
+        cost_at_min=float(cost[0]),
+        grid_index=int(idx[0]),
+        refined=bool(search.refines(idx)[0]),
     )
 
 

@@ -6,16 +6,17 @@ Every campaign runs one loop, :func:`run_campaign`: per (plan, SNR
 index) it synthesizes one (trials x N) phase block with
 :func:`synth_trial_matrix` and estimates it with one
 :func:`~mfirange.estimator.ls_estimate_batch` call under
-``spec.estimator``.  Each ``simulate`` kind reads what it needs from
-those blocks: the MSE and unwrap-failure curves (:func:`rows_from_errors`)
-and the ambiguity errors take the errors of :func:`campaign_errors`; the
-practical-UMR check takes each block's phases
-(:func:`pumr_confusion_rate`) and errors (:func:`far_cluster`).
+``spec.estimator``; the SNRs of a plan run back to back, so they share
+one :class:`~mfirange.estimator.LsSearch`.  Each ``simulate`` kind reads
+what it needs from those blocks: the MSE and unwrap-failure curves
+(:func:`rows_from_errors`) and the ambiguity errors take the errors of
+:func:`campaign_errors`; the practical-UMR check takes each block's
+phases (:func:`pumr_confusion_rate`) and errors (:func:`far_cluster`).
 
 Campaigns are bit-reproducible: every trial draws its noise from a
 counter-based Philox substream keyed by (master seed, plan label, SNR
 index, trial index), so results are identical regardless of execution
-order or worker count.  :func:`trial_stream` builds one such stream;
+order.  :func:`trial_stream` builds one such stream;
 :func:`synth_trial_matrix` synthesizes a whole (plan, SNR) block in one
 batch call to :func:`~mfirange.core.synth_phases`, re-keying a single
 Philox per trial (counter zeroed, buffer emptied) instead of building

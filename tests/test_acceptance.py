@@ -43,7 +43,6 @@ from mfirange import (
     umr,
     unwrap_ok,
 )
-from mfirange import estimator
 from mfirange.montecarlo import far_cluster, pumr_confusion_rate
 from mfirange.cli import main as cli_main
 
@@ -329,7 +328,7 @@ def test_confusion_rate_vs_bound():
     assert ok
 
 
-def test_estimator_sanity_and_determinism(tmp_path, monkeypatch):
+def test_estimator_sanity_and_determinism(tmp_path):
     plan = design_rips(400e6, 20e6, 21, c=C_PAPER)
 
     # Noise-free on-grid recovery is exact.
@@ -350,7 +349,7 @@ def test_estimator_sanity_and_determinism(tmp_path, monkeypatch):
     stderr_fraction = math.sqrt(2.0 / 200)
     on_floor = floor * (1.0 - 3.0 * stderr_fraction) <= mse <= 1.5 * floor
 
-    # Equal seeds give byte-identical campaign CSVs, at any worker count.
+    # Equal seeds give byte-identical campaign CSVs.
     cli_main([
         "design", "--method", "rips", "--B", "20e6", "--N", "21", "--f1", "400e6",
         "--c-mode", "paper-repro", "--out", str(tmp_path), "--label", "rips",
@@ -370,30 +369,13 @@ def test_estimator_sanity_and_determinism(tmp_path, monkeypatch):
     )
     assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r1")]) == 0
     assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r2")]) == 0
-    # r3 spreads each 300-trial batch over a 4-thread pool: the per-thread
-    # trial floor is lowered so that the batch really splits.
-    pools = []
+    r1, r2 = ((tmp_path / run / "pf.csv").read_bytes() for run in ("r1", "r2"))
+    identical = r1 == r2
 
-    class Pool(estimator.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    with monkeypatch.context() as m:
-        m.setenv(estimator.WORKERS_ENV, "4")
-        m.setattr(estimator, "_MIN_TRIALS_PER_WORKER", 75)
-        m.setattr(estimator, "ThreadPoolExecutor", Pool)
-        assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r3")]) == 0
-    split = pools == [4, 4]
-    b1 = (tmp_path / "r1" / "pf.csv").read_bytes()
-    identical = b1 == (tmp_path / "r2" / "pf.csv").read_bytes() and b1 == (
-        tmp_path / "r3" / "pf.csv"
-    ).read_bytes()
-
-    ok = exact and on_floor and identical and split
+    ok = exact and on_floor and identical
     report(
         "estimator sanity and determinism", ok,
         f"noise-free exact={exact}; 30 dB mse/crb={mse / floor:.3f} in [1-3se, 1.5]; "
-        f"byte-identical reruns={identical}, the last on pools of {pools} threads",
+        f"byte-identical reruns={identical}",
     )
     assert ok

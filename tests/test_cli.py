@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -110,20 +109,6 @@ class TestSimulate:
         for name in ("mse.csv", "pf.csv"):
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
-    def test_worker_env_does_not_change_output(self, tmp_path):
-        cfg = self.write_campaign(tmp_path)
-        assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "w1") == 0
-        old = os.environ.get("MFIRANGE_WORKERS")
-        os.environ["MFIRANGE_WORKERS"] = "3"
-        try:
-            assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "w3") == 0
-        finally:
-            if old is None:
-                os.environ.pop("MFIRANGE_WORKERS")
-            else:
-                os.environ["MFIRANGE_WORKERS"] = old
-        assert (tmp_path / "w1" / "pf.csv").read_bytes() == (tmp_path / "w3" / "pf.csv").read_bytes()
-
     def test_header_and_metric_rows(self, tmp_path):
         cfg = self.write_campaign(tmp_path, kind="mse", snr_db="20")
         run_cli("simulate", "--config", cfg, "--out", tmp_path / "m")
@@ -140,6 +125,34 @@ class TestSimulate:
         line = [ln for ln in captured.err.splitlines() if ln][0]
         assert line.startswith("error: validation:")
         assert "trials" in line and "snr" in line
+
+    def test_unknown_keys_are_refused(self, tmp_path, capsys):
+        # Misspelt optional keys would otherwise run with their defaults.
+        cfg = self.write_campaign(tmp_path, refien="true", stepm="0.5")
+        rc = run_cli("simulate", "--config", cfg, "--out", tmp_path / "bad")
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if ln]
+        assert rc == 2 and len(lines) == 1
+        assert lines[0].startswith("error: validation:")
+        assert "unknown key 'refien'" in lines[0] and "unknown key 'stepm'" in lines[0]
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize(
+        "value, refine",
+        [("true", True), ("TRUE", True), ("Yes", True), ("1", True),
+         ("false", False), ("No", False), ("0", False),
+         ("on", None), ("ture", None), ("", None), ("2", None)],
+    )
+    def test_refine_takes_only_booleans(self, tmp_path, capsys, value, refine):
+        from mfirange.cli import _campaign_from_config, parse_kv_file
+
+        cfg = self.write_campaign(tmp_path, refine=value)
+        if refine is not None:
+            spec, _ = _campaign_from_config(parse_kv_file(cfg), cfg)
+            assert spec.estimator.refine is refine
+            return
+        rc = run_cli("simulate", "--config", cfg, "--out", tmp_path / "bad")
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith(f"error: validation: bad value for 'refine': {value!r}")
 
     def test_ambiguity_takes_one_snr(self, tmp_path, capsys):
         # The ambiguity tables have no SNR column; a second SNR is refused
@@ -271,6 +284,17 @@ class TestEstimateReplay:
         assert rc == 0
         q_hat = float(out.splitlines()[0].split("=")[1])
         assert q_hat == pytest.approx(5.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(["--record", "missing.csv"], "--experiment is required with --record"),
+         (["--phases", "0.1,0.2"], "--plan is required with --phases")],
+    )
+    def test_estimate_usage_checked_before_files(self, tmp_path, capsys, args, message):
+        # No file is read, so the missing record is not what is reported.
+        rc = run_cli("estimate", *args, "--lo", 0, "--hi", 10, "--step", 0.01)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: usage: {message}\n"
 
     def test_estimate_nan_phase_is_invalid_value(self, tmp_path, capsys):
         write_plan_file(tmp_path / "p.plan", FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1, 1)))

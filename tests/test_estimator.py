@@ -215,61 +215,20 @@ class TestBatch:
         for t in range(20):
             assert cost[t] == ls_cost(phases[t], plan21, q[t])
 
-    def test_worker_count_does_not_change_results(self, plan21):
-        cfg = EstimatorConfig(-150.0, 150.0, 0.05)
+    def test_batch_is_one_search_run(self, plan21):
+        # ls_estimate_batch ignores ``workers`` and runs the search of
+        # (plan, cfg), whose arrays are read-only: the search is shared.
+        cfg = EstimatorConfig(-150.0, 150.0, 0.05, refine=True)
         phases = synth_trial_matrix(
             plan21, 0.0, NoiseModel.phase_gaussian(snr_db=10.0), 11, "det", 0, 300
         )
-        q1, c1, i1 = ls_estimate_batch(phases, plan21, cfg, workers=1)
-        q4, c4, i4 = ls_estimate_batch(phases, plan21, cfg, workers=4)
-        assert np.array_equal(q1, q4)
-        assert np.array_equal(c1, c4)
-        assert np.array_equal(i1, i4)
+        search = estimator.LsSearch(plan21, cfg)
+        got = ls_estimate_batch(phases, plan21, cfg, workers=4)
+        for a, b in zip(got, search.run(phases)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        for arr in (search.grid, search.coef, *search.combs):
+            assert not arr.flags.writeable
 
-
-class TestWorkers:
-    def test_pool_only_when_each_thread_gets_enough_trials(self, plan21, monkeypatch):
-        sizes = []
-
-        class Pool(estimator.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(estimator, "ThreadPoolExecutor", Pool)
-        monkeypatch.setattr(estimator, "_MIN_TRIALS_PER_WORKER", 10)
-        cfg = EstimatorConfig(-3.0, 3.0, 0.01)
-        phases = synth_trial_matrix(
-            plan21, 0.1237, NoiseModel.phase_gaussian(snr_db=10.0), 3, "pool", 0, 35
-        )
-        ref = ls_estimate_batch(phases, plan21, cfg, workers=1)
-        for workers, pool in [(2, 2), (4, 3), (8, 3)]:
-            got = ls_estimate_batch(phases, plan21, cfg, workers=workers)
-            assert sizes.pop() == pool
-            for a, b in zip(got, ref):
-                assert np.array_equal(a, b)
-        ls_estimate_batch(phases[:19], plan21, cfg, workers=4)
-        assert sizes == []
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
-    def test_bad_env_value_warns_once_and_uses_one_worker(self, raw, monkeypatch):
-        monkeypatch.setattr(estimator, "_warned_workers", set())
-        monkeypatch.setenv(estimator.WORKERS_ENV, raw)
-        with pytest.warns(RuntimeWarning, match=repr(raw)):
-            assert estimator._default_workers() == 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert estimator._default_workers() == 1
-
-    @pytest.mark.parametrize("raw, workers", [(None, 1), ("", 1), ("3", 3), (" 2 ", 2)])
-    def test_valid_env_values_do_not_warn(self, raw, workers, monkeypatch):
-        if raw is None:
-            monkeypatch.delenv(estimator.WORKERS_ENV, raising=False)
-        else:
-            monkeypatch.setenv(estimator.WORKERS_ENV, raw)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert estimator._default_workers() == workers
 
 class TestUnwrapOk:
     def test_boundary_convention(self, plan21):
@@ -318,12 +277,11 @@ class TestBranchAndBound:
         lo=st.floats(-200.0, 200.0),
         q0_frac=st.floats(-0.1, 1.1),
         trials=st.integers(1, 40),
-        workers=st.sampled_from([1, 2]),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_matches_full_scan(
-        self, label, snr_db, cells_per_lambda, n_pts, lo, q0_frac, trials, workers, seed
+        self, label, snr_db, cells_per_lambda, n_pts, lo, q0_frac, trials, seed
     ):
         plan = BNB_PLANS[label]
         step = plan.lambda_min / cells_per_lambda
@@ -334,7 +292,7 @@ class TestBranchAndBound:
         phases = synth_trial_matrix(plan, q0, noise, seed, "bnb", 0, trials)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # steps above lambda_min/4 warn
-            _, cost, idx = ls_estimate_batch(phases, plan, cfg, workers=workers)
+            _, cost, idx = ls_estimate_batch(phases, plan, cfg)
         ref_cost, ref_idx = full_scan(phases, plan, cfg)
         assert np.array_equal(cost, ref_cost)
         assert np.array_equal(idx, ref_idx)
@@ -353,9 +311,8 @@ class TestBranchAndBound:
         ("wideband", 2.9, 40, "contiguous"),
     ]
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("label, cells_per_lambda, n_pts, layout", EDGE_WINDOWS)
-    def test_edge_windows_match_full_scan(self, label, cells_per_lambda, n_pts, layout, workers):
+    def test_edge_windows_match_full_scan(self, label, cells_per_lambda, n_pts, layout):
         plan = BNB_PLANS[label]
         step = plan.lambda_min / cells_per_lambda
         cfg = EstimatorConfig(-3.1, -3.1 + (n_pts - 0.5) * step, step)
@@ -375,7 +332,7 @@ class TestBranchAndBound:
         ] + [rng.uniform(-math.pi, math.pi, (4, plan.n))])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, cost, idx = ls_estimate_batch(phases, plan, cfg, workers=workers)
+            _, cost, idx = ls_estimate_batch(phases, plan, cfg)
         ref_cost, ref_idx = full_scan(phases, plan, cfg)
         assert np.array_equal(cost, ref_cost)
         assert np.array_equal(idx, ref_idx)
@@ -393,12 +350,11 @@ class TestBranchAndBound:
         assert np.array_equal(cost, ref_cost)
         assert np.array_equal(idx, ref_idx)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_noise_free_ambiguity_matches_full_scan(self, workers):
+    def test_noise_free_ambiguity_matches_full_scan(self):
         plan = PLANS["rips"]
         cfg = EstimatorConfig(-20.0, 330.0, 0.01)  # holds 12.34 and 12.34 + UMR
         phases = synth_trial_matrix(plan, 12.34, NoiseModel.none(), 1, "amb", 0, 3)
-        q, cost, idx = ls_estimate_batch(phases, plan, cfg, workers=workers)
+        q, cost, idx = ls_estimate_batch(phases, plan, cfg)
         ref_cost, ref_idx = full_scan(phases, plan, cfg)
         assert np.array_equal(cost, ref_cost)
         assert np.array_equal(idx, ref_idx)
@@ -475,7 +431,6 @@ class TestBranchAndBound:
         comb_of = lambda cell: int(np.nonzero((arrays[0] == cell).any(axis=1))[0][0])
         return cfg, low, comb_of(low), comb_of(low + 1), arrays
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
         "window, layout",
         [
@@ -484,7 +439,7 @@ class TestBranchAndBound:
             (HIGHER_FIRST, "higher comb first"),
         ],
     )
-    def test_exact_tie_goes_to_lower_index(self, workers, window, layout, monkeypatch):
+    def test_exact_tie_goes_to_lower_index(self, window, layout, monkeypatch):
         plan = PLANS["rips"]
         zeros = np.zeros(plan.n)
         assert ls_cost(zeros, plan, -self.TIE_STEP / 2) == ls_cost(zeros, plan, self.TIE_STEP / 2)
@@ -499,7 +454,7 @@ class TestBranchAndBound:
             visit(ph, coef, grid, table, rows, combs, val, idx)
 
         monkeypatch.setattr(estimator, "_visit", spy)
-        _, cost, idx = ls_estimate_batch(phases, plan, cfg, workers=workers)
+        _, cost, idx = ls_estimate_batch(phases, plan, cfg)
         ref_cost, ref_idx = full_scan(phases, plan, cfg)
         assert np.array_equal(cost, ref_cost)
         assert idx.tolist() == ref_idx.tolist() == [low] * 3
@@ -529,7 +484,7 @@ class TestBranchAndBound:
             visit(ph, coef, grid, table, rows, combs, val, idx)
 
         monkeypatch.setattr(estimator, "_visit", spy)
-        _, cost, idx = ls_estimate_batch(phases, WIDE, cfg, workers=1)
+        _, cost, idx = ls_estimate_batch(phases, WIDE, cfg)
         ref_cost, ref_idx = full_scan(phases, WIDE, cfg)
         assert np.array_equal(cost, ref_cost)
         assert np.array_equal(idx, ref_idx)

@@ -236,6 +236,36 @@ class TestCurves:
         assert row.value >= row.crb * (1.0 - 3.0 * stderr_fraction)
 
 
+def test_campaign_builds_one_search_per_plan(monkeypatch):
+    # Shaped like the campaign-pf benchmark: 3 plans x 3 SNRs, one config.
+    # The grid and comb layout depend on (plan, config) alone, so the
+    # SNRs of a plan share one layout.
+    from mfirange import estimator
+
+    layouts = []
+    combs = estimator._combs
+
+    def spy(coef, grid, step):
+        layouts.append(coef[0])
+        return combs(coef, grid, step)
+
+    monkeypatch.setattr(estimator, "_combs", spy)
+    estimator._search.cache_clear()
+    plans = {f"p{k}": design_rips(f1, 20e6, 21, c=C_PAPER)
+             for k, f1 in enumerate((400e6, 410e6, 420e6))}
+    spec = CampaignSpec.build(
+        plans=plans,
+        q0=0.0,
+        snr_grid=[10.0, 11.5, 13.0],
+        trials=10,
+        seed=4242,
+        estimator=EstimatorConfig(-20.0, 20.0, 0.01),
+    )
+    errors = campaign_errors(spec)
+    assert len(errors) == 9
+    assert len(layouts) == len(set(layouts)) == 3
+
+
 def pumr_phases(plan, snr_db, trials, seed):
     """The block that ``kind = pumr`` draws at q0 = 0 for a plan labeled
     "pumr" at its first SNR."""

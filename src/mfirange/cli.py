@@ -84,7 +84,7 @@ class _Parser(argparse.ArgumentParser):
 def parse_kv_file(path) -> dict[str, str]:
     fields: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise CliError("io", f"cannot read {path}: {exc.strerror}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -9,8 +9,10 @@ map a plan to and from these pairs; plan files (``key = value`` lines,
 see the CLI) and phase records each keep their own line syntax around
 them, and both refuse a key given twice.
 
-A phase record is a UTF-8 CSV: a '#'-prefixed header block with the plan
-keys, followed by data rows ``experiment_id,freq_hz,phase_rad[,q0_m]``.
+A phase record is a UTF-8 CSV (a leading byte-order mark is skipped): a
+'#'-prefixed header block with the plan keys, followed by data rows
+``experiment_id,freq_hz,phase_rad[,q0_m]``.  Lines break at LF, CR LF and
+CR only, and each line is stripped of surrounding blanks.
 Every experiment id must cover all N plan frequencies exactly once;
 phases are wrapped to (-pi, pi].  Ground-truth q0 per experiment is
 optional but must be consistent across its rows when present.
@@ -19,14 +21,17 @@ Non-finite values: a phase of nan or +-inf is outside (-pi, pi]; a
 frequency of nan or +-inf matches no plan frequency; a q0 of nan or +-inf
 is refused with its own error, which names the experiment and the value.
 
-Errors name the first failing data row in file order (data rows count
-from 1; blank and '#' lines are not counted), and within that row the
-first failing check of: 3 or 4 fields; ``float()`` of the frequency,
-phase and q0 fields, in that order; phase in (-pi, pi]; frequency within
-max(1e-3, 1e-9 f) Hz of its nearest plan frequency f (the lower one on
-ties); that frequency not already given for the experiment; q0 finite; q0
-equal to the experiment's earlier q0.  Only when every row passes is the
-first experiment, in first-seen order, that misses a frequency reported.
+A field longer than ``csv.field_size_limit()`` (131 072 characters by
+default) is refused before anything else is checked, with the first data
+row that holds one.  Otherwise errors name the first failing data row in
+file order (data rows count from 1; blank and '#' lines are not counted),
+and within that row the first failing check of: 3 or 4 fields; ``float()``
+of the frequency, phase and q0 fields, in that order; phase in (-pi, pi];
+frequency within max(1e-3, 1e-9 f) Hz of its nearest plan frequency f
+(the lower one on ties); that frequency not already given for the
+experiment; q0 finite; q0 equal to the experiment's earlier q0.  Only
+when every row passes is the first experiment, in first-seen order, that
+misses a frequency reported.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -104,16 +110,18 @@ def write_record(path, plan: FrequencyPlan, experiments: Sequence[Experiment]) -
     Refuses, with a ValueError that names the experiment and before
     anything is written, what :func:`read_record` could not read back as
     written: an id that starts with '#' or a blank (the reader takes the
-    first as a header line and strips the second), holds a line break or
-    repeats an earlier id; a phase count other than N; a phase outside
-    (-pi, pi], nan and +-inf included; a non-finite q0.  An empty id is
-    refused too: it reads back, but names nothing in the reader's errors.
+    first as a header line and strips the second), holds a line break, is
+    longer than ``csv.field_size_limit()`` or repeats an earlier id; a
+    phase count other than N; a phase outside (-pi, pi], nan and +-inf
+    included; a non-finite q0.  An empty id is refused too: it reads back,
+    but names nothing in the reader's errors.
     """
     experiments = tuple(experiments)
     seen: set[str] = set()
     for exp in experiments:
         _check_experiment(plan, exp, seen)
         seen.add(exp.experiment_id)
+    freqs = [repr(float(f)) for f in plan.frequencies]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# mfirange phase record\n")
         for key, value in plan_header(plan):
@@ -121,11 +129,9 @@ def write_record(path, plan: FrequencyPlan, experiments: Sequence[Experiment]) -
         fh.write("# columns: experiment_id,freq_hz,phase_rad[,q0_m]\n")
         writer = csv.writer(fh)
         for exp in experiments:
-            for f, ph in zip(plan.frequencies, np.asarray(exp.phases, dtype=float)):
-                row = [exp.experiment_id, repr(float(f)), repr(float(ph))]
-                if exp.q0 is not None:
-                    row.append(repr(float(exp.q0)))
-                writer.writerow(row)
+            q0 = [] if exp.q0 is None else [repr(float(exp.q0))]
+            phases = np.asarray(exp.phases, dtype=float).tolist()
+            writer.writerows([exp.experiment_id, f, repr(ph), *q0] for f, ph in zip(freqs, phases))
 
 
 def _check_experiment(plan: FrequencyPlan, exp: Experiment, seen: set[str]) -> None:
@@ -138,6 +144,8 @@ def _check_experiment(plan: FrequencyPlan, exp: Experiment, seen: set[str]) -> N
             raise ValueError("id starts with '#' or a blank")
         if "\n" in eid or "\r" in eid:
             raise ValueError("id holds a line break")
+        if len(eid) > csv.field_size_limit():
+            raise ValueError(f"id is longer than the field limit ({csv.field_size_limit()})")
         if eid in seen:
             raise ValueError("id appears more than once")
         phases = np.asarray(exp.phases, dtype=float)
@@ -182,36 +190,103 @@ def _floats(texts: Sequence[str]) -> tuple[np.ndarray, dict[int, ValueError]]:
     return values, errors
 
 
-def read_record(path) -> PhaseRecord:
-    """Parse and validate a phase record file.
+def _first_seen(texts: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct texts in first-seen order, and the index of each text among them."""
+    index = {text: k for k, text in enumerate(dict.fromkeys(texts))}
+    return list(index), np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
 
-    The data rows are read as columns and every check is a mask over the
-    rows; see the module docstring for the order in which they are judged.
+
+def _distinct_floats(texts: Sequence[str]) -> tuple[np.ndarray, dict[int, ValueError]]:
+    """:func:`_floats` of ``texts``, calling ``float()`` once per distinct text."""
+    distinct, inverse = _first_seen(texts)
+    values, errors = _floats(distinct)
+    failed = np.flatnonzero(np.isin(inverse, list(errors))) if errors else ()
+    return values[inverse], {int(r): errors[int(inverse[r])] for r in failed}
+
+
+def _csv_row(row: int, line: str) -> list[str]:
+    try:
+        return next(csv.reader([line]))
+    except csv.Error as exc:  # a field over the limit
+        raise RecordFormatError(f"data row {row + 1}: {exc}") from None
+
+
+def _fields(data: list[str]) -> tuple[list[str], np.ndarray]:
+    """Every field of the data rows, flat in file order, and each row's field count.
+
+    A row's fields are what ``csv.reader`` makes of its line on its own.
+    Without a '"' that is the line split at its commas, so all rows are
+    split at once, in their join; with one, csv reads them.  On both paths
+    a field longer than ``csv.field_size_limit()`` raises, naming the first
+    data row that holds one, as csv does.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [raw.strip() for raw in fh]
-    data = [line for line in lines if line and not line.startswith("#")]
-    rows = list(csv.reader(data))
+    limit = csv.field_size_limit()
+    joined = ",".join(data)
+    if '"' not in joined:
+        lengths = np.fromiter(map(len, data), np.intp, len(data))
+        for r in np.flatnonzero(lengths > limit):  # only a long line can hold a long field
+            if max(map(len, data[r].split(","))) > limit:
+                raise RecordFormatError(
+                    f"data row {r + 1}: field larger than field limit ({limit})"
+                )
+        counts = np.fromiter(map(str.count, data, repeat(",")), np.intp, len(data)) + 1
+        return (joined.split(",") if data else []), counts
+    try:
+        rows = list(csv.reader(data))
+    except csv.Error:  # a field over the limit, maybe one that ran on over lines
+        rows = []
     if len(rows) < len(data):
         # A line that ends inside an open quote ran on into the next line;
         # split each line on its own, where csv closes the quote at its end.
-        rows = [next(csv.reader([line])) for line in data]
-    plan = _parse_header([line for line in lines if line.startswith("#")])
+        rows = [_csv_row(r, line) for r, line in enumerate(data)]
+    return list(chain.from_iterable(rows)), np.fromiter(map(len, rows), np.intp, len(rows))
+
+
+def read_record(path) -> PhaseRecord:
+    """Parse and validate a phase record file.
+
+    The file is read once, and the data rows become one flat list of
+    fields in one pass, without a list per row; csv reads them only when
+    a '"' appears (see :func:`_fields`).  A field longer than
+    ``csv.field_size_limit()`` is refused first, with its data row.  Each
+    column is then parsed as a whole, each distinct frequency and q0 text
+    once, and every check is a mask over the rows; see the module
+    docstring for the order in which they are judged.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        text = fh.read()
+    # Lines break at \n, \r\n and \r, as in a newline="" file; str.splitlines
+    # would also break at characters such as \x0b, \x1c and \x85, which an
+    # id may hold.  After a split at \n and a strip, a \r is left only where
+    # it broke a line on its own.
+    lines = list(map(str.strip, text.split("\n")))
+    if "\r" in "".join(lines):
+        lines = [part.strip() for line in lines for part in line.split("\r")]
+    data = [line for line in lines if line and line[0] != "#"]
+    fields, counts = _fields(data)
+    plan = _parse_header([line for line in lines if line[:1] == "#"])
     freqs = plan.frequencies
     n = plan.n
 
-    counts = np.fromiter(map(len, rows), np.intp, len(rows))
     miscounted = np.flatnonzero((counts != 3) & (counts != 4))
     # Rows after the first miscounted one are never judged.
-    m = int(miscounted[0]) if miscounted.size else len(rows)
-    rows = rows[:m]
-    ids = [row[0] for row in rows]
-    f, f_errors = _floats([row[1] for row in rows])
-    ph, ph_errors = _floats([row[2] for row in rows])
+    m = int(miscounted[0]) if miscounted.size else len(counts)
     has_q0 = counts[:m] == 4
     q0_rows = np.flatnonzero(has_q0)
+    starts = np.cumsum(counts[:m]) - counts[:m]  # each row's first field
+    width = int(counts[0]) if m and (counts[:m] == counts[0]).all() else 0
+
+    def column(k: int) -> list[str]:
+        """Field k of every row that has one: a slice when all rows have one width."""
+        if width:
+            return fields[k : m * width : width] if k < width else []
+        return list(map(fields.__getitem__, (starts[counts[:m] > k] + k).tolist()))
+
+    ids = column(0)
+    f, f_errors = _distinct_floats(column(1))
+    ph, ph_errors = _floats(column(2))
     q0 = np.full(m, np.nan)
-    q0[q0_rows], q0_errors = _floats([rows[r][3] for r in q0_rows])
+    q0[q0_rows], q0_errors = _distinct_floats(column(3))
     parse_errors: dict[int, ValueError] = {}  # by row: its first field float() refuses
     for errors in (f_errors, ph_errors, {int(q0_rows[k]): e for k, e in q0_errors.items()}):
         for r, exc in errors.items():
@@ -229,21 +304,14 @@ def read_record(path) -> PhaseRecord:
     near = freqs[slot]
     no_match = ~(np.abs(near - f) <= np.maximum(1e-3, 1e-9 * near))
 
-    # Experiments in first-seen order; object strings keep trailing NULs.
-    uniq, first, inverse = np.unique(
-        np.array(ids, dtype=object), return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    group = rank[inverse]
-    exp_ids = uniq[order]
+    # Experiments in first-seen order.
+    exp_ids, group = _first_seen(ids)
 
     repeated = np.ones(m, bool)
     repeated[np.unique(group * n + slot, return_index=True)[1]] = False
-    first_q0 = np.full(exp_ids.size, m)
+    first_q0 = np.full(len(exp_ids), m)
     np.minimum.at(first_q0, group[q0_rows], q0_rows)
-    last_q0 = np.full(exp_ids.size, -1)
+    last_q0 = np.full(len(exp_ids), -1)
     np.maximum.at(last_q0, group[q0_rows], q0_rows)
     ref = first_q0[group]
     conflict = has_q0 & (ref < np.arange(m)) & (q0 != q0[np.minimum(ref, m - 1)])
@@ -277,7 +345,7 @@ def read_record(path) -> PhaseRecord:
     if miscounted.size:
         raise RecordFormatError(f"data row {m + 1}: expected 3 or 4 fields, got {counts[m]}")
 
-    phases = np.full((exp_ids.size, n), np.nan)
+    phases = np.full((len(exp_ids), n), np.nan)
     phases[group, slot] = ph
     missing = np.isnan(phases)
     if missing.any():

@@ -77,6 +77,12 @@ class TestDesignAnalyze:
         write_plan_file(tmp_path / "x.plan", plan)
         assert read_plan_file(tmp_path / "x.plan") == plan
 
+    def test_plan_file_with_byte_order_mark(self, tmp_path):
+        plan = FrequencyPlan(f1=400.1e6, resolution=65.0, spacings=(3, 1, 4), c=C_PAPER)
+        write_plan_file(tmp_path / "x.plan", plan)
+        (tmp_path / "bom.plan").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "x.plan").read_bytes())
+        assert read_plan_file(tmp_path / "bom.plan") == plan
+
 
 class TestSimulate:
     def write_campaign(self, tmp_path, **overrides):
@@ -125,6 +131,14 @@ class TestSimulate:
         line = [ln for ln in captured.err.splitlines() if ln][0]
         assert line.startswith("error: validation:")
         assert "trials" in line and "snr" in line
+
+    def test_config_with_byte_order_mark(self, tmp_path):
+        from mfirange.cli import parse_kv_file
+
+        cfg = self.write_campaign(tmp_path)
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        assert parse_kv_file(bom) == parse_kv_file(cfg)
 
     def test_unknown_keys_are_refused(self, tmp_path, capsys):
         # Misspelt optional keys would otherwise run with their defaults.
@@ -270,6 +284,18 @@ class TestEstimateReplay:
         assert rc != 0
         line = [ln for ln in captured.err.splitlines() if ln][0]
         assert line.startswith("error: record-format:") and "e2" in line
+
+    def test_replay_long_field_is_record_format_error(self, tmp_path, capsys):
+        rec = self.make_record(tmp_path)
+        text = rec.read_text()
+        rec.write_text(text.replace("e2,", "e" * 200_000 + ",", 1))
+        rc = run_cli(
+            "replay", "--record", rec, "--lo", 10, "--hi", 30, "--step", 0.01,
+            "--out", tmp_path / "rep",
+        )
+        err = capsys.readouterr().err
+        # N = 21: e2's first row is data row 43.
+        assert rc == 2 and err.startswith("error: record-format: data row 43: field larger than")
 
     def test_estimate_inline_phases(self, tmp_path, capsys):
         plan = FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1, 1), c=C_PAPER)

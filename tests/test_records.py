@@ -18,6 +18,7 @@ from mfirange import (
     synth_phases,
     write_record,
 )
+from mfirange import records
 from mfirange.cli import CliError, read_plan_file, write_plan_file
 from mfirange.records import Experiment, PhaseRecord, _parse_header, plan_header
 
@@ -314,8 +315,10 @@ def _corrupt(draw, rows, kind):
     elif kind == "phase_range":
         row[2] = draw(st.sampled_from(["3.5", "-4.0", repr(-math.pi), "inf", "-inf", "nan"]))
     elif kind == "unknown_frequency":
+        # Rows are jittered by up to 0.4 Hz and the tolerance is 0.41 Hz at
+        # 410 MHz, so a shift of 1 Hz leaves every plan frequency's tolerance.
         f = float(row[1]) if _parses(row[1]) else 410e6
-        row[1] = draw(st.sampled_from([repr(f + 1.0), repr(f - 0.5), "123456.0", "inf", "-1e300"]))
+        row[1] = draw(st.sampled_from([repr(f + 1.0), repr(f - 1.0), "123456.0", "inf", "-1e300"]))
     else:  # q0_conflict: two rows of one experiment disagree
         others = [k for k in whole if k != i and rows[k][0] == row[0]]
         if not others:  # the experiment has one whole row left: give it a partner
@@ -536,6 +539,7 @@ class TestWriteRefusals:
             ("e8", [0.1, math.inf, 0.0, 0.0], None, "must be finite"),
             ("e9", GOOD, math.nan, "q0 nan is not finite"),
             ("e10", GOOD, -math.inf, "q0 -inf is not finite"),
+            pytest.param("e" * (csv.field_size_limit() + 1), GOOD, None, "field limit", id="long"),
         ],
     )
     def test_refused_and_named(self, tmp_path, eid, phases, q0, problem):
@@ -565,3 +569,74 @@ class TestWriteRefusals:
             assert any(str(exc).startswith(f"experiment {e.experiment_id!r}: ") for e in exps)
         else:
             assert back == _as_written(exps)
+
+
+# Ids without a '"' that csv leaves unquoted, holding characters that
+# str.splitlines would break a line at (NUL, \x0b, \x1c, \x85) and inner blanks.
+SPLIT_IDS = st.text(st.sampled_from(["a", "7", "_", "-", "\x00", "\x0b", "\x1c", "\x85", " "]),
+                    min_size=1, max_size=6).filter(_good_id)
+
+
+class TestSplitPath:
+    """Records without a '"', which ``read_record`` splits at their commas
+    without csv, against the row-at-a-time reference."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_line_endings_match_reference(self, record_dir, data):
+        exps = data.draw(st.lists(
+            st.builds(Experiment, SPLIT_IDS, st.lists(GOOD_PHASES, min_size=4, max_size=4).map(np.array),
+                      st.one_of(st.none(), st.floats(-1e3, 1e3))),
+            min_size=1, max_size=4, unique_by=lambda e: e.experiment_id,
+        ))
+        path = record_dir / "split.csv"
+        write_record(path, PLAN4, exps)
+        lines = re.split(r"\r\n|\n", path.read_text(encoding="utf-8"))[:-1]
+        header = [ln for ln in lines if ln.startswith("#")]
+        rows = data.draw(st.permutations([ln for ln in lines if not ln.startswith("#")]))
+        if data.draw(st.booleans()):
+            rows = rows[1:]  # a missing frequency, named by its experiment
+        ending = data.draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+        text = "".join(
+            line + (data.draw(st.sampled_from(["\n", "\r\n", "\r"])) if ending == "mixed" else ending)
+            for line in header + rows
+        )
+        assert '"' not in text
+        path.write_bytes(text.encode("utf-8"))
+        expected = _outcome(_reference_read_record, path)
+        assert _outcome(read_record, path) == expected
+
+    @pytest.mark.parametrize("eid, csv_calls", [("e\x85 1", 0), ('e"1', 1)])
+    def test_csv_reads_only_records_with_a_quote(self, tmp_path, monkeypatch, eid, csv_calls):
+        calls = []
+        reader = csv.reader
+        monkeypatch.setattr(records.csv, "reader", lambda *a: calls.append(a) or reader(*a))
+        path = make_record(tmp_path, PLAN4, [Experiment(eid, TestWriteRefusals.GOOD, 1.0)])
+        assert read_record(path).experiments[0].experiment_id == eid
+        assert len(calls) == csv_calls
+
+
+class TestLongFields:
+    """A field longer than ``csv.field_size_limit()`` is a format error that
+    names its data row, whether or not csv reads the record."""
+
+    @pytest.mark.parametrize("last", ["x", '"'])
+    def test_long_field_names_its_row(self, tmp_path, last):
+        # An id that ends in '"' is quoted, so csv reads the record.
+        limit = csv.field_size_limit()
+        path = tmp_path / "long.csv"
+        for size in (limit, limit + 1):
+            eid = "x" * (size - 1) + last
+            rows = [_csv_line([e, repr(float(f)), "0.1"]) for e in ("ok", eid) for f in PLAN4.frequencies]
+            path.write_text(_record_text(PLAN4, rows), encoding="utf-8")
+            if size == limit:
+                assert [e.experiment_id for e in read_record(path).experiments] == ["ok", eid]
+        with pytest.raises(RecordFormatError, match=rf"^data row 5: field larger than field limit \({limit}\)$"):
+            read_record(path)
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    path = make_record(tmp_path, PLAN4, [Experiment("e1", TestWriteRefusals.GOOD, 1.0)])
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert _outcome(read_record, bom) == _outcome(read_record, path)

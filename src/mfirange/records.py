@@ -257,14 +257,11 @@ def read_record(path) -> PhaseRecord:
         text = fh.read()
     # Lines break at \n, \r\n and \r, as in a newline="" file; str.splitlines
     # would also break at characters such as \x0b, \x1c and \x85, which an
-    # id may hold.  After a split at \n and a strip, a \r is left only where
-    # it broke a line on its own.
-    lines = list(map(str.strip, text.split("\n")))
-    if "\r" in "".join(lines):
-        lines = [part.strip() for line in lines for part in line.split("\r")]
-    data = [line for line in lines if line and line[0] != "#"]
+    # id may hold.  A \r\n splits into a line and a blank one; blanks are dropped.
+    lines = list(filter(None, map(str.strip, text.replace("\r", "\n").split("\n"))))
+    data = [line for line in lines if line[0] != "#"]
     fields, counts = _fields(data)
-    plan = _parse_header([line for line in lines if line[:1] == "#"])
+    plan = _parse_header([line for line in lines if line[0] == "#"])
     freqs = plan.frequencies
     n = plan.n
 
@@ -274,13 +271,18 @@ def read_record(path) -> PhaseRecord:
     has_q0 = counts[:m] == 4
     q0_rows = np.flatnonzero(has_q0)
     starts = np.cumsum(counts[:m]) - counts[:m]  # each row's first field
-    width = int(counts[0]) if m and (counts[:m] == counts[0]).all() else 0
+    # Rows of one field count lie in runs (first field, rows, count); within a
+    # run a column is a slice.  Counts are at least 1, so the zero padding
+    # marks where the first run starts and the last ends.
+    edges = np.flatnonzero(np.diff(counts[:m], prepend=0, append=0))
+    firsts = edges[:-1]
+    runs = list(zip(starts[firsts].tolist(), np.diff(edges).tolist(), counts[firsts].tolist()))
 
     def column(k: int) -> list[str]:
-        """Field k of every row that has one: a slice when all rows have one width."""
-        if width:
-            return fields[k : m * width : width] if k < width else []
-        return list(map(fields.__getitem__, (starts[counts[:m] > k] + k).tolist()))
+        """Field k of every row that has one, run by run."""
+        return list(
+            chain.from_iterable(fields[s + k : s + rows * w : w] for s, rows, w in runs if k < w)
+        )
 
     ids = column(0)
     f, f_errors = _distinct_floats(column(1))

@@ -11,10 +11,19 @@ S(x) = sum_i exp(j k_i x), k_i = 2 pi f_i / c, |S(x)| equals
 |sum_i exp(j (k_i - k_ref) x)| for any k_ref, so it is Lipschitz with
 L = sum_i |k_i - k_ref|; k_ref is the median k_i, which makes L least.
 A block of grid points with centre x_c and half-width h therefore has
-AF <= (|S(x_c)| + L h + slack)^2 / N^2 at every point.  The slack,
-32 N ulps of the largest phase k_N x the scan reaches, covers the
-rounding of the computed phases, exponentials and sums, so the bound also
-holds for the computed AF values.  The scan makes two passes: it visits
+AF <= (|S(x_c)| + L h + slack)^2 / N^2 at every point.  The centre
+values |S(x_c)| only prune, so they are computed cheaply: the phases
+k_i x_c are wrapped in float64, and their cos and sin and the two sums
+over frequencies are taken in float32.  The slack is 32 N ulps of the
+largest phase k_N x the scan reaches, which covers the rounding of the
+float64 phases, their wrap, and the exponentials and sums of the visited
+points, plus 2 N (N + 20) 2^-24 for the float32 centre values: per term,
+pi 2^-24 for the cast of the phase and 16 2^-24 for cos or sin (numpy's
+float32 cos and sin are within 1.2 2^-24 on [-pi, pi]); (N - 1) N 2^-24
+for each N-term float32 sum of terms of size at most 1; a factor sqrt(2)
+for the two components and 2 N 2^-24 for the float32 modulus.  So the
+bound also holds for the computed AF values, which :func:`ambiguity_fn`
+takes in float64.  The scan makes two passes: it visits
 the block of highest bound, then, in one batch, every other block whose
 bound is not below the best value that first block gave; a block whose
 bound is below it holds no point that can reach it.  Every visited point
@@ -149,7 +158,8 @@ def _block_bounds(
     plan: FrequencyPlan, lo: float, step: float, n_pts: int, width: int, slope: float
 ) -> np.ndarray:
     """Upper bound on the computed AF over each block of ``width`` grid points
-    of ``lo + step*k``, k < n_pts (the last block may be shorter)."""
+    of ``lo + step*k``, k < n_pts (the last block may be shorter), with
+    |S| at the block centres in float32 (see the module docstring)."""
     starts = np.arange(0, n_pts, width)
     ends = np.minimum(starts + width, n_pts) - 1
     centres = lo + step * (0.5 * (starts + ends))
@@ -157,9 +167,12 @@ def _block_bounds(
     mag = np.empty(starts.size)
     chunk = max(1, _SCAN_ELEMS // plan.n)
     for a in range(0, starts.size, chunk):
-        mag[a : a + chunk] = np.abs(_array_sum(plan, centres[a : a + chunk]))
+        phase = (TWO_PI / plan.c) * np.multiply.outer(centres[a : a + chunk], plan.frequencies)
+        phase -= TWO_PI * np.rint(phase * (1.0 / TWO_PI))
+        phase = phase.astype(np.float32)
+        mag[a : a + chunk] = np.hypot(np.cos(phase).sum(axis=-1), np.sin(phase).sum(axis=-1))
     reach = (TWO_PI / plan.c) * plan.frequencies[-1] * (lo + step * (n_pts - 1)) + TWO_PI
-    slack = 32.0 * plan.n * np.spacing(reach)
+    slack = 32.0 * plan.n * np.spacing(reach) + 2.0 * plan.n * (plan.n + 20) * 2.0**-24
     return np.square((mag + slope * half + slack) / plan.n)
 
 

@@ -82,15 +82,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_kv_file(path) -> dict[str, str]:
+    """``key = value`` lines of a plan file or campaign config.
+
+    Lines break at LF, CR LF and CR only (the text read turns all three
+    into LF), as in :func:`~mfirange.records.read_record`; a line that
+    holds another character ``str.splitlines`` breaks at, such as U+000B,
+    U+001C, U+0085 or U+2028, is refused with its line number and text.
+    Blank lines and '#' comments are skipped.
+    """
     fields: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise CliError("io", f"cannot read {path}: {exc.strerror}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if len(line.splitlines()) > 1:
+            raise CliError("config", f"{path}:{lineno}: line break character in {line!r}")
         if "=" not in line:
             raise CliError("config", f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")

@@ -34,16 +34,55 @@ cycle, spans at most lambda_bar/n_u <= lambda_bar/3, lambda_bar =
 2*pi/cbar.  A wideband plan falls back to cbar = 0 and n_u = 1, which
 makes the combs contiguous blocks of max(1, floor(lambda_min/(3*step)))
 cells with s_i = c_i*h for a block of half-width h.  Each trial is
-searched in two passes: it visits its comb of least LB, and then, in one
-batch, every other comb whose LB - 1e-9*max(LB, 1) is not above the cost
-that first comb gave; no other comb can hold a cell of that cost or
-less.  Visited cells are costed with the full scan's per-cell arithmetic
-and ties go to the lower grid index, so the answers equal a full scan's
-bit for bit; :func:`_scan_block` is that full scan, kept as the test
-reference.  The grid and the comb layout depend on the plan and the
-config alone, so one :class:`LsSearch` per (plan, config) holds them and
-searches any number of phase blocks; every temporary is chunked to about
-32 MB.
+searched in two passes: it visits its comb of least bound, and then, in
+one batch, every other comb whose bound is not above the cost that first
+comb gave; no other comb can hold a cell of that cost or less.  Ties go
+to the lower grid index.  The grid and the comb layout depend on the
+plan and the config alone, so one :class:`LsSearch` per (plan, config)
+holds them and searches any number of phase blocks; every temporary is
+chunked to at most about 32 MB.
+
+Precision rule: every number that only prunes or filters is float32, and
+every number that is returned is float64, computed with the full scan's
+arithmetic, so the answers equal a full scan's bit for bit;
+:func:`_scan_block` is that full scan, kept as the test reference.
+
+- The bound of a comb is max(0, LB32 - E(N)), where LB32 is LB summed in
+  float32 from float32 copies of phi_i, cm_i, s_i and 2*pi - s_i.  It is
+  at most LB, and the pad in s_i keeps LB at or below the float64 cost
+  of every cell of the comb.
+- A visit costs its cells in float32, from the float64-wrapped model
+  cast to float32.  Only a cell within 2*E(N) of the float32 minimum of
+  its (trial, comb) pair, and within E(N) of the trial's best float64
+  cost so far, is costed again in float64 (:func:`_recost`).  A cell of
+  least float64 cost passes both tests: its float32 cost is within E(N)
+  of its float64 cost, which is at most the float64 cost of any other
+  cell of the pair and of the trial's best so far.
+
+With u = 2^-24, each float32 value is within E(N) = N*(N + 18)*pi^2*u of
+its float64 counterpart.  The terms of the error, each to first order
+in u:
+
+- casting phi and a model or centre phase, both in [-pi, pi], to float32
+  moves each by at most pi*u; their difference d, |d| <= 2*pi, is
+  rounded once more, so d is within 4*pi*u;
+- the distance min(|d|, 2*pi - |d|), with 2*pi rounded to float32 and
+  the difference rounded once, is then within 8*pi*u.  So is a bound
+  term max(0, min(|d| - s, (2*pi - s) - |d|)) when s < pi, with s and
+  2*pi - s cast to float32 (at most pi*u and 2*pi*u); when s >= pi the
+  term is 0 in both precisions, since rounding keeps 2*pi - s <= s;
+- squaring a value of at most pi, and rounding the square, adds
+  2*pi*8*pi*u + pi^2*u = 17*pi^2*u per term;
+- a float32 sum of N terms of at most pi^2 each is within
+  (N - 1)*N*pi^2*u of the exact sum of the rounded terms.
+
+That is N*(N + 16)*pi^2*u.  The last 2*N*pi^2*u of E(N) covers the
+rounding of LB32 - E(N) (at most N*pi^2*u), the float64 sums'
+own rounding and the second-order terms, for N up to a few thousand.
+The float64 re-cost adds its N terms one after another in plan order,
+as the full scan does.  ``np.sum`` and ``np.add.reduce`` over the
+frequency axis sum pairwise and change the last bits of the costs, and
+with them the argmin of some trials.
 """
 
 from __future__ import annotations
@@ -60,6 +99,11 @@ from .core import TWO_PI, FrequencyPlan, PhaseVector
 _INV_TWO_PI = 1.0 / TWO_PI
 # Chunk sizing keeps each (trials x grid) temporary around 32 MB.
 _TARGET_ELEMS = 4_000_000
+# The per-frequency loops of the B&B take as many frequencies per numpy
+# call as fit in this many elements: a large block runs one frequency at
+# a time on cache-sized arrays, and a block of a few trials makes a few
+# calls instead of several per frequency.
+_GROUP_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -110,7 +154,8 @@ def _wrap_inplace(d: np.ndarray) -> np.ndarray:
     Used only inside squared-residual sums where the sign of the boundary
     value is irrelevant.
     """
-    k = np.rint(d * _INV_TWO_PI)
+    k = np.multiply(d, _INV_TWO_PI)
+    np.rint(k, out=k)
     k *= TWO_PI
     d -= k
     return d
@@ -157,14 +202,14 @@ def coherence_cost(phases, plan: FrequencyPlan, q) -> np.ndarray | float:
     return out
 
 
-def _add_wrapped_square(d: np.ndarray, tmp: np.ndarray, acc: np.ndarray) -> None:
-    """acc += min(|d|, 2*pi - |d|)^2, the wrapped square of a residual d in
-    (-2*pi, 2*pi); ``d`` and ``tmp`` are overwritten."""
+def _wrapped_square(d: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """min(|d|, 2*pi - |d|)^2, the wrapped square of a residual d in
+    (-2*pi, 2*pi), written into ``d`` and returned; ``tmp`` is overwritten.
+    The constant 2*pi takes the dtype of ``d``."""
     np.abs(d, out=d)
     np.subtract(TWO_PI, d, out=tmp)
     np.minimum(d, tmp, out=d)
-    np.multiply(d, d, out=d)
-    acc += d
+    return np.multiply(d, d, out=d)
 
 
 def _scan_block(
@@ -178,8 +223,8 @@ def _scan_block(
     observed phases and the per-chunk model phases pre-wrapped to
     (-pi, pi], the residual lies in (-2*pi, 2*pi) and its wrapped square
     is min(|d|, 2*pi - |d|)^2, which avoids a rounding pass per element;
-    :func:`_cell_costs` applies the same :func:`_add_wrapped_square` to
-    the cells B&B visits.
+    :func:`_recost` applies the same :func:`_wrapped_square`, term by
+    term in plan order, to the cells the B&B visits.
     """
     t = phases.shape[0]
     n_pts = grid.size
@@ -197,7 +242,7 @@ def _scan_block(
         acc = np.zeros((t, g.size))
         for i in range(coef.size):
             np.subtract(wrapped[:, i : i + 1], model[i][None, :], out=d)
-            _add_wrapped_square(d, tmp, acc)
+            acc += _wrapped_square(d, tmp)
         idx = np.argmin(acc, axis=1)
         val = acc[np.arange(t), idx]
         better = val < best_val  # strict: earlier chunks win ties (lower q)
@@ -205,8 +250,11 @@ def _scan_block(
         best_idx[better] = idx[better] + start
 
 
-# A comb is pruned only when LB - _PRUNE_RTOL * max(LB, 1) > best cost.
-_PRUNE_RTOL = 1e-9
+def _allowance(n: int) -> float:
+    """E(N) = N*(N + 18)*pi^2*2^-24, the float32 rounding allowance of the
+    module docstring: a bound's or a cell cost's float32 value is within
+    E(N) of its float64 counterpart."""
+    return n * (n + 18) * math.pi**2 * 2.0**-24
 
 
 def _layout(coef, step, n_pts) -> tuple[float, int, int]:
@@ -274,87 +322,133 @@ def _combs(coef, grid, step) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table[keep], centre_model, shrink
 
 
-def _lower_bounds(phases, centre_model, shrink) -> np.ndarray:
-    """(trials x combs) LB = sum_i max(0, |wrap(phi_i - cm_i)| - s_i)^2.
+def _bound_arrays(centre_model, shrink) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float32 cm_i, s_i and 2*pi - s_i, each (N, combs, 1), from the
+    float64 (N, combs) centre model and shrink of :func:`_combs`."""
+    shape = centre_model.shape + (1,)
+    return tuple(
+        np.reshape(a, shape).astype(np.float32) for a in (centre_model, shrink, TWO_PI - shrink)
+    )
 
-    ``centre_model`` is cm_i and ``shrink`` s_i, (N, combs).  A term is 0
-    where s_i >= pi: the comb's residuals of frequency i then reach every
-    phase.
+
+def _frequency_groups(n, acc):
+    """(frequency slice, d, tmp) for each group of the N frequencies of a
+    per-frequency loop that adds into ``acc``: as many frequencies per
+    group as fit in ``_GROUP_ELEMS`` elements, with the two (group,
+    *acc.shape) buffers reused from group to group."""
+    group = max(1, min(n, _GROUP_ELEMS // max(1, acc.size)))
+    d_buf = np.empty((group,) + acc.shape, dtype=acc.dtype)
+    tmp_buf = np.empty_like(d_buf)
+    for i in range(0, n, group):
+        k = min(group, n - i)
+        yield slice(i, i + k), d_buf[:k], tmp_buf[:k]
+
+
+def _lower_bounds(phases, centre_model, shrink, wrap_shrink) -> np.ndarray:
+    """(trials x combs) certified LB = max(0, LB32 - E(N)), a view of a
+    (combs x trials) float32 array.
+
+    LB32 is sum_i max(0, min(|d_i| - s_i, (2*pi - s_i) - |d_i|))^2 with
+    d_i = phi_i - cm_i, all in float32; the arguments are those of
+    :func:`_bound_arrays`.  min(|d|, 2*pi - |d|) is the residual's
+    distance to 2*pi*Z, and a term is 0 where s_i >= pi: the comb's
+    residuals of frequency i then reach every phase.
     """
-    lb = np.zeros((phases.shape[0], centre_model.shape[1]))
-    d = np.empty_like(lb)
-    tmp = np.empty_like(lb)
-    for i in range(centre_model.shape[0]):
-        # min(|d|, 2*pi - |d|) is the residual's distance to 2*pi*Z.
-        np.subtract(phases[:, i : i + 1], centre_model[i], out=d)
+    n, combs = centre_model.shape[:2]
+    ph = np.ascontiguousarray(phases.T, dtype=np.float32)[:, None, :]
+    lb = np.zeros((combs, ph.shape[2]), dtype=np.float32)
+    for f, d, tmp in _frequency_groups(n, lb):
+        np.subtract(ph[f], centre_model[f], out=d)
         np.abs(d, out=d)
-        np.subtract(TWO_PI - shrink[i], d, out=tmp)
-        d -= shrink[i]
+        np.subtract(wrap_shrink[f], d, out=tmp)
+        d -= shrink[f]
         np.minimum(d, tmp, out=d)
-        np.maximum(d, 0.0, out=d)
-        np.multiply(d, d, out=d)
-        lb += d
-    return lb
+        np.maximum(d, 0, out=d)
+        for term in np.multiply(d, d, out=d):
+            lb += term
+    lb -= _allowance(n)
+    return np.maximum(lb, 0, out=lb).T
 
 
-def _cell_costs(phases, model, rows, combs) -> np.ndarray:
-    """(pairs x width) costs of comb ``combs[p]`` for trial ``rows[p]``.
+def _cell_costs(phases, model, combs) -> np.ndarray:
+    """(pairs x width) costs of comb ``combs[p]`` for the phase vector
+    ``phases[p]``, in the dtype of ``model``.
 
     ``model`` is the wrapped model of each comb's cells, (N, combs,
-    width); the per-cell arithmetic and the plan-order sum are those of
-    :func:`_scan_block`, so every cost equals the full scan's bit for bit.
+    width), and ``phases`` (pairs x N) is of the same dtype.  The terms
+    are :func:`_wrapped_square`'s, added one after another in plan order;
+    in float64 every cost equals the full scan's bit for bit.
     """
-    acc = np.zeros((rows.size, model.shape[2]))
-    d = np.empty_like(acc)
-    tmp = np.empty_like(acc)
-    for i in range(model.shape[0]):
-        np.take(model[i], combs, axis=0, out=d, mode="clip")
-        np.subtract(phases[rows, i : i + 1], d, out=d)
-        _add_wrapped_square(d, tmp, acc)
+    acc = np.zeros((combs.size, model.shape[2]), dtype=model.dtype)
+    for f, d, tmp in _frequency_groups(model.shape[0], acc):
+        np.take(model[f], combs, axis=1, out=d, mode="clip")
+        np.subtract(phases.T[f, :, None], d, out=d)
+        for term in _wrapped_square(d, tmp):
+            acc += term
+    return acc
+
+
+def _recost(phases, coef, q) -> np.ndarray:
+    """Float64 costs of the phase vectors ``phases`` (cells x N) at the
+    grid values ``q``, equal to :func:`_scan_block`'s bit for bit: the
+    same model and residual arithmetic, and the N terms added one after
+    another in plan order (``np.sum`` would add them pairwise)."""
+    d = _wrap_inplace(coef[:, None] * q)
+    np.subtract(phases.T, d, out=d)
+    acc = np.zeros(q.size)
+    for term in _wrapped_square(d, np.empty_like(d)):
+        acc += term
     return acc
 
 
 def _visit(phases, coef, grid, table, rows, combs, best_val, best_idx) -> None:
     """Cost the (trial, comb) pairs and keep each trial's lowest-index minimum.
 
-    ``table`` holds each comb's grid indices, ascending, so a comb's first
-    least-cost cell is its lowest-index one.
+    Cells are costed in float32.  Only a cell within 2*E(N) of its pair's
+    float32 minimum, and within E(N) of its trial's best cost so far, can
+    hold or tie the float64 minimum; those alone are costed again by
+    :func:`_recost`, and the least (cost, grid index) of each trial wins.
+    ``best_val`` and ``best_idx`` are updated in place.
     """
+    e = _allowance(coef.size)
     per_chunk = max(1, _TARGET_ELEMS // (table.shape[1] * coef.size))
     for a in range(0, rows.size, per_chunk):
         r, b = rows[a : a + per_chunk], combs[a : a + per_chunk]
         uniq, inv = np.unique(b, return_inverse=True)
         cells = table[uniq]
-        model = _wrap_inplace(coef[:, None, None] * grid[cells])
-        acc = _cell_costs(phases, model, r, inv)
-        j = np.argmin(acc, axis=1)
-        val = acc[np.arange(r.size), j]
-        idx = cells[inv, j]
-        order = np.lexsort((idx, val, r))  # per trial: least cost, then index
-        first = order[np.r_[True, r[order[1:]] != r[order[:-1]]]]
-        r, val, idx = r[first], val[first], idx[first]
-        better = (val < best_val[r]) | ((val == best_val[r]) & (idx < best_idx[r]))
-        best_val[r[better]] = val[better]
-        best_idx[r[better]] = idx[better]
+        model = _wrap_inplace(coef[:, None, None] * grid[cells]).astype(np.float32)
+        ph = phases[r]
+        acc = _cell_costs(ph.astype(np.float32), model, inv)
+        cap = np.minimum(np.add(acc.min(axis=1), 2.0 * e, dtype=np.float64), best_val[r] + e)
+        pair, j = np.nonzero(acc <= cap[:, None])
+        r, idx = r[pair], cells[inv[pair], j]
+        val = _recost(ph[pair], coef, grid[idx])
+        # Per trial: least cost, then least index; a trial whose cost
+        # drops forgets its old index.
+        prev = best_val[r]
+        np.minimum.at(best_val, r, val)
+        low = best_val[r]
+        best_idx[r[low < prev]] = np.iinfo(np.int64).max
+        hit = val == low
+        np.minimum.at(best_idx, r[hit], idx[hit])
 
 
-def _bnb_scan(phases, coef, grid, table, centre_model, shrink, best_val, best_idx) -> None:
+def _bnb_scan(phases, coef, grid, table, centre_model, shrink, wrap_shrink, best_val, best_idx):
     """Fill per-trial (min cost, lowest argmin index) by branch and bound.
 
     Two passes per chunk of trials.  Each trial first visits its
-    lowest-bound comb; then every other comb whose slackened bound is not
+    lowest-bound comb; then every other comb whose certified bound is not
     above the cost that visit found is visited, all trials' in one call.
     A skipped comb's cells all cost more than that, so they can neither
     win nor tie.  Trials are chunked so (trials x combs) arrays stay
     within the chunk size.
     """
-    per_chunk = max(1, _TARGET_ELEMS // centre_model.shape[1])
+    per_chunk = max(1, _TARGET_ELEMS // table.shape[0])
     for a in range(0, phases.shape[0], per_chunk):
         ph = phases[a : a + per_chunk]
         t = ph.shape[0]
         val, idx = best_val[a : a + t], best_idx[a : a + t]
-        lb = _lower_bounds(ph, centre_model, shrink)
-        lb -= _PRUNE_RTOL * np.maximum(lb, 1.0)
+        lb = _lower_bounds(ph, centre_model, shrink, wrap_shrink)
         trials = np.arange(t)
         first = np.argmin(lb, axis=1)
         _visit(ph, coef, grid, table, trials, first, val, idx)
@@ -369,13 +463,22 @@ class LsSearch:
     phase blocks.
 
     It holds the plan's ``coef`` c_i = 2*pi*f_i/c, the grid and the comb
-    layout of the module docstring, all read-only.  Building it is the one
-    place for checks that depend on both the plan and the config: a step
-    above lambda_min/4 warns here, once per search.
+    layout of the module docstring, all read-only: ``combs`` is the cell
+    table and the float32 cm_i, s_i and 2*pi - s_i of every comb, each
+    (N, combs, 1), built once here.  Building it is the one place for
+    checks that depend on both the plan and the config: a step above
+    lambda_min/4 warns here, once per search.
 
     :meth:`run` is the exact branch and bound of the module docstring:
-    each trial visits its comb of least bound LB, then every other comb
-    whose LB - 1e-9*max(LB, 1) is not above the cost that comb gave.  The
+    each trial visits its comb of least bound, then every other comb
+    whose bound is not above the cost that comb gave.  It follows the
+    module's precision rule: bounds and cell costs that only prune or
+    filter are float32, and within E(N) = N*(N + 18)*pi^2*2^-24 of their
+    float64 values (derived in the module docstring), so a bound is taken
+    as max(0, LB32 - E(N)) and a cell is costed again in float64 when its
+    float32 cost is within 2*E(N) of its comb's float32 minimum.  The
+    float64 re-cost adds the N terms in plan order; ``np.sum`` or
+    ``np.add.reduce`` over frequencies would change the bits.  So the
     result equals a full scan's bit for bit, and ties break toward the
     smallest range (lowest grid index).  With ``refine`` set, a 3-point
     parabolic fit around each interior grid minimum sharpens q_hat below
@@ -392,7 +495,8 @@ class LsSearch:
         self.cfg = cfg
         self.grid = cfg.grid()
         self.coef = (TWO_PI / plan.c) * plan.frequencies
-        self.combs = _combs(self.coef, self.grid, cfg.step)
+        table, centre_model, shrink = _combs(self.coef, self.grid, cfg.step)
+        self.combs = (table, *_bound_arrays(centre_model, shrink))
         for arr in (self.grid, self.coef, *self.combs):
             arr.setflags(write=False)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mfirange import C_PAPER, EstimatorConfig, FrequencyPlan, NoiseModel, synth_phases
-from mfirange.cli import main, read_plan_file, write_plan_file
+from mfirange.cli import CliError, main, read_plan_file, write_plan_file
 from mfirange.records import Experiment, write_record
 
 
@@ -82,6 +82,33 @@ class TestDesignAnalyze:
         write_plan_file(tmp_path / "x.plan", plan)
         (tmp_path / "bom.plan").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "x.plan").read_bytes())
         assert read_plan_file(tmp_path / "bom.plan") == plan
+
+    @pytest.mark.parametrize("ending", [b"\r", b"\r\n", b"\xef\xbb\xbf"])
+    def test_plan_file_line_endings(self, tmp_path, ending):
+        plan = FrequencyPlan(f1=400.1e6, resolution=65.0, spacings=(3, 1, 4), c=C_PAPER)
+        write_plan_file(tmp_path / "x.plan", plan)
+        text = (tmp_path / "x.plan").read_bytes()
+        if ending.startswith(b"\r"):
+            text = text.replace(b"\n", ending)
+        else:
+            text = ending + text
+        (tmp_path / "y.plan").write_bytes(text)
+        assert read_plan_file(tmp_path / "y.plan") == plan
+
+    @pytest.mark.parametrize("char", ["\x1c", "\x0b", "\x85", "\u2028"])
+    def test_plan_file_line_break_character_in_value(self, tmp_path, char):
+        # str.splitlines would break the third line in two and blame line 4.
+        path = tmp_path / "x.plan"
+        value = f"1,2{char}3"
+        path.write_text(
+            f"# plan\nf1_hz = 400100000.0\nspacings_grid = {value}\nresolution_hz = 65.0\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(CliError) as err:
+            read_plan_file(path)
+        assert err.value.code == "config"
+        line = f"spacings_grid = {value}"
+        assert str(err.value) == f"{path}:3: line break character in {line!r}"
 
 
 class TestSimulate:

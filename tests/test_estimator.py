@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mfirange import (
     C_PAPER,
@@ -250,6 +250,8 @@ class TestUnwrapOk:
 # whose B&B falls back to contiguous blocks.
 WIDE = FrequencyPlan(f1=105e6, resolution=10e6, spacings=(1,) * 40, c=C_PAPER)
 BNB_PLANS = {**PLANS, "wideband": WIDE}
+# A narrowband N=64 plan (B/f_max = 0.14).
+N64 = FrequencyPlan(f1=390.1e6, resolution=1e6, spacings=(1,) * 63, c=C_PAPER)
 
 
 def coef_of(plan):
@@ -260,8 +262,51 @@ def kernel_costs(phases, plan, grid):
     """(trials x grid) costs in the full scan's per-cell arithmetic."""
     coef = coef_of(plan)
     model = estimator._wrap_inplace(coef[:, None] * grid)[:, None, :]
-    rows = np.arange(phases.shape[0])
-    return estimator._cell_costs(phases, model, rows, np.zeros_like(rows))
+    return estimator._cell_costs(phases, model, np.zeros(phases.shape[0], dtype=np.int64))
+
+
+class TestFloat32Allowance:
+    """The precision rule of the estimator module: float32 cell costs and
+    bounds are within E(N) of their float64 values."""
+
+    @pytest.mark.parametrize("n", [2, 21, 31, 64, 200])
+    def test_costs_and_bounds_within_allowance(self, n):
+        plan = FrequencyPlan(f1=400e6, resolution=0.5e6, spacings=(1,) * (n - 1), c=C_PAPER)
+        coef = coef_of(plan)
+        e = estimator._allowance(n)
+        rng = np.random.default_rng(n)
+        # Grid values up to 2e4 m, and ones whose model sits at +-pi.
+        q = np.concatenate([
+            rng.uniform(-2e4, 2e4, 500),
+            np.multiply.outer([-1.0, 1.0], math.pi / coef).ravel(),
+            [-2e4, 2e4],
+        ])
+        model = estimator._wrap_inplace(coef[:, None] * q)
+        # Phases at +-pi, uniform ones, and ones opposite a model (terms near pi^2).
+        phases = np.vstack([
+            np.full((1, n), math.pi),
+            np.full((1, n), -math.pi),
+            rng.uniform(-math.pi, math.pi, (6, n)),
+            estimator._wrap_inplace(model[:, :4].T + math.pi),
+        ])
+        assert np.abs(model).max() == pytest.approx(math.pi) and (np.abs(model) <= math.pi).all()
+        rows = np.zeros(phases.shape[0], dtype=np.int64)
+        c64 = estimator._cell_costs(phases, model[:, None, :], rows)
+        c32 = estimator._cell_costs(
+            phases.astype(np.float32), model[:, None, :].astype(np.float32), rows
+        )
+        assert c32.dtype == np.float32 and c64.dtype == np.float64
+        assert (np.abs(c32 - c64) <= e).all()
+        assert c64.max() > 0.9 * n * math.pi**2
+        # The bounds of the same centres, with shrinks from 0 to past pi.
+        shrink = rng.uniform(0.0, 3.5, model.shape)
+        shrink[:, :50] = 0.0
+        lb = estimator._lower_bounds(phases, *estimator._bound_arrays(model, shrink))
+        d = np.abs(estimator._wrap_inplace(phases[:, :, None] - model[None]))
+        lb64 = np.square(np.maximum(d - shrink[None], 0.0)).sum(axis=1)
+        assert lb.dtype == np.float32 and lb.shape == lb64.shape
+        assert (lb <= lb64).all() and (lb >= lb64 - 2.0 * e).all()
+        assert lb.max() > 0.9 * n * math.pi**2
 
 
 class TestBranchAndBound:
@@ -280,6 +325,13 @@ class TestBranchAndBound:
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=200, derandomize=True, deadline=None)
+    # Hard cases pinned, since a new literal in the package shifts the
+    # derandomized draws: coarse wideband steps at -35 dB, where most combs
+    # stay open and costs are large, and at 0 dB on a short window.
+    @example(label="wideband", snr_db=-35.0, cells_per_lambda=2.9, n_pts=3000, lo=-3.1,
+             q0_frac=0.5, trials=40, seed=1)
+    @example(label="wideband", snr_db=0.0, cells_per_lambda=2.9, n_pts=31, lo=-3.1,
+             q0_frac=0.5, trials=31, seed=493)
     def test_matches_full_scan(
         self, label, snr_db, cells_per_lambda, n_pts, lo, q0_frac, trials, seed
     ):
@@ -296,6 +348,52 @@ class TestBranchAndBound:
         ref_cost, ref_idx = full_scan(phases, plan, cfg)
         assert np.array_equal(cost, ref_cost)
         assert np.array_equal(idx, ref_idx)
+
+    @pytest.mark.parametrize(
+        "label, lo, cells_per_lambda, n_pts",
+        [("rips", 1.5e4, 25.0, 3000), ("prime-max", -1.5e4, 70.0, 4001),
+         ("wideband", 1.5e4, 7.0, 900), ("n64", -40.0, 25.0, 5000)],
+    )
+    def test_far_windows_and_many_frequencies_match_full_scan(
+        self, label, lo, cells_per_lambda, n_pts
+    ):
+        # Far from 0 the model phases c_i*q reach 1e5 rad before the wrap;
+        # at N = 64 the float32 allowance is about 4 times that of N = 31.
+        plan = {**BNB_PLANS, "n64": N64}[label]
+        step = plan.lambda_min / cells_per_lambda
+        cfg = EstimatorConfig(lo, lo + (n_pts - 0.5) * step, step)
+        rng = np.random.default_rng(n_pts)
+        phases = np.vstack([
+            synth_trial_matrix(plan, q0, noise, 5, "far", 0, 5)
+            for q0 in rng.uniform(cfg.search_lo, cfg.search_hi, 2)
+            for noise in [NoiseModel.none()]
+            + [NoiseModel.phase_gaussian(snr_db=snr) for snr in (-10.0, 10.0, 30.0)]
+        ] + [rng.uniform(-math.pi, math.pi, (5, plan.n))])
+        _, cost, idx = ls_estimate_batch(phases, plan, cfg)
+        ref_cost, ref_idx = full_scan(phases, plan, cfg)
+        assert np.array_equal(cost, ref_cost)
+        assert np.array_equal(idx, ref_idx)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_near_tie_is_decided_in_float64(self, sign):
+        # Zero phases, with the cells around 0 at -step/2 - delta and
+        # step/2 - delta (sign 1) or mirrored (sign -1): the cell nearer 0
+        # costs about 24*delta less, far below the float32 allowance, so
+        # both cells are costed again in float64, which picks the nearer one.
+        plan, step, delta = PLANS["rips"], self.TIE_STEP, 1e-9
+        n_pts = 200
+        first = -99.5 * step - sign * delta
+        cfg = EstimatorConfig(first, first + (n_pts - 1) * step, step)
+        assert cfg.size == n_pts
+        grid = cfg.grid()
+        low = int(np.argmin(np.abs(grid + step / 2)))
+        phases = np.zeros((3, plan.n))
+        c_low, c_high = (ls_cost(phases[0], plan, grid[k]) for k in (low, low + 1))
+        assert 0.0 < abs(c_low - c_high) < estimator._allowance(plan.n)
+        _, cost, idx = ls_estimate_batch(phases, plan, cfg)
+        ref_cost, ref_idx = full_scan(phases, plan, cfg)
+        assert np.array_equal(cost, ref_cost)
+        assert idx.tolist() == ref_idx.tolist() == [low + 1 if sign > 0 else low] * 3
 
     # (plan, lambda_min/step, cells, layout): each window's layout is
     # asserted, so a change of the layout rule cannot empty a case.
@@ -445,7 +543,7 @@ class TestBranchAndBound:
         assert ls_cost(zeros, plan, -self.TIE_STEP / 2) == ls_cost(zeros, plan, self.TIE_STEP / 2)
         cfg, low, comb_low, comb_high, (_, centre, shrink) = self.tie_window(plan, window, layout)
         phases = np.zeros((3, plan.n))
-        lb = estimator._lower_bounds(phases[:1], centre, shrink)[0]
+        lb = estimator._lower_bounds(phases[:1], *estimator._bound_arrays(centre, shrink))[0]
         visits = []
         visit = estimator._visit
 
@@ -532,7 +630,7 @@ class TestBranchAndBound:
                 synth_trial_matrix(plan, grid[n_pts // 3], NoiseModel.none(), 3, "lb", 0, 1),
                 rng.uniform(-math.pi, math.pi, (3, plan.n)),
             ])
-            lb = estimator._lower_bounds(phases, centre, shrink)
+            lb = estimator._lower_bounds(phases, *estimator._bound_arrays(centre, shrink))
             costs = (kernel_costs(phases, plan, grid), ls_cost(phases[:, None, :], plan, grid))
             for cost in costs:
                 comb_min = cost[:, table].min(axis=2)  # padded cells included
@@ -542,7 +640,7 @@ class TestBranchAndBound:
             wide = shrink.copy()
             wide[:, ::2] = np.maximum(wide[:, ::2], math.pi)
             wide[0, 1::2] = math.pi
-            lb_wide = estimator._lower_bounds(phases, centre, wide)
+            lb_wide = estimator._lower_bounds(phases, *estimator._bound_arrays(centre, wide))
             assert (lb_wide[:, ::2] == 0.0).all()
             assert (lb_wide <= lb).all() and lb_wide.max() > 0.0
             assert (shrink < math.pi).all()

@@ -16,13 +16,16 @@ phases (:func:`pumr_confusion_rate`) and errors (:func:`far_cluster`).
 Campaigns are bit-reproducible: every trial draws its noise from a
 counter-based Philox substream keyed by (master seed, plan label, SNR
 index, trial index), so results are identical regardless of execution
-order.  :func:`trial_stream` builds one such stream;
+order.  The key is (seed, blake2b(label, SNR index, trial index)), so
+the seed must lie in [0, 2**64), which :meth:`CampaignSpec.check`
+enforces.  :func:`trial_stream` builds one such stream;
 :func:`synth_trial_matrix` synthesizes a whole (plan, SNR) block in one
 batch call to :func:`~mfirange.core.synth_phases`, re-keying a single
 Philox per trial (counter zeroed, buffer emptied) instead of building
-one, with the same draws bit for bit.  Curve rows (:class:`CurveRow`)
-pair the empirical metric with the closed-form predictions for the same
-plan and noise level.
+one, with the same draws bit for bit.  It hashes the label once per
+block and derives each trial's key from a copy of that prefix hash.
+Curve rows (:class:`CurveRow`) pair the empirical metric with the
+closed-form predictions for the same plan and noise level.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from . import analysis
 from .core import FrequencyPlan, NoiseModel, sigma_theta_from_snr_db, synth_phases
 from .estimator import EstimatorConfig, ls_cost, ls_estimate_batch, unwrap_ok
 
-_MASK64 = (1 << 64) - 1
 T = TypeVar("T")
 
 
@@ -51,12 +53,29 @@ class CampaignValidationError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-def _trial_key(seed: int, label: str, snr_index: int, trial_index: int) -> list[int]:
-    """Philox key of one trial: (seed, blake2b(label, snr index, trial index))."""
+# The (SNR index, trial index) suffix of every trial's key hash.
+_SNR_TRIAL = struct.Struct("<qq")
+
+
+def _label_hash(label: str):
+    """The blake2b hash of ``label``, the shared prefix of every trial key
+    hash of one plan; :func:`_key_word` extends a copy of it."""
     h = hashlib.blake2b(digest_size=8)
     h.update(label.encode("utf-8"))
-    h.update(struct.pack("<qq", snr_index, trial_index))
-    return [seed & _MASK64, int.from_bytes(h.digest(), "little")]
+    return h
+
+
+def _key_word(label_hash, snr_index: int, trial_index: int) -> int:
+    """Second Philox key word of one trial: blake2b(label, snr index, trial
+    index), from a copy of the label's :func:`_label_hash`."""
+    h = label_hash.copy()
+    h.update(_SNR_TRIAL.pack(snr_index, trial_index))
+    return int.from_bytes(h.digest(), "little")
+
+
+def _trial_key(seed: int, label: str, snr_index: int, trial_index: int) -> list[int]:
+    """Philox key of one trial: (seed, blake2b(label, snr index, trial index))."""
+    return [seed, _key_word(_label_hash(label), snr_index, trial_index)]
 
 
 def trial_stream(seed: int, label: str, snr_index: int, trial_index: int) -> np.random.Generator:
@@ -72,7 +91,14 @@ class _TrialStreams:
     its Philox is re-keyed to :func:`trial_stream`'s key for t, with the
     counter at zero and the output buffer empty, so each trial's draws
     equal ``trial_stream(seed, label, snr_index, t)``'s bit for bit.
-    Building a fresh Philox per trial costs more than the trial's draws.
+    Building a fresh Philox per trial costs more than the trial's draws,
+    so re-keying is kept to two cheap steps per trial.  The label is
+    hashed once per block and each trial's key word comes from a copy of
+    that hash (:func:`_key_word`, which :func:`_trial_key` shares).  The
+    state assigned per trial is one dict whose counter and buffer are
+    lists of Python ints, and only its key's second word changes: the
+    dict that ``Philox.state`` returns holds them as uint64 arrays, which
+    the setter reads element by element at about three times the cost.
     """
 
     def __init__(self, seed: int, label: str, snr_index: int, trials: int):
@@ -83,11 +109,21 @@ class _TrialStreams:
         return self.trials
 
     def __iter__(self):
+        seed, label, snr_index = self.args
         bitgen = np.random.Philox(key=[0, 0])
         gen = np.random.Generator(bitgen)
-        state = bitgen.state  # a copy: counter zero, buffer empty
+        key = [seed, 0]
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,  # buffer empty
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        label_hash = _label_hash(label)
         for t in range(self.trials):
-            state["state"]["key"] = _trial_key(*self.args, t)
+            key[1] = _key_word(label_hash, snr_index, t)
             bitgen.state = state
             yield gen
 
@@ -158,6 +194,8 @@ class CampaignSpec:
             problems.append("snr grid must be non-empty")
         if "trials" in fields and fields["trials"] < 1:
             problems.append("trials must be >= 1")
+        if "seed" in fields and not 0 <= fields["seed"] < 2**64:
+            problems.append(f"seed must be in [0, 2**64), got {fields['seed']}")
         if "noise_kind" in fields and fields["noise_kind"] not in ("phase-gaussian", "complex-awgn"):
             problems.append("noise_kind must be phase-gaussian or complex-awgn")
         return problems
@@ -167,6 +205,7 @@ class CampaignSpec:
             plans=self.plans,
             snr_grid=self.snr_grid,
             trials=self.trials,
+            seed=self.seed,
             noise_kind=self.noise_kind,
         )
         if problems:

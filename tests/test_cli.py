@@ -177,6 +177,17 @@ class TestSimulate:
         assert "unknown key 'refien'" in lines[0] and "unknown key 'stepm'" in lines[0]
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("seed", ["-5", "18446744073709551621"])
+    def test_seed_outside_64_bits_refused(self, tmp_path, capsys, seed):
+        # The Philox key word is 64 bits; a wider seed would run another
+        # seed's draws under its own name in the seed column.
+        cfg = self.write_campaign(tmp_path, seed=seed)
+        rc = run_cli("simulate", "--config", cfg, "--out", tmp_path / "bad")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: validation: seed must be in [0, 2**64), got {seed}\n"
+        assert not (tmp_path / "bad").exists()
+
     @pytest.mark.parametrize(
         "value, refine",
         [("true", True), ("TRUE", True), ("Yes", True), ("1", True),

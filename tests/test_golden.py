@@ -4,8 +4,10 @@ across changes.
 The campaign digests below were computed on the per-trial synthesis loop
 that the batch synthesis path replaced, the design and replay digests on
 the row-at-a-time record parser and fixed-size sidelobe chunks, the
-analyze digests on the full (unpruned) sidelobe scan, and the ambiguity
-and PUMR digests on the round-scheduled branch and bound.  A
+analyze digests on the full (unpruned) sidelobe scan, the ambiguity
+and PUMR digests on the round-scheduled branch and bound, and the
+full-block synthesis digest on the re-keying loop that hashed the whole
+key per trial and assigned the state dict that Philox returns.  A
 change that alters the noise stream or the arithmetic on purpose updates
 them and says so in its change notes; any other change must leave them as
 they are.
@@ -41,6 +43,8 @@ MATRIX_SHA256 = {
     "complex-awgn-bias": "c3a1c5801e2d8917bd082c8c09dd41538807c387d944b3737f299c7b5d891b32",
     "none-bias": "4d1fb178dd44a5202af1abb64ea7fd18cbdc0cfbe530ff39ecae3edb0d83c1a6",
 }
+
+FULL_BLOCK_SHA256 = "ad9020f0760e54769cbe6f7d75417d039d92b3964d34940df673deac22f022ba"
 
 PLAN21 = design_rips(400e6, 20e6, 21, c=C_PAPER)
 BIAS = tuple(0.01 * k for k in range(21))
@@ -86,6 +90,15 @@ def test_simulate_csv_digests(tmp_path):
 def test_synth_trial_matrix_digest(name, noise):
     m = synth_trial_matrix(PLAN21, 0.1237, noise, 2024, "golden", 1, 64)
     assert sha256(np.ascontiguousarray(m, dtype="<f8").tobytes()) == MATRIX_SHA256[name]
+
+
+def test_synth_trial_matrix_digest_full_block():
+    # One campaign-fine block (uniform plan, 4000 trials, 30 dB at SNR
+    # index 2), so a re-keying slip late in a block moves the digest.
+    noise = NoiseModel.phase_gaussian(snr_db=30.0)
+    m = synth_trial_matrix(PLAN21, 0.1237, noise, 2024, "uniform", 2, 4000)
+    assert m.shape == (4000, 21)
+    assert sha256(np.ascontiguousarray(m, dtype="<f8").tobytes()) == FULL_BLOCK_SHA256
 
 
 # The replay path: the plan-replay design (prime min-error, N=31, whose

@@ -78,6 +78,28 @@ class TestBatchSynthesis:
         args = (plan21, 0.1237, NOISES[noise], 101, "uniform", 2, trials)
         assert_same_bytes(synth_trial_matrix(*args), per_trial_reference(*args))
 
+    @pytest.mark.parametrize("noise", sorted(NOISES))
+    @pytest.mark.parametrize(
+        "seed, label, si",
+        [
+            (0, "uniform", 2),
+            (2**63, "uniform", 2),
+            (2**64 - 1, "uniform", 2),
+            (7, "Δf plan ü", 0),
+            # A BLAKE2b block is 128 bytes: label plus the 16 packed index
+            # bytes fill one block, span two, and the label alone fills one
+            # (held unprocessed in the copied prefix hash).
+            (7, "p" * 112, 1),
+            (7, "p" * 113, 1),
+            (7, "ü" * 64, 1),
+            (101, "uniform", 2**31),
+        ],
+    )
+    @pytest.mark.parametrize("trials", [1, 257])
+    def test_edge_keys_match_per_trial_streams(self, plan21, noise, seed, label, si, trials):
+        args = (plan21, 0.1237, NOISES[noise], seed, label, si, trials)
+        assert_same_bytes(synth_trial_matrix(*args), per_trial_reference(*args))
+
     def test_back_to_back_calls_do_not_share_state(self, plan21):
         # Alternate draw counts (2N, N) and keys so a leaked counter, key
         # or buffered word would shift a later call's rows.
@@ -146,6 +168,31 @@ class TestCampaignValidation:
                 seed=1,
                 estimator=EstimatorConfig(-1.0, 1.0, 0.1),
             )
+
+
+    @pytest.mark.parametrize("seed", [-5, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits_rejected(self, plan21, seed):
+        with pytest.raises(CampaignValidationError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}"):
+            CampaignSpec.build(
+                plans={"a": plan21},
+                q0=0.0,
+                snr_grid=[10.0],
+                trials=1,
+                seed=seed,
+                estimator=EstimatorConfig(-1.0, 1.0, 0.1),
+            )
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_accepted(self, plan21, seed):
+        spec = CampaignSpec.build(
+            plans={"a": plan21},
+            q0=0.0,
+            snr_grid=[10.0],
+            trials=1,
+            seed=seed,
+            estimator=EstimatorConfig(-1.0, 1.0, 0.1),
+        )
+        assert spec.seed == seed
 
 
 class TestCurves:

@@ -176,11 +176,7 @@ def ls_cost(phases, plan: FrequencyPlan, q) -> np.ndarray | float:
     if ph.shape[-1:] != (plan.n,):
         raise ValueError("phase vector length must match the plan")
     qa = np.asarray(q, dtype=float)
-    model = (TWO_PI / plan.c) * qa[..., None] * plan.frequencies
-    if model.shape == np.broadcast_shapes(ph.shape, model.shape):
-        d = np.subtract(ph, model, out=model)
-    else:  # a model smaller than the phases, e.g. one q for many trials
-        d = ph - model
+    d = ph - (TWO_PI / plan.c) * qa[..., None] * plan.frequencies
     _wrap_inplace(d)
     out = np.square(d, out=d).sum(axis=-1)
     if out.ndim == 0:

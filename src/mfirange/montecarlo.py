@@ -17,8 +17,8 @@ Campaigns are bit-reproducible: every trial draws its noise from a
 counter-based Philox substream keyed by (master seed, plan label, SNR
 index, trial index), so results are identical regardless of execution
 order.  The key is (seed, blake2b(label, SNR index, trial index)), so
-the seed must lie in [0, 2**64), which :meth:`CampaignSpec.check`
-enforces.  :func:`trial_stream` builds one such stream;
+the seed must lie in [0, 2**64); every entry point refuses one outside
+with a ValueError.  :func:`trial_stream` builds one such stream;
 :func:`synth_trial_matrix` synthesizes a whole (plan, SNR) block in one
 batch call to :func:`~mfirange.core.synth_phases`, re-keying a single
 Philox per trial (counter zeroed, buffer emptied) instead of building
@@ -57,6 +57,15 @@ class CampaignValidationError(ValueError):
 _SNR_TRIAL = struct.Struct("<qq")
 
 
+def _key_seed(seed: int) -> int:
+    """``seed`` as the first Philox key word.  One outside [0, 2**64)
+    is refused here, for every entry point alike: numpy would wrap it or
+    raise, depending on its version and the call."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _label_hash(label: str):
     """The blake2b hash of ``label``, the shared prefix of every trial key
     hash of one plan; :func:`_key_word` extends a copy of it."""
@@ -75,7 +84,7 @@ def _key_word(label_hash, snr_index: int, trial_index: int) -> int:
 
 def _trial_key(seed: int, label: str, snr_index: int, trial_index: int) -> list[int]:
     """Philox key of one trial: (seed, blake2b(label, snr index, trial index))."""
-    return [seed, _key_word(_label_hash(label), snr_index, trial_index)]
+    return [_key_seed(seed), _key_word(_label_hash(label), snr_index, trial_index)]
 
 
 def trial_stream(seed: int, label: str, snr_index: int, trial_index: int) -> np.random.Generator:
@@ -95,14 +104,15 @@ class _TrialStreams:
     so re-keying is kept to two cheap steps per trial.  The label is
     hashed once per block and each trial's key word comes from a copy of
     that hash (:func:`_key_word`, which :func:`_trial_key` shares).  The
-    state assigned per trial is one dict whose counter and buffer are
-    lists of Python ints, and only its key's second word changes: the
-    dict that ``Philox.state`` returns holds them as uint64 arrays, which
-    the setter reads element by element at about three times the cost.
+    state assigned per trial is one dict, taken from ``Philox.state``
+    with its counter and buffer replaced by lists of Python ints, and
+    only its key's second word changes: numpy returns them as uint64
+    arrays, which the setter reads element by element at about three
+    times the cost of a list.
     """
 
     def __init__(self, seed: int, label: str, snr_index: int, trials: int):
-        self.args = (seed, label, snr_index)
+        self.args = (_key_seed(seed), label, snr_index)
         self.trials = trials
 
     def __len__(self) -> int:
@@ -112,15 +122,10 @@ class _TrialStreams:
         seed, label, snr_index = self.args
         bitgen = np.random.Philox(key=[0, 0])
         gen = np.random.Generator(bitgen)
-        key = [seed, 0]
-        state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": key},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,  # buffer empty
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        state = bitgen.state  # a copy: counter zero, buffer empty
+        state["state"]["counter"] = [0] * 4
+        state["buffer"] = [0] * 4
+        key = state["state"]["key"] = [seed, 0]
         label_hash = _label_hash(label)
         for t in range(self.trials):
             key[1] = _key_word(label_hash, snr_index, t)
@@ -194,8 +199,11 @@ class CampaignSpec:
             problems.append("snr grid must be non-empty")
         if "trials" in fields and fields["trials"] < 1:
             problems.append("trials must be >= 1")
-        if "seed" in fields and not 0 <= fields["seed"] < 2**64:
-            problems.append(f"seed must be in [0, 2**64), got {fields['seed']}")
+        if "seed" in fields:
+            try:
+                _key_seed(fields["seed"])
+            except ValueError as e:
+                problems.append(str(e))
         if "noise_kind" in fields and fields["noise_kind"] not in ("phase-gaussian", "complex-awgn"):
             problems.append("noise_kind must be phase-gaussian or complex-awgn")
         return problems

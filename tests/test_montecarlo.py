@@ -100,6 +100,16 @@ class TestBatchSynthesis:
         args = (plan21, 0.1237, NOISES[noise], seed, label, si, trials)
         assert_same_bytes(synth_trial_matrix(*args), per_trial_reference(*args))
 
+    @pytest.mark.parametrize("seed", [-5, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits_refused_by_every_entry_point(self, plan21, seed):
+        # numpy would wrap -5 to 2**64 - 5 in one path and raise in the
+        # other, depending on its version; both must refuse it alike.
+        msg = rf"seed must be in \[0, 2\*\*64\), got {seed}"
+        with pytest.raises(ValueError, match=msg):
+            trial_stream(seed, "uniform", 2, 0)
+        with pytest.raises(ValueError, match=msg):
+            synth_trial_matrix(plan21, 0.1237, NOISES["phase-gaussian"], seed, "uniform", 2, 3)
+
     def test_back_to_back_calls_do_not_share_state(self, plan21):
         # Alternate draw counts (2N, N) and keys so a leaked counter, key
         # or buffered word would shift a later call's rows.

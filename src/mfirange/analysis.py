@@ -144,7 +144,11 @@ def _sidelobe_slope(plan: FrequencyPlan) -> float:
     """L = sum_i |k_i - k_ref|, k_ref the median k_i: |S| changes by at most
     L per meter of range offset."""
     k = (TWO_PI / plan.c) * plan.frequencies
-    return float(np.abs(k - np.median(k)).sum())
+    n = k.size
+    # k ascends, so its median is the mean of its middle pair, as np.median
+    # computes it; np.median itself imports numpy.ma for its NaN check.
+    k_ref = 0.5 * (k[(n - 1) // 2] + k[n // 2])
+    return float(np.abs(k - k_ref).sum())
 
 
 def _sidelobe_block_width(plan: FrequencyPlan, step: float, slope: float) -> int:

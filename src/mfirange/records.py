@@ -32,6 +32,16 @@ frequency within max(1e-3, 1e-9 f) Hz of its nearest plan frequency f
 experiment; q0 finite; q0 equal to the experiment's earlier q0.  Only
 when every row passes is the first experiment, in first-seen order, that
 misses a frequency reported.
+
+:func:`read_record` reads the text whole and parses it in chunks of about
+``_CHUNK_CHARS`` characters, each ending at a line break.  Only per-row
+numpy arrays and the state the parse keeps (the header lines, the
+experiment ids and one ``float()`` per distinct frequency and q0 text)
+outlive a chunk, so the lines and fields of the whole file never exist
+at once.  Its peak is the text, one chunk's strings and about 33 bytes per
+data row: about 2.5 times the file size on a 46 500-row record, where
+the lines and fields of the whole file took 10.6 times.  The chunks change
+no result and no error, since every row is judged by its own line.
 """
 
 from __future__ import annotations
@@ -47,6 +57,9 @@ import numpy as np
 from .core import C_EXACT, C_PAPER, FrequencyPlan, _check_phases
 
 C_MODES = {"exact": C_EXACT, "paper-repro": C_PAPER}
+# Characters per parse chunk of a phase record: 2^18 keeps one chunk's
+# line and field strings near 2.5 MB.
+_CHUNK_CHARS = 1 << 18
 
 
 class RecordFormatError(ValueError):
@@ -174,34 +187,47 @@ def _parse_header(lines: list[str]) -> FrequencyPlan:
         raise RecordFormatError(f"bad plan header: {exc}") from exc
 
 
-def _floats(texts: Sequence[str]) -> tuple[np.ndarray, dict[int, ValueError]]:
-    """``float()`` of every text (nan where it fails), and its errors by position."""
+def _floats(texts: Sequence[str]) -> np.ndarray:
+    """``float()`` of every text, nan where it fails."""
     try:
-        return np.fromiter(map(float, texts), float, len(texts)), {}
+        return np.fromiter(map(float, texts), float, len(texts))
     except ValueError:
         pass
     values = np.full(len(texts), np.nan)
-    errors = {}
     for k, text in enumerate(texts):
         try:
             values[k] = float(text)
+        except ValueError:
+            pass
+    return values
+
+
+def _float_errors(texts: Sequence[str], values: np.ndarray) -> dict[int, ValueError]:
+    """The ``float()`` error of each text it refuses, by position; ``values``
+    are :func:`_floats` of the texts, so only a nan can mark one."""
+    errors = {}
+    for k in np.flatnonzero(np.isnan(values)).tolist():
+        try:
+            float(texts[k])
         except ValueError as exc:
             errors[k] = exc
-    return values, errors
+    return errors
 
 
-def _first_seen(texts: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct texts in first-seen order, and the index of each text among them."""
-    index = {text: k for k, text in enumerate(dict.fromkeys(texts))}
-    return list(index), np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
+def _cached_floats(texts: Sequence[str], cache: dict[str, float]) -> np.ndarray:
+    """:func:`_floats` of ``texts``, calling ``float()`` only on the texts
+    not yet in ``cache``, which keeps every text's value."""
+    new = list(set(texts).difference(cache))
+    cache.update(zip(new, _floats(new).tolist()))
+    return np.fromiter(map(cache.__getitem__, texts), float, len(texts))
 
 
-def _distinct_floats(texts: Sequence[str]) -> tuple[np.ndarray, dict[int, ValueError]]:
-    """:func:`_floats` of ``texts``, calling ``float()`` once per distinct text."""
-    distinct, inverse = _first_seen(texts)
-    values, errors = _floats(distinct)
-    failed = np.flatnonzero(np.isin(inverse, list(errors))) if errors else ()
-    return values[inverse], {int(r): errors[int(inverse[r])] for r in failed}
+def _first_seen(texts: Sequence[str], index: dict[str, int]) -> np.ndarray:
+    """Each text's value in ``index``, which numbers the distinct texts in
+    first-seen order; the texts it lacks are numbered on at its end."""
+    new = [text for text in dict.fromkeys(texts) if text not in index]
+    index.update(zip(new, range(len(index), len(index) + len(new))))
+    return np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
 
 
 def _csv_row(row: int, line: str) -> list[str]:
@@ -211,14 +237,15 @@ def _csv_row(row: int, line: str) -> list[str]:
         raise RecordFormatError(f"data row {row + 1}: {exc}") from None
 
 
-def _fields(data: list[str]) -> tuple[list[str], np.ndarray]:
+def _fields(data: list[str], row0: int) -> tuple[list[str], np.ndarray]:
     """Every field of the data rows, flat in file order, and each row's field count.
 
     A row's fields are what ``csv.reader`` makes of its line on its own.
     Without a '"' that is the line split at its commas, so all rows are
     split at once, in their join; with one, csv reads them.  On both paths
     a field longer than ``csv.field_size_limit()`` raises, naming the first
-    data row that holds one, as csv does.
+    data row that holds one, as csv does; ``row0`` data rows of the file
+    come before ``data``.
     """
     limit = csv.field_size_limit()
     joined = ",".join(data)
@@ -227,7 +254,7 @@ def _fields(data: list[str]) -> tuple[list[str], np.ndarray]:
         for r in np.flatnonzero(lengths > limit):  # only a long line can hold a long field
             if max(map(len, data[r].split(","))) > limit:
                 raise RecordFormatError(
-                    f"data row {r + 1}: field larger than field limit ({limit})"
+                    f"data row {row0 + r + 1}: field larger than field limit ({limit})"
                 )
         counts = np.fromiter(map(str.count, data, repeat(",")), np.intp, len(data)) + 1
         return (joined.split(",") if data else []), counts
@@ -238,61 +265,128 @@ def _fields(data: list[str]) -> tuple[list[str], np.ndarray]:
     if len(rows) < len(data):
         # A line that ends inside an open quote ran on into the next line;
         # split each line on its own, where csv closes the quote at its end.
-        rows = [_csv_row(r, line) for r, line in enumerate(data)]
+        rows = [_csv_row(row0 + r, line) for r, line in enumerate(data)]
     return list(chain.from_iterable(rows)), np.fromiter(map(len, rows), np.intp, len(rows))
+
+
+def _chunks(text: str):
+    """``text`` in slices of at least ``_CHUNK_CHARS`` characters, each
+    ending at a '\\n' (the last one at the end of the text)."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+class _Rows:
+    """What the chunks of a phase record hold: the header lines, the
+    first miscounted data row, and the columns of the data rows before it
+    as per-row arrays, with the state their parse carries from one chunk
+    to the next."""
+
+    def __init__(self) -> None:
+        self.header: list[str] = []
+        self.rows = 0  # data rows so far
+        self.miscount: tuple[int, int] | None = None  # (row, field count), first bad count
+        self.exp_index: dict[str, int] = {}  # experiment id -> number, first-seen order
+        self.f_cache: dict[str, float] = {}
+        self.q0_cache: dict[str, float] = {}
+        self.parse_errors: dict[int, ValueError] = {}  # by row: its first field float() refuses
+        # Per chunk: experiment number, frequency, phase, q0 (nan if none), has q0.
+        self.parts: list[list[np.ndarray]] = [
+            [np.empty(0, dtype)] for dtype in (np.intp, float, float, float, bool)
+        ]
+
+    def add(self, chunk: str) -> None:
+        """Take in the lines of ``chunk``, which follows the earlier chunks."""
+        # Lines are split at '\n' alone: str.splitlines would also break at
+        # characters such as \x0b, \x1c and \x85, which an id may hold.
+        lines = list(filter(None, map(str.strip, chunk.split("\n"))))
+        self.header += [line for line in lines if line[0] == "#"]
+        data = [line for line in lines if line[0] != "#"]
+        fields, counts = _fields(data, self.rows)
+        if self.miscount is None:
+            bad = np.flatnonzero((counts != 3) & (counts != 4))
+            # Rows after the first miscounted one are never judged.
+            good = int(bad[0]) if bad.size else len(counts)
+            self._add_columns(fields, counts[:good])
+            if bad.size:
+                self.miscount = (self.rows + good, int(counts[good]))
+        self.rows += len(data)
+
+    def _add_columns(self, fields: list[str], counts: np.ndarray) -> None:
+        """Parse the columns of the data rows of ``fields``, with ``counts`` fields each."""
+        starts = np.cumsum(counts) - counts  # each row's first field
+        # Rows of one field count lie in runs (first field, rows, count); within
+        # a run a column is a slice.  Counts are at least 1, so the zero padding
+        # marks where the first run starts and the last ends.
+        edges = np.flatnonzero(np.diff(counts, prepend=0, append=0))
+        firsts = edges[:-1]
+        runs = list(zip(starts[firsts].tolist(), np.diff(edges).tolist(), counts[firsts].tolist()))
+
+        def column(k: int) -> list[str]:
+            """Field k of every row that has one, run by run."""
+            slices = (fields[s + k : s + rows * w : w] for s, rows, w in runs if k < w)
+            return list(chain.from_iterable(slices))
+
+        group = _first_seen(column(0), self.exp_index)
+        f_texts, ph_texts, q0_texts = column(1), column(2), column(3)
+        f = _cached_floats(f_texts, self.f_cache)
+        ph = _floats(ph_texts)
+        has_q0 = counts == 4
+        q0_rows = np.flatnonzero(has_q0)
+        q0 = np.full(len(counts), np.nan)
+        q0[q0_rows] = q0_part = _cached_floats(q0_texts, self.q0_cache)
+        for errors in (
+            _float_errors(f_texts, f),
+            _float_errors(ph_texts, ph),
+            {int(q0_rows[k]): e for k, e in _float_errors(q0_texts, q0_part).items()},
+        ):
+            for r, exc in errors.items():
+                self.parse_errors.setdefault(self.rows + r, exc)
+        for part, values in zip(self.parts, (group, f, ph, q0, has_q0)):
+            part.append(values)
+
+    def columns(self) -> list[np.ndarray]:
+        """Experiment number, frequency, phase, q0 and has-q0 of every row
+        parsed, once: the per-chunk parts are dropped."""
+        parts, self.parts = self.parts, []
+        return [np.concatenate(part) for part in parts]
+
+
+def _read_text(path) -> str:
+    """The text of a file, with its line breaks (\\n, \\r\\n and \\r, as in a
+    newline="" file) all made '\\n'."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        text = fh.read()
+    # A \r\n becomes a line break and a blank line, which the parse drops.
+    return text.replace("\r", "\n") if "\r" in text else text
 
 
 def read_record(path) -> PhaseRecord:
     """Parse and validate a phase record file.
 
-    The file is read once, and the data rows become one flat list of
-    fields in one pass, without a list per row; csv reads them only when
-    a '"' appears (see :func:`_fields`).  A field longer than
-    ``csv.field_size_limit()`` is refused first, with its data row.  Each
-    column is then parsed as a whole, each distinct frequency and q0 text
-    once, and every check is a mask over the rows; see the module
+    The text is parsed in chunks (see the module docstring).  A chunk's
+    data rows become one flat list of fields, without a list per row; csv
+    reads them only when a '"' appears (see :func:`_fields`).  A field
+    longer than ``csv.field_size_limit()`` is refused first, with its data
+    row.  Each column of a chunk is then parsed as a whole, each distinct
+    frequency and q0 text once per file.  The text is dropped before the
+    checks, and each check is a mask over the rows; see the module
     docstring for the order in which they are judged.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        text = fh.read()
-    # Lines break at \n, \r\n and \r, as in a newline="" file; str.splitlines
-    # would also break at characters such as \x0b, \x1c and \x85, which an
-    # id may hold.  A \r\n splits into a line and a blank one; blanks are dropped.
-    lines = list(filter(None, map(str.strip, text.replace("\r", "\n").split("\n"))))
-    data = [line for line in lines if line[0] != "#"]
-    fields, counts = _fields(data)
-    plan = _parse_header([line for line in lines if line[0] == "#"])
+    parsed = _Rows()
+    for chunk in _chunks(_read_text(path)):
+        parsed.add(chunk)
+    plan = _parse_header(parsed.header)
     freqs = plan.frequencies
     n = plan.n
-
-    miscounted = np.flatnonzero((counts != 3) & (counts != 4))
-    # Rows after the first miscounted one are never judged.
-    m = int(miscounted[0]) if miscounted.size else len(counts)
-    has_q0 = counts[:m] == 4
+    group, f, ph, q0, has_q0 = parsed.columns()
+    exp_ids = list(parsed.exp_index)
+    parse_errors = parsed.parse_errors
+    m = len(group)
     q0_rows = np.flatnonzero(has_q0)
-    starts = np.cumsum(counts[:m]) - counts[:m]  # each row's first field
-    # Rows of one field count lie in runs (first field, rows, count); within a
-    # run a column is a slice.  Counts are at least 1, so the zero padding
-    # marks where the first run starts and the last ends.
-    edges = np.flatnonzero(np.diff(counts[:m], prepend=0, append=0))
-    firsts = edges[:-1]
-    runs = list(zip(starts[firsts].tolist(), np.diff(edges).tolist(), counts[firsts].tolist()))
-
-    def column(k: int) -> list[str]:
-        """Field k of every row that has one, run by run."""
-        return list(
-            chain.from_iterable(fields[s + k : s + rows * w : w] for s, rows, w in runs if k < w)
-        )
-
-    ids = column(0)
-    f, f_errors = _distinct_floats(column(1))
-    ph, ph_errors = _floats(column(2))
-    q0 = np.full(m, np.nan)
-    q0[q0_rows], q0_errors = _distinct_floats(column(3))
-    parse_errors: dict[int, ValueError] = {}  # by row: its first field float() refuses
-    for errors in (f_errors, ph_errors, {int(q0_rows[k]): e for k, e in q0_errors.items()}):
-        for r, exc in errors.items():
-            parse_errors.setdefault(r, exc)
     unparsed = np.zeros(m, bool)
     unparsed[list(parse_errors)] = True
 
@@ -306,9 +400,6 @@ def read_record(path) -> PhaseRecord:
     near = freqs[slot]
     no_match = ~(np.abs(near - f) <= np.maximum(1e-3, 1e-9 * near))
 
-    # Experiments in first-seen order.
-    exp_ids, group = _first_seen(ids)
-
     repeated = np.ones(m, bool)
     repeated[np.unique(group * n + slot, return_index=True)[1]] = False
     first_q0 = np.full(len(exp_ids), m)
@@ -318,34 +409,28 @@ def read_record(path) -> PhaseRecord:
     ref = first_q0[group]
     conflict = has_q0 & (ref < np.arange(m)) & (q0 != q0[np.minimum(ref, m - 1)])
 
+    def exp(r: int) -> str:
+        return f"experiment {exp_ids[group[r]]}"
+
     checks = (  # in the order one row is judged
         (unparsed, lambda r: f"data row {r + 1}: {parse_errors[r]}"),
         (
             ~((-math.pi < ph) & (ph <= math.pi)),
-            lambda r: f"experiment {ids[r]}: phase {float(ph[r])} at {float(f[r])} Hz "
-            "outside (-pi, pi]",
+            lambda r: f"{exp(r)}: phase {float(ph[r])} at {float(f[r])} Hz outside (-pi, pi]",
         ),
-        (
-            no_match,
-            lambda r: f"experiment {ids[r]}: frequency {float(f[r])} Hz matches no plan frequency",
-        ),
-        (
-            repeated,
-            lambda r: f"experiment {ids[r]}: frequency {float(near[r])} Hz appears more than once",
-        ),
-        (
-            has_q0 & ~np.isfinite(q0),
-            lambda r: f"experiment {ids[r]}: q0 {float(q0[r])} is not finite",
-        ),
-        (conflict, lambda r: f"experiment {ids[r]}: inconsistent q0 values"),
+        (no_match, lambda r: f"{exp(r)}: frequency {float(f[r])} Hz matches no plan frequency"),
+        (repeated, lambda r: f"{exp(r)}: frequency {float(near[r])} Hz appears more than once"),
+        (has_q0 & ~np.isfinite(q0), lambda r: f"{exp(r)}: q0 {float(q0[r])} is not finite"),
+        (conflict, lambda r: f"{exp(r)}: inconsistent q0 values"),
     )
     failed = np.vstack([mask for mask, _ in checks])
     failing = failed.any(axis=0)
     if failing.any():
         r = int(np.argmax(failing))
         raise RecordFormatError(checks[int(np.argmax(failed[:, r]))][1](r))
-    if miscounted.size:
-        raise RecordFormatError(f"data row {m + 1}: expected 3 or 4 fields, got {counts[m]}")
+    if parsed.miscount is not None:
+        row, count = parsed.miscount
+        raise RecordFormatError(f"data row {row + 1}: expected 3 or 4 fields, got {count}")
 
     phases = np.full((len(exp_ids), n), np.nan)
     phases[group, slot] = ph

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -640,3 +641,144 @@ def test_byte_order_mark_is_skipped(tmp_path):
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     assert _outcome(read_record, bom) == _outcome(read_record, path)
+
+
+@pytest.fixture(scope="class")
+def one_line_chunks():
+    """``read_record`` parses each line as its own chunk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(records, "_CHUNK_CHARS", 1)
+        yield
+
+
+@pytest.mark.usefixtures("one_line_chunks")
+class TestNonFiniteInOneLineChunks(TestNonFinite):
+    pass
+
+
+@pytest.mark.usefixtures("one_line_chunks")
+class TestLongFieldsInOneLineChunks(TestLongFields):
+    pass
+
+
+def _plan4_lines(lines):
+    names = {f"f{k}": repr(float(f)) for k, f in enumerate(PLAN4.frequencies)}
+    return [ln.format(**names) for ln in lines]
+
+
+@pytest.mark.usefixtures("one_line_chunks")
+class TestOneLineChunks:
+    """``read_record`` with every line its own chunk, so that each piece of
+    state the parse carries from chunk to chunk is crossed."""
+
+    test_edge_files_match_reference = TestColumnarParser.test_edge_files_match_reference
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_records_match_reference(self, record_dir, data):
+        rows = [list(row) for row in data.draw(valid_rows())]
+        kinds = data.draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=2))
+        for kind in sorted(kinds, key=CORRUPTIONS.index):
+            _corrupt(data.draw, rows, kind)
+        ending = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        text = _record_text(PLAN4, _lines_with_fillers(data.draw, rows))
+        path = record_dir / "one_line_chunks.csv"
+        path.write_bytes(text.replace("\n", ending).encode("utf-8"))
+        assert _outcome(read_record, path) == _outcome(_reference_read_record, path)
+
+    @pytest.mark.parametrize(
+        "lines, error",
+        [
+            # The first row of a repeated frequency sits in an earlier chunk.
+            (["x,{f0},0.1", "x,{f1},0.1", "x,{f0},0.2"],
+             "experiment x: frequency {f0} Hz appears more than once"),
+            (["x,{f0},0.1,1.0", "x,{f1},0.1", "x,{f2},0.1,2.0"], "experiment x: inconsistent q0 values"),
+            # Experiments first seen in different chunks keep first-seen order.
+            (["b,{f0},0.1", "a,{f0},0.1", "b,{f1},0.1", "c,{f0},0.1"],
+             "experiment b: missing phase rows for frequencies {f2}, {f3}"),
+            (["b,{f0},0.1", "a,{f0},0.1", "b,{f1},0.1", "c,{f0},0.1", "a,{f0},0.1"],
+             "experiment a: frequency {f0} Hz appears more than once"),
+            (["x,{f0},0.1", "x,{f1},1e", "y,1e,0.1"], "data row 2: could not convert string to float: '1e'"),
+            # A header line after the data is still header; its error beats a row's.
+            (["x,{f0},0.1", "y,{f0},0.1,1,extra", "# f1_hz = 1.0"], "bad plan header: duplicate key 'f1_hz'"),
+        ],
+    )
+    def test_state_crosses_chunks(self, tmp_path, lines, error):
+        path = tmp_path / "cross.csv"
+        path.write_text(_record_text(PLAN4, _plan4_lines(lines)), encoding="utf-8")
+        with pytest.raises(RecordFormatError) as info:
+            read_record(path)
+        assert str(info.value) == _plan4_lines([error])[0]
+        assert _outcome(_reference_read_record, path) == ("error", str(info.value))
+
+    def test_first_seen_order_and_header_after_the_data(self, tmp_path):
+        rows = [f"{e},{float(f)!r},0.1" for f in PLAN4.frequencies for e in ("b", "a", "c")]
+        header, *_ = _record_text(PLAN4, []).partition("# columns")
+        path = tmp_path / "late_header.csv"
+        # Each header line is its own chunk after every data row.
+        path.write_text(_record_text(PLAN4, rows)[len(header):] + header, encoding="utf-8")
+        assert [e.experiment_id for e in read_record(path).experiments] == ["b", "a", "c"]
+        assert _outcome(read_record, path) == _outcome(_reference_read_record, path)
+
+    def test_bad_float_text_is_refused_in_every_chunk(self):
+        # Each text is parsed once per file; a later row of a refused text is
+        # refused too, under its own row number.
+        rows = records._Rows()
+        for line in _plan4_lines(["x,1e,0.1,2", "x,{f0},0.1,2", "y,1e,0.1,x", "z,{f1},0.1,x"]):
+            rows.add(line + "\n")
+        assert {r: str(e) for r, e in rows.parse_errors.items()} == {
+            0: "could not convert string to float: '1e'",
+            2: "could not convert string to float: '1e'",
+            3: "could not convert string to float: 'x'",
+        }
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_long_field_after_a_miscounted_row_wins(self, tmp_path, quote):
+        # The miscounted row ends the parse of columns, not the scan for
+        # long fields, which are refused first.
+        limit = csv.field_size_limit()
+        long_row = quote + "x" * limit + "y" + quote + ",{f0},0.1"
+        lines = _plan4_lines(["x,{f0},0.1", "y,{f0},0.1,1,extra", "z,abc,0.1", "z,{f1},0.1", long_row])
+        path = tmp_path / "long_late.csv"
+        path.write_text(_record_text(PLAN4, lines), encoding="utf-8")
+        with pytest.raises(RecordFormatError, match=rf"^data row 5: field larger than field limit \({limit}\)$"):
+            read_record(path)
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    def test_cr_line_breaks(self, tmp_path, ending):
+        exps = [Experiment(f"e{k}", TestWriteRefusals.GOOD, float(k)) for k in range(3)]
+        path = make_record(tmp_path, PLAN4, exps)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", ending.encode()))
+        assert _outcome(read_record, crlf) == _outcome(read_record, path)
+        assert _outcome(read_record, crlf) == _outcome(_reference_read_record, crlf)
+
+
+def test_chunks_end_at_line_breaks():
+    text = "".join(f"row {k},{'x' * (k % 7)}\n" for k in range(40_000)) + "last"
+    chunks = list(records._chunks(text))
+    assert "".join(chunks) == text
+    assert len(chunks) > 2
+    for chunk in chunks[:-1]:
+        assert chunk.endswith("\n") and records._CHUNK_CHARS <= len(chunk)
+        assert chunk.count("\n", records._CHUNK_CHARS - 1) == 1  # the first break past the target
+
+
+def test_parse_memory_is_bounded_by_the_file_size(tmp_path):
+    # The parse holds the text, one chunk's strings and per-row arrays,
+    # never every line and field of the file at once.
+    plan = FrequencyPlan(f1=410e6, resolution=65.0, spacings=tuple(range(600, 630)), c=C_PAPER)
+    rng = np.random.default_rng(7)
+    exps = [Experiment(f"e{k:05d}", rng.uniform(-3.0, 3.0, plan.n), float(rng.uniform(-2, 2)))
+            for k in range(1300)]
+    path = make_record(tmp_path, plan, exps)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rec = read_record(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(rec.experiments) * plan.n >= 40_000
+    assert peak <= 4 * size, (peak, size)

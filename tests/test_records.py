@@ -761,7 +761,7 @@ def test_chunks_end_at_line_breaks():
     assert len(chunks) > 2
     for chunk in chunks[:-1]:
         assert chunk.endswith("\n") and records._CHUNK_CHARS <= len(chunk)
-        assert chunk.count("\n", records._CHUNK_CHARS - 1) == 1  # the first break past the target
+        assert chunk.count("\n", records._CHUNK_CHARS) == 1  # the first break from the target on
 
 
 def test_parse_memory_is_bounded_by_the_file_size(tmp_path):

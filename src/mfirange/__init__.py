@@ -57,7 +57,6 @@ from .analysis import (
 )
 from .estimator import (
     EstimatorConfig,
-    coherence_cost,
     ls_cost,
     ls_estimate,
     ls_estimate_batch,
@@ -67,8 +66,6 @@ from .montecarlo import (
     CampaignSpec,
     CampaignValidationError,
     campaign_errors,
-    run_mse_curve,
-    run_pf_curve,
     synth_trial_matrix,
     trial_stream,
 )

@@ -41,7 +41,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TWO_PI, FrequencyPlan, sigma_theta_from_snr_db, spacing_gcd, wrap_phase
+from .core import (
+    TWO_PI, FrequencyPlan, _wrap_inplace, check_positive, sigma_theta_from_snr_db, spacing_gcd,
+    wrap_phase,
+)
 
 # Chunk sizing keeps each (points x frequencies) complex128 temporary of the
 # sidelobe scan around 8 MB.
@@ -172,8 +175,7 @@ def _block_bounds(
     chunk = max(1, _SCAN_ELEMS // plan.n)
     for a in range(0, starts.size, chunk):
         phase = (TWO_PI / plan.c) * np.multiply.outer(centres[a : a + chunk], plan.frequencies)
-        phase -= TWO_PI * np.rint(phase * (1.0 / TWO_PI))
-        phase = phase.astype(np.float32)
+        phase = _wrap_inplace(phase).astype(np.float32)
         mag[a : a + chunk] = np.hypot(np.cos(phase).sum(axis=-1), np.sin(phase).sum(axis=-1))
     reach = (TWO_PI / plan.c) * plan.frequencies[-1] * (lo + step * (n_pts - 1)) + TWO_PI
     slack = 32.0 * plan.n * np.spacing(reach) + 2.0 * plan.n * (plan.n + 20) * 2.0**-24
@@ -279,15 +281,13 @@ def mmse(plan: FrequencyPlan, sigma_theta: float) -> float:
     before the carrier phase locks; it is the quantity the min-error
     spacing arrangement minimizes.
     """
-    if sigma_theta <= 0:
-        raise ValueError("sigma_theta must be positive")
+    check_positive("sigma_theta", sigma_theta)
     return plan.c**2 * sigma_theta**2 / (4.0 * math.pi**2 * quadform(plan.spacings_hz))
 
 
 def hmse(plan: FrequencyPlan, sigma_theta: float) -> float:
     """High-SNR MSE, c^2 sigma^2 / (4 pi^2 sum f_k^2) in m^2."""
-    if sigma_theta <= 0:
-        raise ValueError("sigma_theta must be positive")
+    check_positive("sigma_theta", sigma_theta)
     return plan.c**2 * sigma_theta**2 / (4.0 * math.pi**2 * float(np.square(plan.frequencies).sum()))
 
 
@@ -297,8 +297,7 @@ def crb(plan: FrequencyPlan, sigma_n: float) -> float:
     c^2 sigma_n^2 / (8 pi^2 sum f_k^2); equal to :func:`hmse` when
     sigma_n^2 = 2 sigma_theta^2.
     """
-    if sigma_n <= 0:
-        raise ValueError("sigma_n must be positive")
+    check_positive("sigma_n", sigma_n)
     return plan.c**2 * sigma_n**2 / (8.0 * math.pi**2 * float(np.square(plan.frequencies).sum()))
 
 
@@ -312,8 +311,7 @@ def log_pdf_single(f: float, q, q0: float, sigma_theta: float, c: float):
 
     Gaussian in the wavelength-wrapped residual with sigma_q = c*sigma/(2*pi*f).
     """
-    if sigma_theta <= 0:
-        raise ValueError("sigma_theta must be positive")
+    check_positive("sigma_theta", sigma_theta)
     sigma_q = c * sigma_theta / (TWO_PI * f)
     r = _wrapped_residual(q, q0, c / f)
     return -0.5 * (r / sigma_q) ** 2 - math.log(math.sqrt(TWO_PI) * sigma_q)

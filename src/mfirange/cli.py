@@ -10,6 +10,10 @@ Plan and campaign files use a flat ``key = value`` text format with the
 unit in the key name (``_hz``, ``_m``, ``_db``); '#' starts a comment.
 Outputs are CSV (default) or JSON with full-precision round-trip floats.
 Every failure exits nonzero after printing one line ``error: <code>: <reason>``.
+A flag's value may be a negative number in any float syntax, written after
+a space or an '=': ``--lo -1e0``, ``--lo=-1e0``, ``--snr -inf`` and
+``--phases -1.2,0.5`` all parse (argparse alone would read ``-1e0`` as a
+new flag).
 
 A campaign config has these keys, and every ``kind`` reads each of them:
 ``kind`` (``mse``, ``pf``, ``ambiguity`` or ``pumr``; default ``mse``),
@@ -196,7 +200,8 @@ def cmd_design(args) -> int:
         plan = design_rips(args.f1, args.B, args.N, resolution=args.res, c=c)
     elif method == "towers":
         _require(args, "fN", "B", "N")
-        plan = design_towers(args.fN, args.B, args.N, resolution=args.res or 1.0, c=c)
+        res = 1.0 if args.res is None else args.res
+        plan = design_towers(args.fN, args.B, args.N, resolution=res, c=c)
         ideal = towers_ideal_frequencies(args.fN, args.B, args.N)
         extra.append(["max_snap_error_hz", float(np.max(np.abs(plan.frequencies - ideal)))])
     elif method == "constrained-optimal":
@@ -273,9 +278,7 @@ def cmd_estimate(args) -> int:
         raise CliError("usage", "--plan is required with --phases")
     if args.record is not None and args.experiment is None:
         raise CliError("usage", "--experiment is required with --record")
-    cfg = EstimatorConfig(
-        search_lo=args.lo, search_hi=args.hi, step=args.step, refine=args.refine
-    )
+    cfg = _estimator_config(args)
     if args.phases is not None:
         plan = read_plan_file(args.plan)
         phases = np.array([float(x) for x in args.phases.split(",")])
@@ -370,6 +373,13 @@ def _campaign_from_config(fields: dict[str, str], config_path) -> tuple[Campaign
     return CampaignSpec.build(**parsed), kind
 
 
+def _histogram_rows(errors: np.ndarray) -> list[list]:
+    """[bin low, bin high, count] rows of the 20-bin error histogram that
+    ``simulate`` (kind ambiguity) and ``replay`` write."""
+    counts, edges = np.histogram(errors, bins=20)
+    return [[float(lo), float(hi), int(n)] for lo, hi, n in zip(edges[:-1], edges[1:], counts)]
+
+
 def cmd_simulate(args) -> int:
     fields = parse_kv_file(args.config)
     spec, kind = _campaign_from_config(fields, args.config)
@@ -391,11 +401,7 @@ def cmd_simulate(args) -> int:
         for label, _ in spec.plans:
             err = errors[(label, 0)]
             rows.extend([label, t, float(e)] for t, e in enumerate(err))
-            counts, edges = np.histogram(err, bins=20)
-            hist_rows.extend(
-                [label, float(lo_e), float(hi_e), int(n)]
-                for lo_e, hi_e, n in zip(edges[:-1], edges[1:], counts)
-            )
+            hist_rows.extend([label, *row] for row in _histogram_rows(err))
         path = out / f"ambiguity_errors.{args.format}"
         write_table(path, ["label", "trial", "error_m"], rows, args.format)
         hist_path = out / f"ambiguity_hist.{args.format}"
@@ -427,9 +433,7 @@ def cmd_simulate(args) -> int:
 def cmd_replay(args) -> int:
     record = read_record(args.record)
     plan = record.plan
-    cfg = EstimatorConfig(
-        search_lo=args.lo, search_hi=args.hi, step=args.step, refine=args.refine
-    )
+    cfg = _estimator_config(args)
     exps = record.experiments
     phases = np.array([e.phases for e in exps]).reshape(-1, plan.n)
     q_hat, cost, _ = ls_estimate_batch(phases, plan, cfg)
@@ -456,12 +460,8 @@ def cmd_replay(args) -> int:
     print(f"wrote {path}")
     arr = err[known]
     if arr.size:
-        counts, edges = np.histogram(arr, bins=20)
         summary = [["mse_m2", float(np.mean(arr**2))], ["experiments", arr.size]]
-        hist = [
-            [float(lo_e), float(hi_e), int(n)]
-            for lo_e, hi_e, n in zip(edges[:-1], edges[1:], counts)
-        ]
+        hist = _histogram_rows(arr)
         sum_path = out / f"{stem}_summary.{args.format}"
         write_table(sum_path, ["metric", "value"], summary, args.format)
         hist_path = out / f"{stem}_histogram.{args.format}"
@@ -472,6 +472,19 @@ def cmd_replay(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+
+def _search_flags(p) -> None:
+    """The search window flags of ``estimate`` and ``replay``, read by
+    :func:`_estimator_config`."""
+    p.add_argument("--lo", type=float, required=True, help="search low edge, m")
+    p.add_argument("--hi", type=float, required=True, help="search high edge, m")
+    p.add_argument("--step", type=float, required=True, help="grid step, m")
+    p.add_argument("--refine", action="store_true")
+
+
+def _estimator_config(args) -> EstimatorConfig:
+    return EstimatorConfig(search_lo=args.lo, search_hi=args.hi, step=args.step, refine=args.refine)
 
 
 def build_parser() -> _Parser:
@@ -511,17 +524,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="one LS grid-search estimate (printed to stdout)")
     p.add_argument("--plan", help="plan file (with --phases)")
-    p.add_argument(
-        "--phases",
-        help="comma-separated wrapped phases, rad; a value that begins with '-' "
-        "is accepted (--phases -1.2,0.5 or --phases=-1.2,0.5)",
-    )
+    p.add_argument("--phases", help="comma-separated wrapped phases, rad")
     p.add_argument("--record", help="phase record file")
     p.add_argument("--experiment", help="experiment id within the record")
-    p.add_argument("--lo", type=float, required=True, help="search low edge, m")
-    p.add_argument("--hi", type=float, required=True, help="search high edge, m")
-    p.add_argument("--step", type=float, required=True, help="grid step, m")
-    p.add_argument("--refine", action="store_true")
+    _search_flags(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("simulate", help="run a Monte Carlo campaign config")
@@ -532,10 +538,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("replay", help="estimate every experiment in a record")
     common(p)
     p.add_argument("--record", required=True)
-    p.add_argument("--lo", type=float, required=True)
-    p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--refine", action="store_true")
+    _search_flags(p)
     p.set_defaults(func=cmd_replay)
 
     return parser
@@ -549,33 +552,27 @@ _ERROR_CODES = {
 }
 
 
-_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
-def _glue_phases(argv: list[str]) -> list[str]:
-    """Rewrite ``--phases V`` to ``--phases=V`` when V begins with a minus
-    sign and a digit: argparse would read such a V as a new flag, yet
-    wrapped phases lie in (-pi, pi], so about half of all phase vectors
-    start with '-'."""
+def _glue_negatives(argv: list[str]) -> list[str]:
+    """Rewrite ``--flag V`` to ``--flag=V`` when V begins with a minus sign
+    and then a digit, '.' and a digit, ``inf`` or ``nan``.  argparse reads
+    only plain negatives such as ``-2.5`` as values; ``-1e0``, ``-2.5E+0``,
+    ``-inf`` or a phase list ``-1.2,0.5`` would be taken for a new flag."""
     out: list[str] = []
-    tokens = iter(argv)
-    for tok in tokens:
-        out.append(tok)
-        if tok == "--phases":
-            value = next(tokens, None)
-            if value is None:
-                break
-            if _NEGATIVE_NUMBER.match(value):
-                out[-1] = f"--phases={value}"
-            else:
-                out.append(value)
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_NUMBER.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
     return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_glue_phases(sys.argv[1:] if argv is None else list(argv)))
+        args = parser.parse_args(_glue_negatives(sys.argv[1:] if argv is None else list(argv)))
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ from numbers import Integral
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+_INV_TWO_PI = 1.0 / TWO_PI
 
 # Propagation speed: exact SI value, plus the rounded constant used in most
 # textbook numeric examples ("paper-repro" mode in the CLI).
@@ -51,6 +52,34 @@ def _wrap_phase_inplace(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _wrap_inplace(d: np.ndarray) -> np.ndarray:
+    """Wrap to [-pi, pi] in place, d - 2*pi*rint(d/(2*pi)), and return ``d``;
+    a value on the boundary may come out as -pi or as pi.
+
+    Its users are the estimator (``ls_cost``, the model phases of the scan,
+    the re-cost and the comb layout, and the phases ``LsSearch.run`` takes)
+    and the sidelobe bound of ``analysis._block_bounds``.  Each needs a
+    phase only up to a multiple of 2*pi, so either boundary sign serves.
+    :func:`wrap_phase` is not used there: its finiteness check and exact
+    remainder cost more, and this is one multiply, a rounding and a
+    subtract per element, with one temporary.
+    """
+    k = np.multiply(d, _INV_TWO_PI)
+    np.rint(k, out=k)
+    k *= TWO_PI
+    d -= k
+    return d
+
+
+def check_positive(name: str, value: float) -> float:
+    """``value`` if it is finite and above zero, else a ValueError naming it.
+    Every noise level and grid resolution is checked here: NaN fails every
+    comparison, so a bare ``value <= 0`` test lets it through."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
 def _check_phases(arr: np.ndarray) -> None:
     """Raise unless every entry is finite and in (-pi, pi]."""
     if not np.all(np.isfinite(arr)):
@@ -64,15 +93,16 @@ def sigma_theta_from_snr_db(snr_db: float) -> float:
 
     Uses SNR = 1/(2*sigma_theta^2), i.e. the phase noise at high SNR is the
     quadrature component of a unit carrier plus complex noise of variance
-    sigma^2 = 2*sigma_theta^2.
+    sigma^2 = 2*sigma_theta^2.  A non-finite SNR is refused.
     """
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db!r}")
     return math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
 
 
 def snr_db_from_sigma_theta(sigma_theta: float) -> float:
     """Inverse of :func:`sigma_theta_from_snr_db`."""
-    if sigma_theta <= 0.0:
-        raise ValueError("sigma_theta must be positive")
+    check_positive("sigma_theta", sigma_theta)
     return -10.0 * math.log10(2.0 * sigma_theta**2)
 
 
@@ -96,12 +126,8 @@ class FrequencyPlan:
     c: float = C_EXACT
 
     def __post_init__(self):
-        if not (math.isfinite(self.f1) and self.f1 > 0):
-            raise ValueError("f1 must be a positive finite frequency in Hz")
-        if not (math.isfinite(self.resolution) and self.resolution > 0):
-            raise ValueError("resolution must be a positive finite grid unit in Hz")
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ValueError("c must be a positive propagation speed in m/s")
+        for name in ("f1", "resolution", "c"):
+            check_positive(name, getattr(self, name))
         ks = tuple(int(k) for k in self.spacings)
         if len(ks) < 1:
             raise ValueError("plan needs at least one spacing (N >= 2)")
@@ -124,11 +150,6 @@ class FrequencyPlan:
     def frequencies(self) -> np.ndarray:
         """Ascending frequencies in Hz (read-only array of length N)."""
         return self._frequencies
-
-    @property
-    def wavelengths(self) -> np.ndarray:
-        """Wavelengths c/f_i in meters, descending."""
-        return self.c / self._frequencies
 
     @property
     def bandwidth(self) -> float:
@@ -169,10 +190,6 @@ class PhaseVector:
         arr.setflags(write=False)
         object.__setattr__(self, "phases", arr)
 
-    @property
-    def plan_len(self) -> int:
-        return int(self.phases.size)
-
     def as_array(self) -> np.ndarray:
         return self.phases
 
@@ -204,8 +221,8 @@ class NoiseModel:
                 raise ValueError("noise kind 'none' takes no sigma_theta/snr_db")
         elif given != 1:
             raise ValueError("give exactly one of sigma_theta or snr_db")
-        if self.sigma_theta is not None and self.sigma_theta <= 0:
-            raise ValueError("sigma_theta must be positive")
+        if self.kind != "none":
+            check_positive("sigma_theta", self.sigma)
         if self.bias is not None:
             bias = tuple(float(b) for b in self.bias)
             if not all(math.isfinite(b) for b in bias):

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import C_EXACT, FrequencyPlan
+from .core import C_EXACT, FrequencyPlan, check_positive
 
 
 class DesignInfeasible(ValueError):
@@ -72,12 +72,10 @@ class DesignParams:
     umr_requirement: float | None = None
 
     def __post_init__(self):
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+        check_positive("bandwidth", self.bandwidth)
         if self.n < 2:
             raise ValueError("need at least two frequencies")
-        if not self.resolution > 0:
-            raise ValueError("resolution must be positive")
+        check_positive("resolution", self.resolution)
         if self.prime_index < 1:
             raise ValueError("prime_index is 1-based and must be >= 1")
         if self.umr_requirement is not None and not self.umr_requirement > 0:
@@ -144,20 +142,17 @@ def as_multiset(values: Sequence[int]) -> tuple[int, ...]:
     return ms
 
 
-def permute_min_error(sorted_spacings: Sequence[int], family: str = "canonical"):
+def permute_min_error(sorted_spacings: Sequence[int]):
     """Arrange an ascending spacing multiset for minimum ranging error.
 
-    The canonical arrangement interleaves odd-position entries ascending
-    and even-position entries descending, [a1, a3, ..., a4, a2], which
-    maximizes the spacing quadratic form over all permutations.  The
-    ``alternate`` family [a2, a4, ..., a3, a1] attains the same value.
+    The arrangement interleaves odd-position entries ascending and
+    even-position entries descending, [a1, a3, ..., a4, a2], which
+    maximizes the spacing quadratic form over all permutations.  Its
+    mirror [a2, a4, ..., a3, a1] (the result reversed) attains the same
+    value, as every reversed order does.
     """
     ms = as_multiset(sorted_spacings)
-    if family == "canonical":
-        return list(ms[0::2]) + list(reversed(ms[1::2]))
-    if family == "alternate":
-        return list(ms[1::2]) + list(reversed(ms[0::2]))
-    raise ValueError("family must be 'canonical' or 'alternate'")
+    return list(ms[0::2]) + list(reversed(ms[1::2]))
 
 
 def _scaled_quadform(order: Sequence[int]) -> tuple[int, int, int]:
@@ -270,6 +265,7 @@ def permute_max_error(sorted_spacings: Sequence[int]):
 def _grid_count(bandwidth: float, resolution: float, n: int) -> int:
     """M = floor(B / resolution), tolerant of float division residue; raises
     :class:`DesignInfeasible` when M < N-1 leaves no room for N frequencies."""
+    check_positive("resolution", resolution)
     m = int(bandwidth / resolution + 1e-9)
     if m < n - 1:
         raise DesignInfeasible(
@@ -292,7 +288,7 @@ def design_rips(
     step = bandwidth / (n - 1)
     if resolution is None:
         return FrequencyPlan(f1=f1, resolution=step, spacings=(1,) * (n - 1), c=c)
-    k = step / resolution
+    k = step / check_positive("resolution", resolution)
     k_int = round(k)
     if k_int < 1 or abs(k - k_int) > 1e-9 * max(1.0, abs(k)):
         raise DesignInfeasible(
@@ -329,7 +325,7 @@ def design_towers(
     collides two frequencies is rejected.
     """
     ideal = towers_ideal_frequencies(f_max, bandwidth, n)
-    grid = np.rint(ideal / resolution).astype(np.int64)
+    grid = np.rint(ideal / check_positive("resolution", resolution)).astype(np.int64)
     if len(np.unique(grid)) != n:
         raise DesignInfeasible(
             f"snapping the geometric ladder to a {resolution} Hz grid collides "

@@ -3,8 +3,7 @@
 The estimator minimizes the sum of squared wrapped phase residuals
 LS(q) = sum_i wrap(phi_i - c_i*q)^2, c_i = 2*pi*f_i/c, over a regular
 range grid, and returns the lowest grid index among the cells of least
-cost.  A normalized coherent-sum surrogate of the same cost is provided
-for cross-checks.
+cost.
 
 The grid search is an exact branch and bound (B&B) over *combs*.  The
 cost splits like the paper's two regimes: the frequency spread sets the
@@ -94,9 +93,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, FrequencyPlan, PhaseVector
+from .core import TWO_PI, FrequencyPlan, PhaseVector, _wrap_inplace
 
-_INV_TWO_PI = 1.0 / TWO_PI
 # Chunk sizing keeps each (trials x grid) temporary around 32 MB.
 _TARGET_ELEMS = 4_000_000
 # The per-frequency loops of the B&B take as many frequencies per numpy
@@ -148,29 +146,19 @@ def _phases_array(phases) -> np.ndarray:
     return np.asarray(phases, dtype=float)
 
 
-def _wrap_inplace(d: np.ndarray) -> np.ndarray:
-    """Wrap to (-pi, pi] up to the boundary point, in place.
-
-    Used only inside squared-residual sums where the sign of the boundary
-    value is irrelevant.
-    """
-    k = np.multiply(d, _INV_TWO_PI)
-    np.rint(k, out=k)
-    k *= TWO_PI
-    d -= k
-    return d
-
-
 def ls_cost(phases, plan: FrequencyPlan, q) -> np.ndarray | float:
     """Sum of squared wrapped residuals sum_i wrap(phi_i - 2*pi*q*f_i/c)^2.
 
     Zero exactly at the true range for noise-free phases, and at every
     UMR-multiple offset.  ``phases`` is (..., N) and ``q`` broadcasts
     against its leading axes; the last axis of the model is the plan's
-    frequencies.  This is the one wrapped-residual cost of the package:
-    the refine step of :meth:`LsSearch.run` and the two-point
-    comparison of ``montecarlo.pumr_confusion_rate`` call it, and the scan
-    kernel :func:`_scan_block` is checked against it.
+    frequencies.  This is the one wrapped-residual cost of the package.
+    Its callers are the parabolic refine of :meth:`LsSearch.run` and the
+    two-point comparison of ``montecarlo.pumr_confusion_rate``.  The tests
+    check the scan kernels against it: the full scan :func:`_scan_block`
+    and the float64 re-cost :func:`_recost` of the branch and bound.  Its
+    frequency sum is numpy's pairwise ``sum``, and the refined estimates'
+    bits depend on it, so it is not the scan's plan-order sum.
     """
     ph = _phases_array(phases)
     if ph.shape[-1:] != (plan.n,):
@@ -180,24 +168,6 @@ def ls_cost(phases, plan: FrequencyPlan, q) -> np.ndarray | float:
     _wrap_inplace(d)
     out = np.square(d, out=d).sum(axis=-1)
     if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def coherence_cost(phases, plan: FrequencyPlan, q) -> np.ndarray | float:
-    """Normalized coherent sum |sum_i exp(j(phi_i - 2*pi*q*f_i/c))|^2 / N^2.
-
-    A maximization surrogate for :func:`ls_cost` (larger is better); equals
-    1 at the true range for noise-free phases.
-    """
-    ph = _phases_array(phases)
-    if ph.size != plan.n:
-        raise ValueError("phase vector length must match the plan")
-    qa = np.asarray(q, dtype=float)
-    model = (TWO_PI / plan.c) * np.multiply.outer(qa, plan.frequencies)
-    s = np.exp(1j * (ph - model)).sum(axis=-1)
-    out = (s.real**2 + s.imag**2) / plan.n**2
-    if qa.ndim == 0:
         return float(out)
     return out
 

@@ -82,15 +82,11 @@ def _key_word(label_hash, snr_index: int, trial_index: int) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def _trial_key(seed: int, label: str, snr_index: int, trial_index: int) -> list[int]:
-    """Philox key of one trial: (seed, blake2b(label, snr index, trial index))."""
-    return [_key_seed(seed), _key_word(_label_hash(label), snr_index, trial_index)]
-
-
 def trial_stream(seed: int, label: str, snr_index: int, trial_index: int) -> np.random.Generator:
-    """Counter-keyed generator for one trial of one plan at one SNR."""
-    key = np.array(_trial_key(seed, label, snr_index, trial_index), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Counter-keyed generator for one trial of one plan at one SNR: a Philox
+    keyed (seed, blake2b(label, snr index, trial index))."""
+    key = [_key_seed(seed), _key_word(_label_hash(label), snr_index, trial_index)]
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 class _TrialStreams:
@@ -103,7 +99,7 @@ class _TrialStreams:
     Building a fresh Philox per trial costs more than the trial's draws,
     so re-keying is kept to two cheap steps per trial.  The label is
     hashed once per block and each trial's key word comes from a copy of
-    that hash (:func:`_key_word`, which :func:`_trial_key` shares).  The
+    that hash (:func:`_key_word`, which :func:`trial_stream` shares).  The
     state assigned per trial is one dict, taken from ``Philox.state``
     with its counter and buffer replaced by lists of Python ints, and
     only its key's second word changes: numpy returns them as uint64
@@ -149,7 +145,11 @@ def synth_trial_matrix(
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """One seeded simulation campaign over labeled plans and an SNR grid."""
+    """One seeded simulation campaign over labeled plans and an SNR grid.
+
+    Construction runs :meth:`check` on every field and raises one
+    :class:`CampaignValidationError` listing all of its problems.
+    """
 
     plans: tuple[tuple[str, FrequencyPlan], ...]
     q0: float
@@ -158,6 +158,11 @@ class CampaignSpec:
     seed: int
     estimator: EstimatorConfig
     noise_kind: str = "phase-gaussian"
+
+    def __post_init__(self):
+        problems = self.check(**vars(self))
+        if problems:
+            raise CampaignValidationError(problems)
 
     @classmethod
     def build(
@@ -171,7 +176,7 @@ class CampaignSpec:
         noise_kind: str = "phase-gaussian",
     ) -> "CampaignSpec":
         pairs = tuple(plans.items()) if isinstance(plans, Mapping) else tuple(plans)
-        spec = cls(
+        return cls(
             plans=pairs,
             q0=float(q0),
             snr_grid=tuple(float(s) for s in snr_grid),
@@ -180,8 +185,6 @@ class CampaignSpec:
             estimator=estimator,
             noise_kind=noise_kind,
         )
-        spec.validate()
-        return spec
 
     @staticmethod
     def check(**fields) -> list[str]:
@@ -197,6 +200,13 @@ class CampaignSpec:
                 problems.append("plan labels must be unique")
         if "snr_grid" in fields and not fields["snr_grid"]:
             problems.append("snr grid must be non-empty")
+        for snr in fields.get("snr_grid", ()):
+            try:
+                sigma_theta_from_snr_db(snr)
+            except ValueError as e:
+                problems.append(str(e))
+        if "q0" in fields and not math.isfinite(fields["q0"]):
+            problems.append(f"q0 must be finite, got {fields['q0']!r}")
         if "trials" in fields and fields["trials"] < 1:
             problems.append("trials must be >= 1")
         if "seed" in fields:
@@ -207,17 +217,6 @@ class CampaignSpec:
         if "noise_kind" in fields and fields["noise_kind"] not in ("phase-gaussian", "complex-awgn"):
             problems.append("noise_kind must be phase-gaussian or complex-awgn")
         return problems
-
-    def validate(self) -> None:
-        problems = self.check(
-            plans=self.plans,
-            snr_grid=self.snr_grid,
-            trials=self.trials,
-            seed=self.seed,
-            noise_kind=self.noise_kind,
-        )
-        if problems:
-            raise CampaignValidationError(problems)
 
     def noise_at(self, snr_db: float) -> NoiseModel:
         return NoiseModel(kind=self.noise_kind, snr_db=snr_db)
@@ -241,13 +240,20 @@ class CurveRow:
     FIELDS = ("label", "snr_db", "metric", "value", "stderr", "mmse", "hmse", "crb", "trials", "seed")
 
 
-def _theory(plan: FrequencyPlan, snr_db: float) -> tuple[float, float, float]:
-    sigma = sigma_theta_from_snr_db(snr_db)
-    return (
-        analysis.mmse(plan, sigma),
-        analysis.hmse(plan, sigma),
-        analysis.crb(plan, math.sqrt(2.0) * sigma),
-    )
+def _row(spec, label, plan, si, metric, value, stderr, trials) -> CurveRow:
+    """A :class:`CurveRow` of ``plan`` at SNR index ``si``, with the
+    closed-form MMSE, HMSE and CRB at that SNR."""
+    snr = spec.snr_grid[si]
+    sigma = sigma_theta_from_snr_db(snr)
+    mmse, hmse = analysis.mmse(plan, sigma), analysis.hmse(plan, sigma)
+    crb = analysis.crb(plan, math.sqrt(2.0) * sigma)
+    return CurveRow(label, snr, metric, value, stderr, mmse, hmse, crb, trials, spec.seed)
+
+
+def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
+    """Mean of ``x`` (NaN when empty) and its standard error (0 below two values)."""
+    mean = float(x.mean()) if x.size else float("nan")
+    return mean, float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
 
 
 def run_campaign(
@@ -259,7 +265,6 @@ def run_campaign(
     phases, errors q_hat - q0)`` per (plan label, SNR index).  Only the
     current block's phases are held while it is estimated, so ``measure``
     should return a summary of them, not the phases."""
-    spec.validate()
     out: dict[tuple[str, int], T] = {}
     for label, plan in spec.plans:
         for si, snr in enumerate(spec.snr_grid):
@@ -277,84 +282,34 @@ def campaign_errors(spec: CampaignSpec) -> dict[tuple[str, int], np.ndarray]:
 
 
 def _mse_rows(spec, label, plan, si, errors) -> list[CurveRow]:
-    snr = spec.snr_grid[si]
-    mmse_v, hmse_v, crb_v = _theory(plan, snr)
     sq = errors**2
-    rows = [
-        CurveRow(
-            label=label,
-            snr_db=snr,
-            metric="mse",
-            value=float(sq.mean()),
-            stderr=float(sq.std(ddof=1) / math.sqrt(sq.size)) if sq.size > 1 else 0.0,
-            mmse=mmse_v,
-            hmse=hmse_v,
-            crb=crb_v,
-            trials=spec.trials,
-            seed=spec.seed,
-        )
-    ]
     # Outliers stay in the headline MSE; the unwrapped-only figure is a
     # diagnostic companion row.
-    inlier = unwrap_ok(errors + spec.q0, spec.q0, plan)
-    sq_in = sq[inlier]
-    rows.append(
-        CurveRow(
-            label=label,
-            snr_db=snr,
-            metric="mse_excl_outlier",
-            value=float(sq_in.mean()) if sq_in.size else float("nan"),
-            stderr=float(sq_in.std(ddof=1) / math.sqrt(sq_in.size)) if sq_in.size > 1 else 0.0,
-            mmse=mmse_v,
-            hmse=hmse_v,
-            crb=crb_v,
-            trials=int(sq_in.size),
-            seed=spec.seed,
-        )
-    )
-    return rows
+    sq_in = sq[unwrap_ok(errors + spec.q0, spec.q0, plan)]
+    return [
+        _row(spec, label, plan, si, "mse", *_mean_stderr(sq), spec.trials),
+        _row(spec, label, plan, si, "mse_excl_outlier", *_mean_stderr(sq_in), int(sq_in.size)),
+    ]
 
 
 def _pf_rows(spec, label, plan, si, errors) -> list[CurveRow]:
-    snr = spec.snr_grid[si]
-    mmse_v, hmse_v, crb_v = _theory(plan, snr)
-    bad = ~unwrap_ok(errors + spec.q0, spec.q0, plan)
-    p = float(bad.mean())
-    return [
-        CurveRow(
-            label=label,
-            snr_db=snr,
-            metric="pf",
-            value=p,
-            stderr=math.sqrt(p * (1.0 - p) / spec.trials),
-            mmse=mmse_v,
-            hmse=hmse_v,
-            crb=crb_v,
-            trials=spec.trials,
-            seed=spec.seed,
-        )
-    ]
+    """Incorrect-unwrapping probability P(|q_hat - q0| > lambda_min)."""
+    p = float((~unwrap_ok(errors + spec.q0, spec.q0, plan)).mean())
+    return [_row(spec, label, plan, si, "pf", p, math.sqrt(p * (1.0 - p) / spec.trials), spec.trials)]
 
 
 def rows_from_errors(
     spec: CampaignSpec, errors: Mapping[tuple[str, int], np.ndarray], metric: str
 ) -> list[CurveRow]:
+    """Curve rows of ``metric`` from the errors of :func:`campaign_errors`:
+    ``mse`` gives the MSE and its outlier-free companion per (plan, SNR),
+    ``pf`` the incorrect-unwrapping probability."""
     maker = {"mse": _mse_rows, "pf": _pf_rows}[metric]
     rows: list[CurveRow] = []
     for label, plan in spec.plans:
         for si in range(len(spec.snr_grid)):
             rows.extend(maker(spec, label, plan, si, errors[(label, si)]))
     return rows
-
-
-def run_mse_curve(spec: CampaignSpec) -> list[CurveRow]:
-    """Empirical MSE of the grid estimator per SNR, with theory columns."""
-    return rows_from_errors(spec, campaign_errors(spec), "mse")
-
-
-def run_pf_curve(spec: CampaignSpec) -> list[CurveRow]:
-    """Incorrect-unwrapping probability P(|q_hat - q0| > lambda_min) per SNR."""
-    return rows_from_errors(spec, campaign_errors(spec), "pf")
 
 
 def far_cluster(errors: np.ndarray, plan: FrequencyPlan) -> np.ndarray:

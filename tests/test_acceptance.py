@@ -34,8 +34,6 @@ from mfirange import (
     quadform,
     campaign_errors,
     confusion_bound_for_plan,
-    run_mse_curve,
-    run_pf_curve,
     sigma_theta_from_snr_db,
     synth_phases,
     synth_trial_matrix,
@@ -43,7 +41,7 @@ from mfirange import (
     umr,
     unwrap_ok,
 )
-from mfirange.montecarlo import far_cluster, pumr_confusion_rate
+from mfirange.montecarlo import far_cluster, pumr_confusion_rate, rows_from_errors
 from mfirange.cli import main as cli_main
 
 ACCEPT_SEED = 20260810
@@ -221,7 +219,7 @@ def test_double_threshold_mse_curve():
         seed=ACCEPT_SEED,
         estimator=EstimatorConfig(-150.0, 150.0, 0.01, refine=True),
     )
-    rows = [r for r in run_mse_curve(spec) if r.metric == "mse"]
+    rows = [r for r in rows_from_errors(spec, campaign_errors(spec), "mse") if r.metric == "mse"]
     ratios_m = [r.value / r.mmse for r in rows]
     ratios_c = [r.value / r.crb for r in rows]
     plateau = [i for i in range(len(rows)) if 0.5 <= ratios_m[i] <= 2.0 and ratios_c[i] > 4.0]
@@ -254,7 +252,7 @@ def test_unwrap_failure_ordering():
         seed=ACCEPT_SEED,
         estimator=EstimatorConfig(-150.0, 150.0, 0.05),
     )
-    rows = run_pf_curve(spec)
+    rows = rows_from_errors(spec, campaign_errors(spec), "pf")
     by = {(r.label, r.snr_db): r for r in rows}
 
     def sep(lo, hi):

@@ -505,6 +505,18 @@ class TestMse:
         plan = FrequencyPlan(f1=f, resolution=1.0, spacings=(1, 1), c=C_PAPER)
         assert hmse(plan, self.sigma) == pytest.approx(single / 3.0, rel=1e-6)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -0.1])
+    def test_noise_level_must_be_finite_and_positive(self, sigma):
+        # NaN fails every comparison, so `sigma <= 0` alone lets it through.
+        for name, call in [
+            ("sigma_theta", lambda: mmse(self.plan, sigma)),
+            ("sigma_theta", lambda: hmse(self.plan, sigma)),
+            ("sigma_n", lambda: crb(self.plan, sigma)),
+            ("sigma_theta", lambda: analysis.log_pdf_single(400e6, 0.1, 0.0, sigma, C_PAPER)),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {sigma!r}$"):
+                call()
+
     def test_mmse_above_hmse_for_narrowband(self):
         params = DesignParams(bandwidth=20e6, n=21, resolution=65.0)
         plans = [

@@ -51,6 +51,32 @@ class TestDesignAnalyze:
         assert len(err_lines) == 1
         assert err_lines[0].startswith("error: design-infeasible:")
 
+    @pytest.mark.parametrize(
+        "method", ["rips", "towers", "constrained-optimal", "prime-min-error", "prime-max-error",
+                   "random"],
+    )
+    @pytest.mark.parametrize("res", ["0", "-65", "nan", "inf"])
+    def test_bad_resolution_is_one_error_line(self, tmp_path, capsys, method, res):
+        # Every method divides by the grid; towers' 1 Hz default applies
+        # only when --res is absent.
+        rc = run_cli(
+            "design", "--method", method, "--B", "20e6", "--N", "5", "--f1", "400e6",
+            "--fN", "420e6", "--res", res, "--seed", "1", "--out", tmp_path, "--skip-sidelobe",
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: invalid-value: resolution must be finite and positive, got {float(res)!r}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag, value", [("--snr", "nan"), ("--snr", "inf"), ("--snr", "-inf"),
+                                             ("--sigma", "nan"), ("--sigma", "inf"), ("--sigma", "0")])
+    def test_analyze_refuses_non_finite_noise(self, tmp_path, capsys, flag, value):
+        write_plan_file(tmp_path / "p.plan", FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1, 2)))
+        rc = run_cli("analyze", "--plan", tmp_path / "p.plan", flag, value, "--skip-sidelobe")
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: invalid-value:") and captured.err.count("\n") == 1
+
     def test_analyze_round_trip_bit_identical(self, tmp_path):
         run_cli(
             "design", "--method", "prime-min-error", "--B", "20e6", "--N", "21",
@@ -186,6 +212,25 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert rc == 2
         assert err == f"error: validation: seed must be in [0, 2**64), got {seed}\n"
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [("snr_db", "10,nan", "snr_db must be finite, got nan"),
+         ("snr_db", "-inf", "snr_db must be finite, got -inf"),
+         ("snr_db", "inf,20", "snr_db must be finite, got inf"),
+         ("q0_m", "nan", "q0 must be finite, got nan"),
+         ("q0_m", "inf", "q0 must be finite, got inf")],
+    )
+    def test_non_finite_snr_and_q0_are_validation_errors(self, tmp_path, capsys, key, value, problem):
+        # Listed with every other problem before any block is drawn; at
+        # +inf dB every block would be drawn noise-free.
+        cfg = self.write_campaign(tmp_path, trials="0", **{key: value})
+        rc = run_cli("simulate", "--config", cfg, "--out", tmp_path / "bad")
+        err = capsys.readouterr().err
+        assert rc == 2 and err.count("\n") == 1
+        assert err.startswith("error: validation:")
+        assert problem in err and "trials must be >= 1" in err
         assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize(
@@ -348,6 +393,22 @@ class TestEstimateReplay:
         assert rc == 0
         q_hat = float(out.splitlines()[0].split("=")[1])
         assert q_hat == pytest.approx(5.0, abs=1e-9)
+
+    @pytest.mark.parametrize("lo", ["-1e0", "-2.5E+0", "-1.", "-.5e1", "-2"])
+    def test_negative_values_in_any_float_syntax(self, tmp_path, capsys, lo):
+        # argparse alone reads only -2 as a number and -1e0 as a new flag.
+        rec = self.make_record(tmp_path)
+        plan = tmp_path / "p.plan"
+        write_plan_file(plan, FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1, 1), c=C_PAPER))
+        for argv in (["estimate", "--plan", plan, "--phases", "-1.5e-1,2e-1,-0.3"],
+                     ["replay", "--record", rec, "--out", tmp_path / "rep"]):
+            outputs = []
+            for lo_args in (["--lo", lo], [f"--lo={lo}"]):
+                assert run_cli(*argv, *lo_args, "--hi", 30, "--step", 0.01) == 0
+                outputs.append(capsys.readouterr().out)
+                if argv[0] == "replay":
+                    outputs.append((tmp_path / "rep" / "rec_estimates.csv").read_bytes())
+            assert outputs[: len(outputs) // 2] == outputs[len(outputs) // 2 :]
 
     @pytest.mark.parametrize(
         "args, message",

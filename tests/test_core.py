@@ -126,6 +126,22 @@ class TestNoiseModel:
             math.sqrt(0.05)
         )
 
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf])
+    def test_non_finite_snr_refused(self, snr):
+        # +inf dB would give sigma_theta = 0, a noise-free "noisy" model.
+        with pytest.raises(ValueError, match=f"snr_db must be finite, got {snr!r}"):
+            sigma_theta_from_snr_db(snr)
+        with pytest.raises(ValueError, match=f"snr_db must be finite, got {snr!r}"):
+            NoiseModel.complex_awgn(snr_db=snr)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -0.1])
+    def test_sigma_theta_must_be_finite_and_positive(self, sigma):
+        msg = f"sigma_theta must be finite and positive, got {sigma!r}"
+        with pytest.raises(ValueError, match=msg):
+            NoiseModel.phase_gaussian(sigma_theta=sigma)
+        with pytest.raises(ValueError, match=msg):
+            snr_db_from_sigma_theta(sigma)
+
 
 class TestSynthPhases:
     def setup_method(self):
@@ -184,6 +200,5 @@ class TestPhaseVector:
         with pytest.raises(ValueError):
             PhaseVector(phases=np.array([-math.pi, 0.0]))
         pv = PhaseVector(phases=np.array([math.pi, 0.0]))
-        assert pv.plan_len == 2
         with pytest.raises(ValueError):
             pv.as_array()[0] = 1.0  # read-only

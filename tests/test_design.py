@@ -133,11 +133,13 @@ class TestPermutations:
                 _, hi = brute_extrema(ms)
                 assert quadform_scaled_int(permute_min_error(list(ms))) == hi, ms
 
-    def test_alternate_family_value_equality(self):
+    def test_mirror_value_equality(self):
+        # The mirror [a2, a4, ..., a3, a1] attains the same value.
         for ms in [(1, 2, 3, 4, 5), (1, 1, 2, 7), (2, 3, 5, 7, 11, 13)]:
-            a = quadform_scaled_int(permute_min_error(list(ms)))
-            b = quadform_scaled_int(permute_min_error(list(ms), family="alternate"))
-            assert a == b
+            order = permute_min_error(list(ms))
+            mirror = list(ms[1::2]) + list(reversed(ms[0::2]))
+            assert order[::-1] == mirror
+            assert quadform_scaled_int(mirror) == quadform_scaled_int(order)
 
     def test_left_shift_identity(self):
         # Partial-sum variance of a full sequence equals the quadratic form
@@ -166,6 +168,26 @@ class TestDesigners:
             design_rips(400e6, 40e6, 3, resolution=65.0)
         plan = design_rips(400e6, 40e6, 41, resolution=0.5e6, c=C_PAPER)
         assert plan.spacings == (2,) * 40
+
+    @pytest.mark.parametrize("res", [0.0, -1.0, math.nan, math.inf])
+    def test_resolution_refused_before_any_division(self, res):
+        # Every designer divides by the resolution, so the check comes first.
+        rng = np.random.default_rng(0)
+        for design in [
+            lambda: design_rips(400e6, 20e6, 5, resolution=res),
+            lambda: design_towers(420e6, 20e6, 5, resolution=res),
+            lambda: design_constrained_optimal(400e6, 20e6, 5, res),
+            lambda: design_random(400e6, 20e6, 5, res, rng),
+            lambda: DesignParams(bandwidth=20e6, n=5, resolution=res),
+        ]:
+            with pytest.raises(ValueError, match=f"^resolution must be finite and positive, got {res!r}$"):
+                design()
+
+    @pytest.mark.parametrize("b", [0.0, math.nan, math.inf])
+    def test_prime_bandwidth_must_be_finite_and_positive(self, b):
+        # inf // (resolution * window sum) is NaN, which no common factor K is.
+        with pytest.raises(ValueError, match=f"^bandwidth must be finite and positive, got {b!r}$"):
+            DesignParams(bandwidth=b, n=5, resolution=65.0)
 
     def test_towers_geometric(self):
         plan = design_towers(500e6, 100e6, 3, c=C_PAPER)

@@ -11,7 +11,6 @@ from mfirange import (
     EstimatorConfig,
     FrequencyPlan,
     NoiseModel,
-    coherence_cost,
     design_prime_max_error,
     design_prime_min_error,
     design_rips,
@@ -27,6 +26,7 @@ from mfirange import (
     wrap_phase,
 )
 from mfirange import estimator
+from mfirange.core import _wrap_inplace
 
 TWO_PI = 2 * math.pi
 
@@ -89,25 +89,6 @@ class TestLsCost:
         block = ls_cost(phases, plan21, q)
         assert block.shape == (6,)
         assert block.tolist() == [ls_cost(phases[t], plan21, q[t]) for t in range(6)]
-
-
-class TestCoherenceCost:
-    def test_coherent_at_truth(self, plan21):
-        pv = synth_phases(plan21, 7.0, NoiseModel.none())
-        assert coherence_cost(pv, plan21, 7.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_argmax_matches_ls_argmin_on_shared_grid(self, plan21):
-        # Exact grid-index agreement requires the envelope error to stay
-        # below half a cell, hence the high SNR and on-grid truth.
-        cfg = EstimatorConfig(-150.0, 150.0, 0.15)
-        grid = cfg.grid()
-        phases = synth_trial_matrix(
-            plan21, 0.45, NoiseModel.phase_gaussian(snr_db=40.0), 31415, "agree", 0, 100
-        )
-        for t in range(100):
-            i_ls = int(np.argmin(ls_cost(phases[t], plan21, grid)))
-            i_coh = int(np.argmax(coherence_cost(phases[t], plan21, grid)))
-            assert i_ls == i_coh
 
 
 class TestLsEstimate:
@@ -261,7 +242,7 @@ def coef_of(plan):
 def kernel_costs(phases, plan, grid):
     """(trials x grid) costs in the full scan's per-cell arithmetic."""
     coef = coef_of(plan)
-    model = estimator._wrap_inplace(coef[:, None] * grid)[:, None, :]
+    model = _wrap_inplace(coef[:, None] * grid)[:, None, :]
     return estimator._cell_costs(phases, model, np.zeros(phases.shape[0], dtype=np.int64))
 
 
@@ -281,13 +262,13 @@ class TestFloat32Allowance:
             np.multiply.outer([-1.0, 1.0], math.pi / coef).ravel(),
             [-2e4, 2e4],
         ])
-        model = estimator._wrap_inplace(coef[:, None] * q)
+        model = _wrap_inplace(coef[:, None] * q)
         # Phases at +-pi, uniform ones, and ones opposite a model (terms near pi^2).
         phases = np.vstack([
             np.full((1, n), math.pi),
             np.full((1, n), -math.pi),
             rng.uniform(-math.pi, math.pi, (6, n)),
-            estimator._wrap_inplace(model[:, :4].T + math.pi),
+            _wrap_inplace(model[:, :4].T + math.pi),
         ])
         assert np.abs(model).max() == pytest.approx(math.pi) and (np.abs(model) <= math.pi).all()
         rows = np.zeros(phases.shape[0], dtype=np.int64)
@@ -302,7 +283,7 @@ class TestFloat32Allowance:
         shrink = rng.uniform(0.0, 3.5, model.shape)
         shrink[:, :50] = 0.0
         lb = estimator._lower_bounds(phases, *estimator._bound_arrays(model, shrink))
-        d = np.abs(estimator._wrap_inplace(phases[:, :, None] - model[None]))
+        d = np.abs(_wrap_inplace(phases[:, :, None] - model[None]))
         lb64 = np.square(np.maximum(d - shrink[None], 0.0)).sum(axis=1)
         assert lb.dtype == np.float32 and lb.shape == lb64.shape
         assert (lb <= lb64).all() and (lb >= lb64 - 2.0 * e).all()
@@ -624,7 +605,7 @@ class TestBranchAndBound:
             # there), noisy and noise-free synthesized ones, and uniform ones.
             at = rng.choice(n_pts, 200, replace=False)
             phases = np.vstack([
-                estimator._wrap_inplace(coef[None, :] * grid[at, None]),
+                _wrap_inplace(coef[None, :] * grid[at, None]),
                 synth_trial_matrix(plan, lo + 1.5, NoiseModel.phase_gaussian(snr_db=5.0), 3,
                                    "lb", 0, 4),
                 synth_trial_matrix(plan, grid[n_pts // 3], NoiseModel.none(), 3, "lb", 0, 1),

@@ -14,15 +14,13 @@ from mfirange import (
     crb,
     campaign_errors,
     design_rips,
-    run_mse_curve,
-    run_pf_curve,
     sigma_theta_from_snr_db,
     synth_phases,
     synth_trial_matrix,
     trial_stream,
     unwrap_ok,
 )
-from mfirange.montecarlo import far_cluster, pumr_confusion_rate
+from mfirange.montecarlo import far_cluster, pumr_confusion_rate, rows_from_errors
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +190,29 @@ class TestCampaignValidation:
                 estimator=EstimatorConfig(-1.0, 1.0, 0.1),
             )
 
+    @pytest.mark.parametrize(
+        "q0, snrs, problem",
+        [(0.0, [10.0, math.nan], "snr_db must be finite, got nan"),
+         (0.0, [math.inf], "snr_db must be finite, got inf"),
+         (0.0, [-math.inf, 10.0], "snr_db must be finite, got -inf"),
+         (math.nan, [10.0], "q0 must be finite, got nan"),
+         (-math.inf, [10.0], "q0 must be finite, got -inf")],
+    )
+    def test_non_finite_snr_and_q0_rejected(self, plan21, q0, snrs, problem):
+        with pytest.raises(CampaignValidationError) as err:
+            CampaignSpec.build(
+                plans={"a": plan21}, q0=q0, snr_grid=snrs, trials=1, seed=1,
+                estimator=EstimatorConfig(-1.0, 1.0, 0.1),
+            )
+        assert err.value.problems == [problem]
+
+    def test_direct_construction_is_validated(self, plan21):
+        with pytest.raises(CampaignValidationError, match="trials must be >= 1"):
+            CampaignSpec(
+                plans=(("a", plan21),), q0=0.0, snr_grid=(10.0,), trials=0, seed=1,
+                estimator=EstimatorConfig(-1.0, 1.0, 0.1),
+            )
+
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_seed_range_ends_accepted(self, plan21, seed):
         spec = CampaignSpec.build(
@@ -215,8 +236,8 @@ class TestCurves:
             seed=77,
             estimator=EstimatorConfig(-150.0, 150.0, 0.05),
         )
-        rows1 = run_mse_curve(spec)
-        rows2 = run_mse_curve(spec)
+        rows1 = rows_from_errors(spec, campaign_errors(spec), "mse")
+        rows2 = rows_from_errors(spec, campaign_errors(spec), "mse")
         assert rows1 == rows2
 
     def test_quantization_floor_at_high_snr(self, plan21):
@@ -231,7 +252,7 @@ class TestCurves:
             seed=5,
             estimator=EstimatorConfig(-150.0, 150.0, step),
         )
-        (row,) = [r for r in run_mse_curve(spec) if r.metric == "mse"]
+        (row,) = [r for r in rows_from_errors(spec, campaign_errors(spec), "mse") if r.metric == "mse"]
         assert row.value <= step**2 / 12.0 + 1e-12
 
     def test_theory_columns_and_diagnostic_row(self, plan21):
@@ -243,7 +264,7 @@ class TestCurves:
             seed=3,
             estimator=EstimatorConfig(-150.0, 150.0, 0.05),
         )
-        rows = run_mse_curve(spec)
+        rows = rows_from_errors(spec, campaign_errors(spec), "mse")
         metrics = {r.metric for r in rows}
         assert metrics == {"mse", "mse_excl_outlier"}
         sigma = sigma_theta_from_snr_db(20.0)
@@ -261,7 +282,7 @@ class TestCurves:
             seed=21,
             estimator=EstimatorConfig(-150.0, 150.0, 0.05),
         )
-        (row,) = run_pf_curve(spec)
+        (row,) = rows_from_errors(spec, campaign_errors(spec), "pf")
         assert row.metric == "pf" and row.value == 0.0
 
     def test_pf_zero_when_window_inside_wavelength(self, plan21):
@@ -276,7 +297,7 @@ class TestCurves:
             seed=2,
             estimator=EstimatorConfig(-lam / 2, lam / 2, 0.01),
         )
-        (row,) = run_pf_curve(spec)
+        (row,) = rows_from_errors(spec, campaign_errors(spec), "pf")
         assert row.value == 0.0
 
     def test_high_snr_tail_not_below_crb(self, plan21):
@@ -288,7 +309,7 @@ class TestCurves:
             seed=13,
             estimator=EstimatorConfig(-150.0, 150.0, 0.01, refine=True),
         )
-        (row,) = [r for r in run_mse_curve(spec) if r.metric == "mse"]
+        (row,) = [r for r in rows_from_errors(spec, campaign_errors(spec), "mse") if r.metric == "mse"]
         stderr_fraction = math.sqrt(2.0 / row.trials)
         assert row.value >= row.crb * (1.0 - 3.0 * stderr_fraction)
 

@@ -212,13 +212,8 @@ def sidelobe_scan(
         mainlobe_width = plan.c / plan.bandwidth
     if step is None:
         step = plan.lambda_min / 20.0
-    if not (
-        math.isfinite(mainlobe_width) and mainlobe_width > 0 and math.isfinite(step) and step > 0
-    ):
-        raise ValueError(
-            f"mainlobe_width and step must be finite and positive, got {mainlobe_width!r} "
-            f"and {step!r}"
-        )
+    check_positive("mainlobe_width", mainlobe_width)
+    check_positive("step", step)
     lo = mainlobe_width / 2.0
     hi = umr(plan) / 2.0
     if not lo < hi:

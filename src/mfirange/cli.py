@@ -194,6 +194,7 @@ def _report_rows(plan: FrequencyPlan, sigma: float, include_sidelobe: bool) -> l
 def cmd_design(args) -> int:
     c = C_MODES[args.c_mode]
     method = args.method
+    sigma = _sigma_from_args(args)  # before any file is written
     extra: list[list] = []
     if method == "rips":
         _require(args, "f1", "B", "N")
@@ -242,7 +243,6 @@ def cmd_design(args) -> int:
     name = args.label or method
     plan_path = out / f"{name}.plan"
     write_plan_file(plan_path, plan)
-    sigma = _sigma_from_args(args)
     rows = _report_rows(plan, sigma, include_sidelobe=not args.skip_sidelobe) + extra
     report_path = out / f"{name}_report.{args.format}"
     write_table(report_path, ["metric", "value"], rows, args.format)

@@ -73,8 +73,8 @@ def _wrap_inplace(d: np.ndarray) -> np.ndarray:
 
 def check_positive(name: str, value: float) -> float:
     """``value`` if it is finite and above zero, else a ValueError naming it.
-    Every noise level and grid resolution is checked here: NaN fails every
-    comparison, so a bare ``value <= 0`` test lets it through."""
+    Every noise level, bandwidth, grid resolution and step is checked here:
+    NaN fails every comparison, so a bare ``value <= 0`` test lets it through."""
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
     return value
@@ -93,11 +93,15 @@ def sigma_theta_from_snr_db(snr_db: float) -> float:
 
     Uses SNR = 1/(2*sigma_theta^2), i.e. the phase noise at high SNR is the
     quadrature component of a unit carrier plus complex noise of variance
-    sigma^2 = 2*sigma_theta^2.  A non-finite SNR is refused.
+    sigma^2 = 2*sigma_theta^2.  An SNR is refused when sigma_theta would not
+    be finite and positive: NaN, +-inf, below about -3082.5 dB (the power
+    overflows) and above about 3231.3 dB (it underflows to 0).
     """
-    if not math.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, got {snr_db!r}")
-    return math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
+    try:
+        return check_positive("sigma_theta", math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0))
+    except (OverflowError, ValueError):
+        msg = f"snr_db must be finite and give a finite, positive sigma_theta, got {snr_db!r}"
+        raise ValueError(msg) from None
 
 
 def snr_db_from_sigma_theta(sigma_theta: float) -> float:

@@ -5,6 +5,14 @@ spacing, a geometric wavelength ladder, the two-ends-constrained optimum,
 the prime-spacing construction with its min-error/max-error arrangements,
 and a random baseline.  All designers emit a :class:`FrequencyPlan` whose
 spacings live on the integer resolution grid.
+
+Every designer checks B, N and its grid resolution with :func:`_check_inputs`
+first.  B, the resolution, the towers' f_max and a UMR requirement must be
+finite and positive, and N at least 2, or a plain ``ValueError`` is raised
+(CLI code ``invalid-value``).  Valid values that cannot be met together raise
+:class:`DesignInfeasible` (``design-infeasible``): M < N-1, a uniform step
+off the grid, a prime window that does not fit, or a ladder with f_max <= B
+or with frequencies that collide on the grid.
 """
 
 from __future__ import annotations
@@ -60,6 +68,15 @@ def first_primes(count: int) -> list[int]:
         limit *= 4
 
 
+def _check_inputs(bandwidth: float, n: int, resolution: float | None = None) -> None:
+    """ValueError unless B and a resolution not None are finite and positive and N >= 2."""
+    check_positive("bandwidth", bandwidth)
+    if n < 2:
+        raise ValueError(f"N must be at least 2, got {n!r}")
+    if resolution is not None:
+        check_positive("resolution", resolution)
+
+
 @dataclass(frozen=True)
 class DesignParams:
     """Inputs of the prime-window selection: the (B, N, resolution, i) tuple
@@ -72,14 +89,11 @@ class DesignParams:
     umr_requirement: float | None = None
 
     def __post_init__(self):
-        check_positive("bandwidth", self.bandwidth)
-        if self.n < 2:
-            raise ValueError("need at least two frequencies")
-        check_positive("resolution", self.resolution)
+        _check_inputs(self.bandwidth, self.n, self.resolution)
         if self.prime_index < 1:
             raise ValueError("prime_index is 1-based and must be >= 1")
-        if self.umr_requirement is not None and not self.umr_requirement > 0:
-            raise ValueError("umr_requirement must be positive when given")
+        if self.umr_requirement is not None:
+            check_positive("umr_requirement", self.umr_requirement)
 
 
 @dataclass(frozen=True)
@@ -265,7 +279,7 @@ def permute_max_error(sorted_spacings: Sequence[int]):
 def _grid_count(bandwidth: float, resolution: float, n: int) -> int:
     """M = floor(B / resolution), tolerant of float division residue; raises
     :class:`DesignInfeasible` when M < N-1 leaves no room for N frequencies."""
-    check_positive("resolution", resolution)
+    _check_inputs(bandwidth, n, resolution)
     m = int(bandwidth / resolution + 1e-9)
     if m < n - 1:
         raise DesignInfeasible(
@@ -283,12 +297,11 @@ def design_rips(
     With no explicit grid, the uniform step itself becomes the grid unit.
     An explicit ``resolution`` must divide the step exactly.
     """
-    if n < 2:
-        raise DesignInfeasible("uniform design needs N >= 2")
+    _check_inputs(bandwidth, n, resolution)
     step = bandwidth / (n - 1)
     if resolution is None:
         return FrequencyPlan(f1=f1, resolution=step, spacings=(1,) * (n - 1), c=c)
-    k = step / check_positive("resolution", resolution)
+    k = step / resolution
     k_int = round(k)
     if k_int < 1 or abs(k - k_int) > 1e-9 * max(1.0, abs(k)):
         raise DesignInfeasible(
@@ -305,10 +318,9 @@ def towers_ideal_frequencies(f_max: float, bandwidth: float, n: int) -> np.ndarr
     the synthetic-wavelength ratio (f_max - f_{i-1})/(f_max - f_i) is the
     constant f_max/B.
     """
-    if not f_max > bandwidth > 0:
-        raise DesignInfeasible("geometric ladder needs f_max > B > 0")
-    if n < 2:
-        raise DesignInfeasible("geometric ladder needs N >= 2")
+    _check_inputs(bandwidth, n)
+    if not check_positive("f_max", f_max) > bandwidth:
+        raise DesignInfeasible("geometric ladder needs f_max > B")
     i = np.arange(1, n)
     freqs = f_max - f_max * (bandwidth / f_max) ** i
     return np.sort(np.append(freqs, f_max))
@@ -324,8 +336,9 @@ def design_towers(
     :func:`towers_ideal_frequencies` for the snap error).  Snapping that
     collides two frequencies is rejected.
     """
+    _check_inputs(bandwidth, n, resolution)
     ideal = towers_ideal_frequencies(f_max, bandwidth, n)
-    grid = np.rint(ideal / check_positive("resolution", resolution)).astype(np.int64)
+    grid = np.rint(ideal / resolution).astype(np.int64)
     if len(np.unique(grid)) != n:
         raise DesignInfeasible(
             f"snapping the geometric ladder to a {resolution} Hz grid collides "

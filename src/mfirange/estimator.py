@@ -53,7 +53,7 @@ arithmetic, so the answers equal a full scan's bit for bit;
 - A visit costs its cells in float32, from the float64-wrapped model
   cast to float32.  Only a cell within 2*E(N) of the float32 minimum of
   its (trial, comb) pair, and within E(N) of the trial's best float64
-  cost so far, is costed again in float64 (:func:`_recost`).  A cell of
+  cost so far, is costed again in float64 by :func:`_cell_costs`.  A cell of
   least float64 cost passes both tests: its float32 cost is within E(N)
   of its float64 cost, which is at most the float64 cost of any other
   cell of the pair and of the trial's best so far.
@@ -93,7 +93,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, FrequencyPlan, PhaseVector, _wrap_inplace
+from .core import TWO_PI, FrequencyPlan, PhaseVector, _wrap_inplace, check_positive
 
 # Chunk sizing keeps each (trials x grid) temporary around 32 MB.
 _TARGET_ELEMS = 4_000_000
@@ -118,8 +118,7 @@ class EstimatorConfig:
             raise ValueError("search bounds must be finite")
         if not self.search_lo < self.search_hi:
             raise ValueError("search_lo must be below search_hi")
-        if not self.step > 0:
-            raise ValueError("step must be positive")
+        check_positive("step", self.step)
         if self.search_hi - self.search_lo < self.step:
             raise ValueError("search interval is narrower than one grid step")
 
@@ -156,7 +155,7 @@ def ls_cost(phases, plan: FrequencyPlan, q) -> np.ndarray | float:
     Its callers are the parabolic refine of :meth:`LsSearch.run` and the
     two-point comparison of ``montecarlo.pumr_confusion_rate``.  The tests
     check the scan kernels against it: the full scan :func:`_scan_block`
-    and the float64 re-cost :func:`_recost` of the branch and bound.  Its
+    and the float64 re-cost :func:`_cell_costs` of the branch and bound.  Its
     frequency sum is numpy's pairwise ``sum``, and the refined estimates'
     bits depend on it, so it is not the scan's plan-order sum.
     """
@@ -193,7 +192,7 @@ def _scan_block(
     observed phases and the per-chunk model phases pre-wrapped to
     (-pi, pi], the residual lies in (-2*pi, 2*pi) and its wrapped square
     is min(|d|, 2*pi - |d|)^2, which avoids a rounding pass per element;
-    :func:`_recost` applies the same :func:`_wrapped_square`, term by
+    :func:`_cell_costs` applies the same :func:`_wrapped_square`, term by
     term in plan order, to the cells the B&B visits.
     """
     t = phases.shape[0]
@@ -358,26 +357,14 @@ def _cell_costs(phases, model, combs) -> np.ndarray:
     return acc
 
 
-def _recost(phases, coef, q) -> np.ndarray:
-    """Float64 costs of the phase vectors ``phases`` (cells x N) at the
-    grid values ``q``, equal to :func:`_scan_block`'s bit for bit: the
-    same model and residual arithmetic, and the N terms added one after
-    another in plan order (``np.sum`` would add them pairwise)."""
-    d = _wrap_inplace(coef[:, None] * q)
-    np.subtract(phases.T, d, out=d)
-    acc = np.zeros(q.size)
-    for term in _wrapped_square(d, np.empty_like(d)):
-        acc += term
-    return acc
-
-
 def _visit(phases, coef, grid, table, rows, combs, best_val, best_idx) -> None:
     """Cost the (trial, comb) pairs and keep each trial's lowest-index minimum.
 
     Cells are costed in float32.  Only a cell within 2*E(N) of its pair's
     float32 minimum, and within E(N) of its trial's best cost so far, can
     hold or tie the float64 minimum; those alone are costed again by
-    :func:`_recost`, and the least (cost, grid index) of each trial wins.
+    :func:`_cell_costs` in float64, each as a comb of one cell, and the
+    least (cost, grid index) of each trial wins.
     ``best_val`` and ``best_idx`` are updated in place.
     """
     e = _allowance(coef.size)
@@ -392,7 +379,8 @@ def _visit(phases, coef, grid, table, rows, combs, best_val, best_idx) -> None:
         cap = np.minimum(np.add(acc.min(axis=1), 2.0 * e, dtype=np.float64), best_val[r] + e)
         pair, j = np.nonzero(acc <= cap[:, None])
         r, idx = r[pair], cells[inv[pair], j]
-        val = _recost(ph[pair], coef, grid[idx])
+        model64 = _wrap_inplace(coef[:, None, None] * grid[idx][:, None])
+        val = _cell_costs(ph[pair], model64, np.arange(idx.size))[:, 0]
         # Per trial: least cost, then least index; a trial whose cost
         # drops forgets its old index.
         prev = best_val[r]

@@ -1,12 +1,30 @@
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfirange import C_PAPER, EstimatorConfig, FrequencyPlan, NoiseModel, synth_phases
-from mfirange.cli import CliError, main, read_plan_file, write_plan_file
-from mfirange.records import Experiment, write_record
+import mfirange
+from mfirange import (
+    C_PAPER,
+    EstimatorConfig,
+    FrequencyPlan,
+    NoiseModel,
+    design_random,
+    ls_estimate,
+    synth_phases,
+    towers_ideal_frequencies,
+)
+from mfirange.cli import DESIGN_METHODS, CliError, main, read_plan_file, write_plan_file
+from mfirange.records import Experiment, read_record, write_record
+
+
+SNR_REFUSED = "snr_db must be finite and give a finite, positive sigma_theta"
 
 
 def run_cli(*args):
@@ -52,23 +70,78 @@ class TestDesignAnalyze:
         assert err_lines[0].startswith("error: design-infeasible:")
 
     @pytest.mark.parametrize(
-        "method", ["rips", "towers", "constrained-optimal", "prime-min-error", "prime-max-error",
-                   "random"],
+        "method, flag, value, message",
+        [(method, flag, value, message)
+         for method in DESIGN_METHODS
+         for flag, value, message in
+         [("--res", v, f"resolution must be finite and positive, got {float(v)!r}")
+          for v in ("0", "-65", "nan", "inf")]
+         + [("--B", v, f"bandwidth must be finite and positive, got {float(v)!r}")
+            for v in ("0", "-2e7", "nan", "inf", "-inf")]
+         + [("--N", v, f"N must be at least 2, got {v}") for v in ("1", "0", "-3")]
+         + [("--snr", "-4000", f"{SNR_REFUSED}, got -4000.0")]]
+        + [("towers", "--fN", v, f"f_max must be finite and positive, got {float(v)!r}")
+           for v in ("inf", "nan", "0")]
+        + [(method, "--umr-requirement", v, f"umr_requirement must be finite and positive, got {float(v)!r}")
+           for method in ("prime-min-error", "prime-max-error") for v in ("inf", "nan", "0")],
     )
-    @pytest.mark.parametrize("res", ["0", "-65", "nan", "inf"])
-    def test_bad_resolution_is_one_error_line(self, tmp_path, capsys, method, res):
+    def test_bad_design_input_is_one_error_line(self, tmp_path, capsys, method, flag, value, message):
         # Every method divides by the grid; towers' 1 Hz default applies
-        # only when --res is absent.
+        # only when --res is absent.  Each case fails before a file is written.
+        flags = {"--B": "20e6", "--N": "5", "--f1": "400e6", "--fN": "420e6", "--res": "1e3", "--seed": "1"}
+        flags[flag] = value
         rc = run_cli(
-            "design", "--method", method, "--B", "20e6", "--N", "5", "--f1", "400e6",
-            "--fN", "420e6", "--res", res, "--seed", "1", "--out", tmp_path, "--skip-sidelobe",
+            "design", "--method", method, *itertools.chain(*flags.items()), "--out", tmp_path,
+            "--skip-sidelobe",
         )
         captured = capsys.readouterr()
         assert rc == 2
-        assert captured.err == f"error: invalid-value: resolution must be finite and positive, got {float(res)!r}\n"
+        assert captured.err == f"error: invalid-value: {message}\n"
         assert not list(tmp_path.iterdir())
 
+    def test_towers_reports_snap_error(self, tmp_path):
+        rc = run_cli(
+            "design", "--method", "towers", "--fN", "420e6", "--B", "20e6", "--N", "5",
+            "--res", "1e3", "--out", tmp_path, "--skip-sidelobe",
+        )
+        assert rc == 0
+        report = dict(
+            line.split(",", 1) for line in (tmp_path / "towers_report.csv").read_text().splitlines()[1:]
+        )
+        plan = read_plan_file(tmp_path / "towers.plan")
+        snap = np.max(np.abs(plan.frequencies - towers_ideal_frequencies(420e6, 20e6, 5)))
+        assert float(report["max_snap_error_hz"]) == snap
+        assert 0 < snap <= 500.0
+
+    def test_random_reports_seed_and_needs_one(self, tmp_path, capsys):
+        argv = ["design", "--method", "random", "--f1", "400e6", "--B", "20e6", "--N", "5", "--res", "1e3",
+                "--skip-sidelobe"]
+        assert run_cli(*argv, "--out", tmp_path / "none") == 2
+        assert capsys.readouterr().err == "error: usage: --seed is required for the random method\n"
+        assert not (tmp_path / "none").exists()
+        assert run_cli(*argv, "--seed", "7", "--out", tmp_path) == 0
+        report = (tmp_path / "random_report.csv").read_text().splitlines()
+        assert report[-1] == "seed,7"
+        rng = np.random.Generator(np.random.Philox(key=7))
+        assert read_plan_file(tmp_path / "random.plan") == design_random(400e6, 20e6, 5, 1e3, rng)
+
+    def test_missing_required_flag_is_usage_error(self, tmp_path, capsys):
+        rc = run_cli("design", "--method", "rips", "--B", "20e6", "--out", tmp_path)
+        assert rc == 2
+        assert capsys.readouterr().err == "error: usage: method 'rips' requires --f1, --N\n"
+        assert not tmp_path.joinpath("rips.plan").exists()
+
+    def test_analyze_prints_the_report_rows(self, tmp_path, capsys):
+        write_plan_file(tmp_path / "p.plan", FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1, 2)))
+        assert run_cli("analyze", "--plan", tmp_path / "p.plan", "--snr", "10") == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert run_cli("analyze", "--plan", tmp_path / "p.plan", "--snr", "10", "--out", tmp_path) == 0
+        written = (tmp_path / "p_report.csv").read_text().splitlines()[1:]
+        assert printed == [line.replace(",", " = ", 1) for line in written]
+        assert printed[0].startswith("umr_m = ")
+
     @pytest.mark.parametrize("flag, value", [("--snr", "nan"), ("--snr", "inf"), ("--snr", "-inf"),
+                                             ("--snr", "-4000"), ("--snr", "4000"),
                                              ("--sigma", "nan"), ("--sigma", "inf"), ("--sigma", "0")])
     def test_analyze_refuses_non_finite_noise(self, tmp_path, capsys, flag, value):
         write_plan_file(tmp_path / "p.plan", FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1, 2)))
@@ -216,15 +289,18 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "key, value, problem",
-        [("snr_db", "10,nan", "snr_db must be finite, got nan"),
-         ("snr_db", "-inf", "snr_db must be finite, got -inf"),
-         ("snr_db", "inf,20", "snr_db must be finite, got inf"),
+        [("snr_db", "10,nan", f"{SNR_REFUSED}, got nan"),
+         ("snr_db", "-inf", f"{SNR_REFUSED}, got -inf"),
+         ("snr_db", "inf,20", f"{SNR_REFUSED}, got inf"),
+         ("snr_db", "4000,20", f"{SNR_REFUSED}, got 4000.0"),
+         ("snr_db", "-4000", f"{SNR_REFUSED}, got -4000.0"),
          ("q0_m", "nan", "q0 must be finite, got nan"),
          ("q0_m", "inf", "q0 must be finite, got inf")],
     )
-    def test_non_finite_snr_and_q0_are_validation_errors(self, tmp_path, capsys, key, value, problem):
+    def test_bad_snr_and_q0_are_validation_errors(self, tmp_path, capsys, key, value, problem):
         # Listed with every other problem before any block is drawn; at
-        # +inf dB every block would be drawn noise-free.
+        # +inf dB (or above about 3231 dB, where sigma_theta underflows to
+        # 0) every block would be drawn noise-free.
         cfg = self.write_campaign(tmp_path, trials="0", **{key: value})
         rc = run_cli("simulate", "--config", cfg, "--out", tmp_path / "bad")
         err = capsys.readouterr().err
@@ -413,13 +489,27 @@ class TestEstimateReplay:
     @pytest.mark.parametrize(
         "args, message",
         [(["--record", "missing.csv"], "--experiment is required with --record"),
-         (["--phases", "0.1,0.2"], "--plan is required with --phases")],
+         (["--phases", "0.1,0.2"], "--plan is required with --phases"),
+         (["--phases", "0.1,0.2", "--record", "missing.csv"], "give exactly one of --phases / --record"),
+         ([], "give exactly one of --phases / --record")],
     )
     def test_estimate_usage_checked_before_files(self, tmp_path, capsys, args, message):
         # No file is read, so the missing record is not what is reported.
         rc = run_cli("estimate", *args, "--lo", 0, "--hi", 10, "--step", 0.01)
         assert rc == 2
         assert capsys.readouterr().err == f"error: usage: {message}\n"
+
+    def test_estimate_from_record(self, tmp_path, capsys):
+        rec = self.make_record(tmp_path)
+        argv = ["estimate", "--record", rec, "--lo", 10, "--hi", 30, "--step", 0.002]
+        assert run_cli(*argv, "--experiment", "e2") == 0
+        out = capsys.readouterr().out
+        record = read_record(rec)
+        exp = next(e for e in record.experiments if e.experiment_id == "e2")
+        est = ls_estimate(exp.phases, record.plan, EstimatorConfig(10.0, 30.0, 0.002))
+        assert out == f"q_hat_m = {est.q_hat!r}\ncost_at_min = {est.cost_at_min!r}\n"
+        assert run_cli(*argv, "--experiment", "e9") == 2
+        assert capsys.readouterr().err == "error: record: experiment 'e9' not found\n"
 
     def test_estimate_nan_phase_is_invalid_value(self, tmp_path, capsys):
         write_plan_file(tmp_path / "p.plan", FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1, 1)))
@@ -458,3 +548,22 @@ def test_subcommands_refuse_flags_they_do_not_read(tmp_path, capsys, argv):
     assert rc == 2
     assert captured.err.startswith("error: usage:")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["plan", "config"])
+def test_line_without_equals_sign_is_config_error(tmp_path, capsys, kind):
+    path = tmp_path / f"x.{kind}"
+    path.write_text("# comment\nf1_hz = 400e6\nspacings_grid 1,2\n")
+    argv = ["analyze", "--plan", path] if kind == "plan" else ["simulate", "--config", path, "--out", tmp_path / "o"]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: config: {path}:3: expected 'key = value'\n"
+
+
+def test_python_dash_m_entry_point(tmp_path):
+    env = {"PYTHONPATH": str(Path(mfirange.__file__).parents[1]), "PATH": os.environ.get("PATH", "")}
+    run = [sys.executable, "-m", "mfirange"]
+    ok = subprocess.run([*run, "--help"], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert ok.returncode == 0 and ok.stdout.startswith("usage: mfirange")
+    bad = subprocess.run([*run, "design"], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.count("\n") == 1 and bad.stderr.startswith("error: usage:")

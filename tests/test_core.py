@@ -126,13 +126,19 @@ class TestNoiseModel:
             math.sqrt(0.05)
         )
 
-    @pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf])
-    def test_non_finite_snr_refused(self, snr):
-        # +inf dB would give sigma_theta = 0, a noise-free "noisy" model.
-        with pytest.raises(ValueError, match=f"snr_db must be finite, got {snr!r}"):
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf, 3231.4, 4000.0, -3082.6, -4000.0])
+    def test_snr_without_finite_positive_sigma_refused(self, snr):
+        # +inf dB, or above about 3231.3 dB, would give sigma_theta = 0, a
+        # noise-free "noisy" model; below about -3082.5 dB the power overflows.
+        msg = f"^snr_db must be finite and give a finite, positive sigma_theta, got {snr!r}$"
+        with pytest.raises(ValueError, match=msg):
             sigma_theta_from_snr_db(snr)
-        with pytest.raises(ValueError, match=f"snr_db must be finite, got {snr!r}"):
+        with pytest.raises(ValueError, match=msg):
             NoiseModel.complex_awgn(snr_db=snr)
+
+    @pytest.mark.parametrize("snr", [3231.3, -3082.5])
+    def test_snr_near_the_limits_keeps_the_formula(self, snr):
+        assert sigma_theta_from_snr_db(snr) == math.sqrt(10.0 ** (-snr / 10.0) / 2.0) > 0
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -0.1])
     def test_sigma_theta_must_be_finite_and_positive(self, sigma):

@@ -169,25 +169,56 @@ class TestDesigners:
         plan = design_rips(400e6, 40e6, 41, resolution=0.5e6, c=C_PAPER)
         assert plan.spacings == (2,) * 40
 
+    @staticmethod
+    def every_designer(b=20e6, n=5, res=1e6):
+        """One call of each designer; the prime designers take a DesignParams."""
+        rng = np.random.default_rng(0)
+        return [
+            lambda: design_rips(400e6, b, n, resolution=res),
+            lambda: design_towers(420e6, b, n, resolution=res),
+            lambda: design_constrained_optimal(400e6, b, n, res),
+            lambda: design_random(400e6, b, n, res, rng),
+            lambda: DesignParams(bandwidth=b, n=n, resolution=res),
+        ]
+
     @pytest.mark.parametrize("res", [0.0, -1.0, math.nan, math.inf])
     def test_resolution_refused_before_any_division(self, res):
         # Every designer divides by the resolution, so the check comes first.
-        rng = np.random.default_rng(0)
-        for design in [
-            lambda: design_rips(400e6, 20e6, 5, resolution=res),
-            lambda: design_towers(420e6, 20e6, 5, resolution=res),
-            lambda: design_constrained_optimal(400e6, 20e6, 5, res),
-            lambda: design_random(400e6, 20e6, 5, res, rng),
-            lambda: DesignParams(bandwidth=20e6, n=5, resolution=res),
-        ]:
+        for design in self.every_designer(res=res):
             with pytest.raises(ValueError, match=f"^resolution must be finite and positive, got {res!r}$"):
                 design()
 
-    @pytest.mark.parametrize("b", [0.0, math.nan, math.inf])
-    def test_prime_bandwidth_must_be_finite_and_positive(self, b):
-        # inf // (resolution * window sum) is NaN, which no common factor K is.
-        with pytest.raises(ValueError, match=f"^bandwidth must be finite and positive, got {b!r}$"):
-            DesignParams(bandwidth=b, n=5, resolution=65.0)
+    @pytest.mark.parametrize("b", [0.0, -2e7, math.nan, math.inf, -math.inf])
+    def test_bandwidth_must_be_finite_and_positive(self, b):
+        # An infinite B overflowed int(B / resolution) and round(B / (N-1)),
+        # and inf // (resolution * window sum) is NaN, which no K is.
+        for design in self.every_designer(b=b) + [lambda: towers_ideal_frequencies(420e6, b, 5)]:
+            with pytest.raises(ValueError, match=f"^bandwidth must be finite and positive, got {b!r}$"):
+                design()
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_fewer_than_two_frequencies_is_one_plain_value_error(self, n):
+        # constrained-optimal and random once returned a 2-frequency plan.
+        for design in self.every_designer(n=n) + [lambda: towers_ideal_frequencies(420e6, 20e6, n)]:
+            with pytest.raises(ValueError, match=f"^N must be at least 2, got {n!r}$") as err:
+                design()
+            assert type(err.value) is ValueError
+
+    @pytest.mark.parametrize("f_max", [0.0, -4.2e8, math.nan, math.inf])
+    def test_towers_f_max_must_be_finite_and_positive(self, f_max):
+        for design in (lambda: design_towers(f_max, 20e6, 5), lambda: towers_ideal_frequencies(f_max, 20e6, 5)):
+            with pytest.raises(ValueError, match=f"^f_max must be finite and positive, got {f_max!r}$") as err:
+                design()
+            assert type(err.value) is ValueError
+        with pytest.raises(DesignInfeasible, match="needs f_max > B"):
+            towers_ideal_frequencies(20e6, 20e6, 5)
+
+    @pytest.mark.parametrize("umr", [math.inf, math.nan, 0.0])
+    def test_umr_requirement_must_be_finite_and_positive(self, umr):
+        # An infinite requirement advanced the prime index to 7561 before
+        # the window failed to fit the bandwidth.
+        with pytest.raises(ValueError, match=f"^umr_requirement must be finite and positive, got {umr!r}$"):
+            DesignParams(bandwidth=40.378e6, n=31, resolution=65.0, umr_requirement=umr)
 
     def test_towers_geometric(self):
         plan = design_towers(500e6, 100e6, 3, c=C_PAPER)

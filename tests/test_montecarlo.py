@@ -46,6 +46,8 @@ class TestTrialStreams:
         assert np.array_equal(m1, m2)
 
 
+SNR_REFUSED = "snr_db must be finite and give a finite, positive sigma_theta"
+
 NOISES = {
     "phase-gaussian": NoiseModel.phase_gaussian(snr_db=10.0),
     "complex-awgn": NoiseModel.complex_awgn(snr_db=5.0),
@@ -192,13 +194,15 @@ class TestCampaignValidation:
 
     @pytest.mark.parametrize(
         "q0, snrs, problem",
-        [(0.0, [10.0, math.nan], "snr_db must be finite, got nan"),
-         (0.0, [math.inf], "snr_db must be finite, got inf"),
-         (0.0, [-math.inf, 10.0], "snr_db must be finite, got -inf"),
+        [(0.0, [10.0, math.nan], f"{SNR_REFUSED}, got nan"),
+         (0.0, [math.inf], f"{SNR_REFUSED}, got inf"),
+         (0.0, [-math.inf, 10.0], f"{SNR_REFUSED}, got -inf"),
+         (0.0, [10.0, 4000.0], f"{SNR_REFUSED}, got 4000.0"),
          (math.nan, [10.0], "q0 must be finite, got nan"),
          (-math.inf, [10.0], "q0 must be finite, got -inf")],
     )
-    def test_non_finite_snr_and_q0_rejected(self, plan21, q0, snrs, problem):
+    def test_bad_snr_and_q0_rejected(self, plan21, q0, snrs, problem):
+        # 4000 dB is finite, but its sigma_theta underflows to 0.
         with pytest.raises(CampaignValidationError) as err:
             CampaignSpec.build(
                 plans={"a": plan21}, q0=q0, snr_grid=snrs, trials=1, seed=1,

@@ -25,6 +25,19 @@ from mfirange.records import Experiment, read_record, write_record
 
 
 SNR_REFUSED = "snr_db must be finite and give a finite, positive sigma_theta"
+_POSITIVE = "{} must be finite and positive, got {!r}"
+# (method, flag, value, message): one refused design input per case.
+BAD_DESIGN_INPUTS = (
+    [(m, "--res", v, _POSITIVE.format("resolution", float(v)))
+     for m in DESIGN_METHODS for v in ("0", "-65", "nan", "inf")]
+    + [(m, "--B", v, _POSITIVE.format("bandwidth", float(v)))
+       for m in DESIGN_METHODS for v in ("0", "-2e7", "nan", "inf", "-inf")]
+    + [(m, "--N", v, f"N must be at least 2, got {v}") for m in DESIGN_METHODS for v in ("1", "0", "-3")]
+    + [(m, "--snr", "-4000", f"{SNR_REFUSED}, got -4000.0") for m in DESIGN_METHODS]
+    + [("towers", "--fN", v, _POSITIVE.format("f_max", float(v))) for v in ("inf", "nan", "0")]
+    + [(m, "--umr-requirement", v, _POSITIVE.format("umr_requirement", float(v)))
+       for m in ("prime-min-error", "prime-max-error") for v in ("inf", "nan", "0")]
+)
 
 
 def run_cli(*args):
@@ -69,22 +82,7 @@ class TestDesignAnalyze:
         assert len(err_lines) == 1
         assert err_lines[0].startswith("error: design-infeasible:")
 
-    @pytest.mark.parametrize(
-        "method, flag, value, message",
-        [(method, flag, value, message)
-         for method in DESIGN_METHODS
-         for flag, value, message in
-         [("--res", v, f"resolution must be finite and positive, got {float(v)!r}")
-          for v in ("0", "-65", "nan", "inf")]
-         + [("--B", v, f"bandwidth must be finite and positive, got {float(v)!r}")
-            for v in ("0", "-2e7", "nan", "inf", "-inf")]
-         + [("--N", v, f"N must be at least 2, got {v}") for v in ("1", "0", "-3")]
-         + [("--snr", "-4000", f"{SNR_REFUSED}, got -4000.0")]]
-        + [("towers", "--fN", v, f"f_max must be finite and positive, got {float(v)!r}")
-           for v in ("inf", "nan", "0")]
-        + [(method, "--umr-requirement", v, f"umr_requirement must be finite and positive, got {float(v)!r}")
-           for method in ("prime-min-error", "prime-max-error") for v in ("inf", "nan", "0")],
-    )
+    @pytest.mark.parametrize("method, flag, value, message", BAD_DESIGN_INPUTS)
     def test_bad_design_input_is_one_error_line(self, tmp_path, capsys, method, flag, value, message):
         # Every method divides by the grid; towers' 1 Hz default applies
         # only when --res is absent.  Each case fails before a file is written.

@@ -215,7 +215,7 @@ class TestDesigners:
 
     @pytest.mark.parametrize("umr", [math.inf, math.nan, 0.0])
     def test_umr_requirement_must_be_finite_and_positive(self, umr):
-        # An infinite requirement advanced the prime index to 7561 before
+        # An infinite requirement advanced the prime index to 2319 before
         # the window failed to fit the bandwidth.
         with pytest.raises(ValueError, match=f"^umr_requirement must be finite and positive, got {umr!r}$"):
             DesignParams(bandwidth=40.378e6, n=31, resolution=65.0, umr_requirement=umr)

@@ -20,16 +20,18 @@ float64 phases, their wrap, and the exponentials and sums of the visited
 points, plus 2 N (N + 20) 2^-24 for the float32 centre values: per term,
 pi 2^-24 for the cast of the phase and 16 2^-24 for cos or sin (numpy's
 float32 cos and sin are within 1.2 2^-24 on [-pi, pi]); (N - 1) N 2^-24
-for each N-term float32 sum of terms of size at most 1; a factor sqrt(2)
-for the two components and 2 N 2^-24 for the float32 modulus.  So the
-bound also holds for the computed AF values, which :func:`ambiguity_fn`
-takes in float64.  The scan makes two passes: it visits
-the block of highest bound, then, in one batch, every other block whose
-bound is not below the best value that first block gave; a block whose
-bound is below it holds no point that can reach it.  Every visited point
-is costed by :func:`ambiguity_fn` on its own, so its value is the one a
-full scan computes, and the result (the maximum, at the lowest grid
-location among equal values) is the full scan's.
+for each N-term float32 sum of terms of size at most 1, which bounds the
+sum taken in any order, so :func:`_block_bounds` adds the terms up one
+frequency at a time; a factor sqrt(2) for the two components and
+2 N 2^-24 for the float32 modulus.  So the bound also holds for the
+computed AF values, which :func:`ambiguity_fn` takes in float64.  The
+scan makes two passes: it visits the block of highest bound, then, in one
+batch, every other block whose bound is not below the best value that
+first block gave; a block whose bound is below it holds no point that can
+reach it.  Every visited point is costed by :func:`ambiguity_fn` on its
+own, so its value is the one a full scan computes, and the result (the
+maximum, at the lowest grid location among equal values) is the full
+scan's.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ from .core import (
     wrap_phase,
 )
 
-# Chunk sizing keeps each (points x frequencies) complex128 temporary of the
-# sidelobe scan around 8 MB.
-_SCAN_ELEMS = 1 << 19
+# Points x frequencies per slice of :func:`ambiguity_fn`: each of its
+# complex128 temporaries stays near 512 KB, however many points it is given.
+# A sidelobe-scan block holds at most one slice.
+_SCAN_ELEMS = 1 << 15
 
 
 def umr(plan: FrequencyPlan) -> float:
@@ -127,14 +130,21 @@ def ambiguity_fn(plan: FrequencyPlan, dq) -> np.ndarray | float:
     """Normalized ambiguity function |sum_i exp(j*2*pi*f_i*dq/c)|^2 / N^2.
 
     1 at dq = 0 and at every multiple of the UMR; sidelobe levels are
-    proportional to the outlier probability at that range offset.
+    proportional to the outlier probability at that range offset.  The
+    points are taken in slices of ``_SCAN_ELEMS // N``, so the temporaries
+    do not grow with their count; each point's value is the same as in one
+    pass over all of them.
     """
     arr = np.asarray(dq, dtype=float)
-    s = _array_sum(plan, arr)
-    val = (s.real**2 + s.imag**2) / plan.n**2
+    flat = arr.reshape(-1)
+    val = np.empty(flat.size)
+    rows = max(1, _SCAN_ELEMS // plan.n)
+    for a in range(0, flat.size, rows):
+        s = _array_sum(plan, flat[a : a + rows])
+        val[a : a + rows] = (s.real**2 + s.imag**2) / plan.n**2
     if arr.ndim == 0:
-        return float(val)
-    return val
+        return float(val[0])
+    return val.reshape(arr.shape)
 
 
 @dataclass(frozen=True)
@@ -171,12 +181,20 @@ def _block_bounds(
     ends = np.minimum(starts + width, n_pts) - 1
     centres = lo + step * (0.5 * (starts + ends))
     half = (0.5 * step) * (ends - starts)
-    mag = np.empty(starts.size)
-    chunk = max(1, _SCAN_ELEMS // plan.n)
-    for a in range(0, starts.size, chunk):
-        phase = (TWO_PI / plan.c) * np.multiply.outer(centres[a : a + chunk], plan.frequencies)
-        phase = _wrap_inplace(phase).astype(np.float32)
-        mag[a : a + chunk] = np.hypot(np.cos(phase).sum(axis=-1), np.sin(phase).sum(axis=-1))
+    # The float32 sums are taken one frequency at a time, so the temporaries
+    # are the length of the centre list, not (centres x N).
+    cos_sum = np.zeros(starts.size, np.float32)
+    sin_sum = np.zeros(starts.size, np.float32)
+    phase = np.empty(starts.size)
+    phase32 = np.empty(starts.size, np.float32)
+    term = np.empty(starts.size, np.float32)
+    for f in plan.frequencies:
+        np.multiply(centres, f, out=phase)
+        phase *= TWO_PI / plan.c
+        phase32[:] = _wrap_inplace(phase)
+        cos_sum += np.cos(phase32, out=term)
+        sin_sum += np.sin(phase32, out=term)
+    mag = np.hypot(cos_sum, sin_sum)
     reach = (TWO_PI / plan.c) * plan.frequencies[-1] * (lo + step * (n_pts - 1)) + TWO_PI
     slack = 32.0 * plan.n * np.spacing(reach) + 2.0 * plan.n * (plan.n + 20) * 2.0**-24
     return np.square((mag + slope * half + slack) / plan.n)
@@ -203,10 +221,9 @@ def sidelobe_scan(
     each block of grid points has the bound
     (|S(x_c)| + L*h + slack)^2 / N^2.  The block of highest bound is
     visited first; then every other block whose bound is not below the
-    best value is visited, in ascending order and chunks of at most
-    ``_SCAN_ELEMS`` elements.  A visited point with a value equal to the
-    best replaces it only if it lies lower, so the result is the full
-    scan's bit for bit.
+    best value is visited, in ascending order and one batch.  A visited
+    point with a value equal to the best replaces it only if it lies lower,
+    so the result is the full scan's bit for bit.
     """
     if mainlobe_width is None:
         mainlobe_width = plan.c / plan.bandwidth
@@ -239,9 +256,8 @@ def sidelobe_scan(
     # A block whose bound equals the best value may still tie it lower down.
     open_blocks = np.nonzero(bounds >= best_val)[0]
     open_blocks = open_blocks[open_blocks != top]
-    cap = max(1, _SCAN_ELEMS // (plan.n * width))  # blocks per batch
-    for a in range(0, open_blocks.size, cap):
-        visit(open_blocks[a : a + cap])
+    if open_blocks.size:
+        visit(open_blocks)
     return SidelobePeak(value=best_val, location=lo + step * best_k)
 
 

@@ -8,11 +8,12 @@ spacings live on the integer resolution grid.
 
 Every designer checks B, N and its grid resolution with :func:`_check_inputs`
 first.  B, the resolution, the towers' f_max and a UMR requirement must be
-finite and positive, and N at least 2, or a plain ``ValueError`` is raised
-(CLI code ``invalid-value``).  Valid values that cannot be met together raise
-:class:`DesignInfeasible` (``design-infeasible``): M < N-1, a uniform step
-off the grid, a prime window that does not fit, or a ladder with f_max <= B
-or with frequencies that collide on the grid.
+finite and positive, B / resolution finite and N at least 2, or a plain
+``ValueError`` is raised (CLI code ``invalid-value``).  Valid values that
+cannot be met together raise :class:`DesignInfeasible`
+(``design-infeasible``): M < N-1, a uniform step off the grid, a prime
+window that does not fit, or a ladder with f_max <= B or with frequencies
+that collide on the grid.
 """
 
 from __future__ import annotations
@@ -69,12 +70,17 @@ def first_primes(count: int) -> list[int]:
 
 
 def _check_inputs(bandwidth: float, n: int, resolution: float | None = None) -> None:
-    """ValueError unless B and a resolution not None are finite and positive and N >= 2."""
+    """ValueError unless B and a resolution not None are finite and positive,
+    N >= 2, and B / resolution is finite."""
     check_positive("bandwidth", bandwidth)
     if n < 2:
         raise ValueError(f"N must be at least 2, got {n!r}")
     if resolution is not None:
         check_positive("resolution", resolution)
+        if math.isinf(bandwidth / resolution):
+            raise ValueError(
+                f"bandwidth / resolution must be finite, got {bandwidth!r} / {resolution!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -397,7 +403,9 @@ def design_random(
     spacings are positive integers summing exactly to M = floor(B/res).
     """
     m = _grid_count(bandwidth, resolution, n)
-    interior = rng.choice(np.arange(1, m), size=n - 2, replace=False) if n > 2 else np.empty(0, int)
+    # Drawn from the M - 1 interior indices without building them: the same
+    # draws as rng.choice(np.arange(1, m), ...), in memory that grows with N.
+    interior = rng.choice(m - 1, size=n - 2, replace=False) + 1 if n > 2 else np.empty(0, int)
     points = np.sort(np.concatenate(([0], interior, [m]))).astype(np.int64)
     spacings = tuple(int(d) for d in np.diff(points))
     return FrequencyPlan(f1=f1, resolution=resolution, spacings=spacings, c=c)

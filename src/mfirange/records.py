@@ -33,15 +33,18 @@ experiment; q0 finite; q0 equal to the experiment's earlier q0.  Only
 when every row passes is the first experiment, in first-seen order, that
 misses a frequency reported.
 
-:func:`read_record` reads the text whole and parses it in chunks of about
-``_CHUNK_CHARS`` characters, each ending at a line break.  Only per-row
-numpy arrays and the state the parse keeps (the header lines, the
-experiment ids and one ``float()`` per distinct frequency and q0 text)
-outlive a chunk, so the lines and fields of the whole file never exist
-at once.  Its peak is the text, one chunk's strings and about 33 bytes per
-data row: about 2.5 times the file size on a 46 500-row record, where
-the lines and fields of the whole file took 10.6 times.  The chunks change
-no result and no error, since every row is judged by its own line.
+:func:`read_record` reads the file in chunks of about ``_CHUNK_CHARS``
+characters, each ending at a line break, and parses each chunk as it is
+read.  Only per-row numpy arrays and the state the parse keeps (the header
+lines, the experiment ids and one ``float()`` per distinct frequency and
+q0 text) outlive a chunk, so the text, lines and fields of the whole file
+never exist at once.  The checks then judge the rows in slices of
+``_CHECK_ROWS``.  The peak is one chunk's strings or one slice's
+temporaries on top of about 50 bytes per data row: 3.7 MB traced, 1.3
+times the file size, on a 46 500-row record of 2.7 MB, where holding the
+text and full-length check temporaries took 6.9 MB.  Chunks and slices
+change no result and no error, since every row is judged by its own line
+and by earlier rows.
 """
 
 from __future__ import annotations
@@ -57,9 +60,11 @@ import numpy as np
 from .core import C_EXACT, C_PAPER, FrequencyPlan, _check_phases
 
 C_MODES = {"exact": C_EXACT, "paper-repro": C_PAPER}
-# Characters per parse chunk of a phase record: 2^18 keeps one chunk's
-# line and field strings near 2.5 MB.
-_CHUNK_CHARS = 1 << 18
+# Characters per parse chunk of a phase record: 2^16 keeps one chunk's
+# text, line and field strings near 0.6 MB.
+_CHUNK_CHARS = 1 << 16
+# Data rows per slice of the record checks: each temporary stays near 64 KB.
+_CHECK_ROWS = 1 << 13
 
 
 class RecordFormatError(ValueError):
@@ -269,14 +274,18 @@ def _fields(data: list[str], row0: int) -> tuple[list[str], np.ndarray]:
     return list(chain.from_iterable(rows)), np.fromiter(map(len, rows), np.intp, len(rows))
 
 
-def _chunks(text: str):
-    """``text`` in slices of at least ``_CHUNK_CHARS`` characters, each
-    ending at a '\\n' (the last one at the end of the text)."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        yield text[start:end]
-        start = end
+def _chunks(path):
+    """The text of the file at ``path`` in pieces of at least ``_CHUNK_CHARS``
+    characters, each ending at a line break (the last one at the end of the
+    text), with every line break (\\n, \\r\\n and \\r, as in a newline=""
+    file) made '\\n'.  Only one piece is held at a time."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        while chunk := fh.read(_CHUNK_CHARS):
+            chunk += fh.readline()
+            # A \r\n becomes a line break and a blank line, which the parse drops.
+            if "\r" in chunk:
+                chunk = chunk.replace("\r", "\n")
+            yield chunk
 
 
 class _Rows:
@@ -355,84 +364,110 @@ class _Rows:
         return [np.concatenate(part) for part in parts]
 
 
-def _read_text(path) -> str:
-    """The text of a file, with its line breaks (\\n, \\r\\n and \\r, as in a
-    newline="" file) all made '\\n'."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        text = fh.read()
-    # A \r\n becomes a line break and a blank line, which the parse drops.
-    return text.replace("\r", "\n") if "\r" in text else text
+def _nearest_slots(freqs: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Each frequency's plan slot: the nearest plan frequency, the lower
+    index on ties (as argmin picks), then the first of equal plan
+    frequencies.  NaN sorts last, so it takes the last slot."""
+    above = np.searchsorted(freqs, f)
+    lower = np.maximum(above - 1, 0)
+    upper = np.minimum(above, freqs.size - 1)
+    slot = np.where(np.abs(freqs[lower] - f) <= np.abs(freqs[upper] - f), lower, upper)
+    return np.searchsorted(freqs, freqs[slot])
+
+
+def _check_rows(
+    plan: FrequencyPlan, exp_ids: list[str], parse_errors: dict[int, ValueError], columns
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's plan slot and each experiment's last q0 row (-1 if none),
+    after judging every row; raises the first failing row's first failing
+    check (see the module docstring).
+
+    Rows are judged in slices of ``_CHECK_ROWS``, in file order.  A row's
+    checks look only at the row and at earlier ones: the repeated-frequency
+    and q0 checks compare it with the first row of its (experiment, slot)
+    and the first q0 row of its experiment, which the slices record as they
+    go.  So the first failing row lies in the first slice that holds one,
+    and no temporary is longer than a slice.
+    """
+    group, f, ph, q0, has_q0 = columns
+    freqs = plan.frequencies
+    n = plan.n
+    m = len(group)
+    unparsed = np.zeros(m, bool)
+    unparsed[list(parse_errors)] = True
+    slot = np.empty(m, np.intp)
+    first = np.full(len(exp_ids) * n, m)  # each (experiment, slot)'s first row
+    first_q0 = np.full(len(exp_ids), m)
+    last_q0 = np.full(len(exp_ids), -1)
+
+    def exp(r: int) -> str:
+        return f"experiment {exp_ids[group[r]]}"
+
+    messages = (  # in the order one row is judged
+        lambda r: f"data row {r + 1}: {parse_errors[r]}",
+        lambda r: f"{exp(r)}: phase {float(ph[r])} at {float(f[r])} Hz outside (-pi, pi]",
+        lambda r: f"{exp(r)}: frequency {float(f[r])} Hz matches no plan frequency",
+        lambda r: f"{exp(r)}: frequency {float(freqs[slot[r]])} Hz appears more than once",
+        lambda r: f"{exp(r)}: q0 {float(q0[r])} is not finite",
+        lambda r: f"{exp(r)}: inconsistent q0 values",
+    )
+    for a in range(0, m, _CHECK_ROWS):
+        rows = np.arange(a, min(a + _CHECK_ROWS, m))
+        part = slice(a, a + rows.size)
+        slot[part] = _nearest_slots(freqs, f[part])
+        near = freqs[slot[part]]
+        key = group[part] * n + slot[part]
+        np.minimum.at(first, key, rows)
+        q0_rows = rows[has_q0[part]]
+        q0_groups = group[q0_rows]
+        np.minimum.at(first_q0, q0_groups, q0_rows)
+        np.maximum.at(last_q0, q0_groups, q0_rows)
+        ref = first_q0[q0_groups]
+        conflict = np.zeros(rows.size, bool)
+        conflict[q0_rows[(ref < q0_rows) & (q0[q0_rows] != q0[ref])] - a] = True
+        masks = (
+            unparsed[part],
+            ~((-math.pi < ph[part]) & (ph[part] <= math.pi)),
+            ~(np.abs(near - f[part]) <= np.maximum(1e-3, 1e-9 * near)),
+            first[key] != rows,
+            has_q0[part] & ~np.isfinite(q0[part]),
+            conflict,
+        )
+        failing = np.logical_or.reduce(masks)
+        if failing.any():
+            i = int(np.argmax(failing))
+            check = next(k for k, mask in enumerate(masks) if mask[i])
+            raise RecordFormatError(messages[check](a + i))
+    return slot, last_q0
 
 
 def read_record(path) -> PhaseRecord:
     """Parse and validate a phase record file.
 
-    The text is parsed in chunks (see the module docstring).  A chunk's
-    data rows become one flat list of fields, without a list per row; csv
-    reads them only when a '"' appears (see :func:`_fields`).  A field
-    longer than ``csv.field_size_limit()`` is refused first, with its data
-    row.  Each column of a chunk is then parsed as a whole, each distinct
-    frequency and q0 text once per file.  The text is dropped before the
-    checks, and each check is a mask over the rows; see the module
-    docstring for the order in which they are judged.
+    The file is read and parsed in chunks (see the module docstring).  A
+    chunk's data rows become one flat list of fields, without a list per
+    row; csv reads them only when a '"' appears (see :func:`_fields`).  A
+    field longer than ``csv.field_size_limit()`` is refused first, with its
+    data row.  Each column of a chunk is then parsed as a whole, each
+    distinct frequency and q0 text once per file.  Last, the rows are
+    judged in slices (see :func:`_check_rows`), in the order the module
+    docstring gives.
     """
     parsed = _Rows()
-    for chunk in _chunks(_read_text(path)):
+    for chunk in _chunks(path):
         parsed.add(chunk)
     plan = _parse_header(parsed.header)
-    freqs = plan.frequencies
-    n = plan.n
-    group, f, ph, q0, has_q0 = parsed.columns()
     exp_ids = list(parsed.exp_index)
-    parse_errors = parsed.parse_errors
-    m = len(group)
-    q0_rows = np.flatnonzero(has_q0)
-    unparsed = np.zeros(m, bool)
-    unparsed[list(parse_errors)] = True
-
-    # Nearest plan frequency, the lower index on ties (as argmin picks);
-    # NaN sorts last and matches nothing.
-    above = np.searchsorted(freqs, f)
-    lower = np.maximum(above - 1, 0)
-    upper = np.minimum(above, n - 1)
-    slot = np.where(np.abs(freqs[lower] - f) <= np.abs(freqs[upper] - f), lower, upper)
-    slot = np.searchsorted(freqs, freqs[slot])  # first of equal plan frequencies
-    near = freqs[slot]
-    no_match = ~(np.abs(near - f) <= np.maximum(1e-3, 1e-9 * near))
-
-    repeated = np.ones(m, bool)
-    repeated[np.unique(group * n + slot, return_index=True)[1]] = False
-    first_q0 = np.full(len(exp_ids), m)
-    np.minimum.at(first_q0, group[q0_rows], q0_rows)
-    last_q0 = np.full(len(exp_ids), -1)
-    np.maximum.at(last_q0, group[q0_rows], q0_rows)
-    ref = first_q0[group]
-    conflict = has_q0 & (ref < np.arange(m)) & (q0 != q0[np.minimum(ref, m - 1)])
-
-    def exp(r: int) -> str:
-        return f"experiment {exp_ids[group[r]]}"
-
-    checks = (  # in the order one row is judged
-        (unparsed, lambda r: f"data row {r + 1}: {parse_errors[r]}"),
-        (
-            ~((-math.pi < ph) & (ph <= math.pi)),
-            lambda r: f"{exp(r)}: phase {float(ph[r])} at {float(f[r])} Hz outside (-pi, pi]",
-        ),
-        (no_match, lambda r: f"{exp(r)}: frequency {float(f[r])} Hz matches no plan frequency"),
-        (repeated, lambda r: f"{exp(r)}: frequency {float(near[r])} Hz appears more than once"),
-        (has_q0 & ~np.isfinite(q0), lambda r: f"{exp(r)}: q0 {float(q0[r])} is not finite"),
-        (conflict, lambda r: f"{exp(r)}: inconsistent q0 values"),
-    )
-    failed = np.vstack([mask for mask, _ in checks])
-    failing = failed.any(axis=0)
-    if failing.any():
-        r = int(np.argmax(failing))
-        raise RecordFormatError(checks[int(np.argmax(failed[:, r]))][1](r))
+    columns = parsed.columns()
+    slot, last_q0 = _check_rows(plan, exp_ids, parsed.parse_errors, columns)
     if parsed.miscount is not None:
         row, count = parsed.miscount
         raise RecordFormatError(f"data row {row + 1}: expected 3 or 4 fields, got {count}")
 
-    phases = np.full((len(exp_ids), n), np.nan)
+    group, ph, q0 = columns[0], columns[2], columns[3]
+    del columns  # frees the frequency column before the phase table is built
+    freqs = plan.frequencies
+    phases = np.full((len(exp_ids), plan.n), np.nan)
     phases[group, slot] = ph
     missing = np.isnan(phases)
     if missing.any():

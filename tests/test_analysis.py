@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,32 @@ class TestAmbiguityFn:
 
     def test_periodic_at_umr(self):
         assert ambiguity_fn(self.plan, umr(self.plan)) == pytest.approx(1.0, abs=1e-9)
+
+    def test_slices_keep_the_one_pass_values(self):
+        # Three and a bit slices of points, in a 2-D array: each value has
+        # the bits of the one-pass sum over all points at once.
+        rows = analysis._SCAN_ELEMS // self.plan.n
+        dq = np.linspace(0.0, 400.0, 3 * rows + 7).reshape(-1, 1)
+        s = analysis._array_sum(self.plan, dq)
+        expected = (s.real**2 + s.imag**2) / self.plan.n**2
+        got = ambiguity_fn(self.plan, dq)
+        assert got.shape == dq.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_memory_does_not_grow_with_the_points(self):
+        # Beside its float64 output, the temporaries are one slice's: the
+        # phases in float64 and two complex128 arrays, 40 bytes an element,
+        # where all 50 000 x 31 elements at once would take 62 MB.
+        plan = REPLAY_PLAN
+        dq = np.linspace(0.0, 1000.0, 50_000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ambiguity_fn(plan, dq)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * dq.size + 48 * analysis._SCAN_ELEMS, peak
 
     def test_two_frequency_closed_form(self):
         plan = FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1,), c=C_PAPER)
@@ -430,6 +457,23 @@ class TestSidelobeBranchAndBound:
             got = sidelobe_scan(plan)
         assert (len(seen), sum(seen)) == (calls, points)
         assert _bits(got) == _bits(_reference_sidelobe_scan(plan))
+
+    def test_scan_memory_is_bounded(self):
+        # The bound pass holds about ten arrays the length of the block list
+        # (block ends, centres, half-widths, one frequency's phases and the
+        # float32 sums), under 96 bytes a block; each visit slice holds
+        # _SCAN_ELEMS elements of 40 bytes (see test_memory_does_not_grow_with_the_points).
+        # Full-size (blocks x N) bound arrays took 8.8 MB here.
+        lo, step, n_pts, _, width = _scan_geometry(REPLAY_PLAN)
+        blocks = -(-n_pts // width)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sidelobe_scan(REPLAY_PLAN)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 96 * blocks + 40 * analysis._SCAN_ELEMS, (peak, blocks)
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(case=scan_cases(), cells=st.one_of(st.just(1), st.integers(2, 400)))

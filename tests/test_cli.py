@@ -33,6 +33,9 @@ BAD_DESIGN_INPUTS = (
     + [(m, "--B", v, _POSITIVE.format("bandwidth", float(v)))
        for m in DESIGN_METHODS for v in ("0", "-2e7", "nan", "inf", "-inf")]
     + [(m, "--N", v, f"N must be at least 2, got {v}") for m in DESIGN_METHODS for v in ("1", "0", "-3")]
+    # 20e6 / 1e-301 overflows to inf, which ended in an OverflowError or a hang.
+    + [(m, "--res", "1e-301", "bandwidth / resolution must be finite, got 20000000.0 / 1e-301")
+       for m in DESIGN_METHODS]
     + [(m, "--snr", "-4000", f"{SNR_REFUSED}, got -4000.0") for m in DESIGN_METHODS]
     + [("towers", "--fN", v, _POSITIVE.format("f_max", float(v))) for v in ("inf", "nan", "0")]
     + [(m, "--umr-requirement", v, _POSITIVE.format("umr_requirement", float(v)))

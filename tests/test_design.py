@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +293,34 @@ class TestDesigners:
         rng2 = np.random.Generator(np.random.Philox(key=7))
         again = design_random(410e6, 40.378e6, 31, 65.0, rng2, c=C_PAPER)
         assert plan.spacings == again.spacings  # seeded determinism
+
+    @pytest.mark.parametrize(
+        "m, n, seed",
+        [(2, 2, 0), (3, 3, 1), (5, 5, 2), (30, 4, 3), (64, 21, 4), (1000, 31, 5),
+         (20_000, 600, 6), (621_200, 31, 7), (10**6 + 7, 3, 8)],
+    )
+    def test_random_draws_match_the_grid_array(self, m, n, seed):
+        # Drawing N - 2 of the M - 1 interior indices picks the same points as
+        # drawing from np.arange(1, M), the array the designer used to build.
+        plan = design_random(400e6, m * 65.0, n, 65.0, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        interior = rng.choice(np.arange(1, m), size=n - 2, replace=False) if n > 2 else []
+        points = np.sort(np.concatenate(([0], interior, [m])))
+        assert plan.spacings == tuple(int(d) for d in np.diff(points))
+
+    def test_random_memory_does_not_grow_with_the_grid(self):
+        # 20 MHz at 10 Hz is 2e6 grid points, 16 MB as an index array.  The
+        # first call loads what the draw needs, so it is left out.
+        design_random(400e6, 20e6, 5, 1e3, np.random.default_rng(5))
+        peaks = []
+        for res in (1e3, 1e2, 10.0):
+            tracemalloc.start()
+            try:
+                design_random(400e6, 20e6, 5, res, np.random.default_rng(5))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 64 * 1024, peaks
 
     def test_all_designers_respect_budget(self):
         params = DesignParams(bandwidth=20e6, n=21, resolution=65.0)

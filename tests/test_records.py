@@ -754,25 +754,49 @@ class TestOneLineChunks:
         assert _outcome(read_record, crlf) == _outcome(_reference_read_record, crlf)
 
 
-def test_chunks_end_at_line_breaks():
-    text = "".join(f"row {k},{'x' * (k % 7)}\n" for k in range(40_000)) + "last"
-    chunks = list(records._chunks(text))
-    assert "".join(chunks) == text
-    assert len(chunks) > 2
+@pytest.mark.parametrize(
+    "body",
+    [
+        pytest.param("abcdefg\r\nxyz\r\n" * 3, id="crlf-split-by-the-read"),
+        pytest.param("abcdefg\rxyz\r" * 3, id="cr-ends-the-read"),
+        pytest.param("abcdefghij\rk\n" * 3, id="cr-ends-the-line-after-the-read"),
+        pytest.param("ab\ncd\nef\n" * 5 + "last", id="no-final-break"),
+        pytest.param("\ufeff" + "bom,1,2\n" * 4, id="bom"),
+        pytest.param("", id="empty"),
+    ],
+)
+def test_file_chunks_end_at_line_breaks(tmp_path, monkeypatch, body):
+    monkeypatch.setattr(records, "_CHUNK_CHARS", 8)
+    path = tmp_path / "chunks.csv"
+    path.write_bytes(body.encode("utf-8"))
+    chunks = list(records._chunks(path))
+    # Every CR becomes an LF; a CR LF leaves a blank line, which the parse drops.
+    assert "".join(chunks) == body.removeprefix("\ufeff").replace("\r", "\n")
     for chunk in chunks[:-1]:
-        assert chunk.endswith("\n") and records._CHUNK_CHARS <= len(chunk)
-        assert chunk.count("\n", records._CHUNK_CHARS) == 1  # the first break from the target on
+        assert chunk.endswith("\n") and len(chunk) >= records._CHUNK_CHARS
+    assert all("\r" not in chunk for chunk in chunks)
 
 
-def test_parse_memory_is_bounded_by_the_file_size(tmp_path):
-    # The parse holds the text, one chunk's strings and per-row arrays,
-    # never every line and field of the file at once.
+def test_parse_memory_is_bounded_by_the_rows(tmp_path):
+    # The file is read a chunk at a time and the rows judged a slice at a
+    # time, so the peak is per-row arrays plus one chunk's and one slice's
+    # temporaries, whatever the length of the text.  Per data row: the five
+    # parse columns (8 + 8 + 8 + 8 + 1 bytes), its slot (8), its unparsed
+    # flag (1) and its entry of the first-row table (8 per experiment and
+    # slot, one per row in a complete record), 50 bytes, with the ids and
+    # the dictionaries of distinct texts rounded up to 64; the build that
+    # follows holds the phase table in place of the frequency column and
+    # the checks' arrays.  A slice's temporaries are a dozen 8-byte arrays,
+    # under 128 bytes per slice row.  A chunk holds each character in its
+    # text, its line, the joined lines and its field, plus about 57 bytes of
+    # object and list slot per line and per field: under 16 bytes a
+    # character while fields average 5 characters or more.
     plan = FrequencyPlan(f1=410e6, resolution=65.0, spacings=tuple(range(600, 630)), c=C_PAPER)
     rng = np.random.default_rng(7)
     exps = [Experiment(f"e{k:05d}", rng.uniform(-3.0, 3.0, plan.n), float(rng.uniform(-2, 2)))
             for k in range(1300)]
     path = make_record(tmp_path, plan, exps)
-    size = path.stat().st_size
+    rows = len(exps) * plan.n
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -780,5 +804,6 @@ def test_parse_memory_is_bounded_by_the_file_size(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert len(rec.experiments) * plan.n >= 40_000
-    assert peak <= 4 * size, (peak, size)
+    assert len(rec.experiments) == len(exps) and rows >= 40_000
+    bound = 64 * rows + 128 * records._CHECK_ROWS + 16 * records._CHUNK_CHARS
+    assert peak <= bound, (peak, bound)

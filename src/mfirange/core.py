@@ -52,9 +52,10 @@ def _wrap_phase_inplace(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _wrap_inplace(d: np.ndarray) -> np.ndarray:
+def _wrap_inplace(d: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     """Wrap to [-pi, pi] in place, d - 2*pi*rint(d/(2*pi)), and return ``d``;
-    a value on the boundary may come out as -pi or as pi.
+    a value on the boundary may come out as -pi or as pi.  ``tmp``, an
+    array of the shape of ``d``, holds the temporary if given.
 
     Its users are the estimator (``ls_cost``, the model phases of the scan,
     the re-cost and the comb layout, and the phases ``LsSearch.run`` takes)
@@ -64,7 +65,7 @@ def _wrap_inplace(d: np.ndarray) -> np.ndarray:
     remainder cost more, and this is one multiply, a rounding and a
     subtract per element, with one temporary.
     """
-    k = np.multiply(d, _INV_TWO_PI)
+    k = np.multiply(d, _INV_TWO_PI, out=tmp)
     np.rint(k, out=k)
     k *= TWO_PI
     d -= k

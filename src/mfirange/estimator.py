@@ -38,13 +38,15 @@ one batch, every other comb whose bound is not above the cost that first
 comb gave; no other comb can hold a cell of that cost or less.  Ties go
 to the lower grid index.  The grid and the comb layout depend on the
 plan and the config alone, so one :class:`LsSearch` per (plan, config)
-holds them and searches any number of phase blocks; every temporary is
-chunked to at most about 32 MB.
+holds them and searches any number of phase blocks.  It takes a block
+in slices of S = min(2^15 // (3*N), 4e6 // combs) trials (520 at N = 21)
+with one workspace per run, so its temporaries, about 1.1 MiB on a
+601-cell N = 21 grid, do not grow with the block.
 
 Precision rule: every number that only prunes or filters is float32, and
 every number that is returned is float64, computed with the full scan's
 arithmetic, so the answers equal a full scan's bit for bit;
-:func:`_scan_block` is that full scan, kept as the test reference.
+``full_scan`` in ``tests/test_estimator.py`` is that scan, the reference.
 
 - The bound of a comb is max(0, LB32 - E(N)), where LB32 is LB summed in
   float32 from float32 copies of phi_i, cm_i, s_i and 2*pi - s_i.  It is
@@ -95,8 +97,12 @@ import numpy as np
 
 from .core import TWO_PI, FrequencyPlan, PhaseVector, _wrap_inplace, check_positive
 
-# Chunk sizing keeps each (trials x grid) temporary around 32 MB.
+# A visit's (pairs x cells x N) model and a slice's (trials x combs)
+# bounds stay within this many elements.
 _TARGET_ELEMS = 4_000_000
+# LsSearch.run takes a block in slices whose (trials, 3, N) refine array
+# holds at most this many float64 elements: 520 trials at N = 21.
+_SLICE_ELEMS = 1 << 15
 # The per-frequency loops of the B&B take as many frequencies per numpy
 # call as fit in this many elements: a large block runs one frequency at
 # a time on cache-sized arrays, and a block of a few trials makes a few
@@ -151,24 +157,40 @@ def ls_cost(phases, plan: FrequencyPlan, q) -> np.ndarray | float:
     Zero exactly at the true range for noise-free phases, and at every
     UMR-multiple offset.  ``phases`` is (..., N) and ``q`` broadcasts
     against its leading axes; the last axis of the model is the plan's
-    frequencies.  This is the one wrapped-residual cost of the package.
-    Its callers are the parabolic refine of :meth:`LsSearch.run` and the
-    two-point comparison of ``montecarlo.pumr_confusion_rate``.  The tests
-    check the scan kernels against it: the full scan :func:`_scan_block`
-    and the float64 re-cost :func:`_cell_costs` of the branch and bound.  Its
-    frequency sum is numpy's pairwise ``sum``, and the refined estimates'
-    bits depend on it, so it is not the scan's plan-order sum.
+    frequencies.  This is the one wrapped-residual cost of the package:
+    the parabolic refine of :meth:`LsSearch.run` runs its arithmetic,
+    :func:`_residual_cost`, and ``montecarlo.pumr_confusion_rate`` calls it
+    for its two-point comparison.  The tests
+    check the scan kernels against it: the full-scan reference of
+    ``tests/test_estimator.py`` and the float64 re-cost :func:`_cell_costs`
+    of the branch and bound.  Its frequency sum is numpy's pairwise
+    ``sum``, run per row, and the refined estimates' bits depend on it, so
+    it is not the scan's plan-order sum.
     """
     ph = _phases_array(phases)
     if ph.shape[-1:] != (plan.n,):
         raise ValueError("phase vector length must match the plan")
-    qa = np.asarray(q, dtype=float)
-    d = ph - (TWO_PI / plan.c) * qa[..., None] * plan.frequencies
-    _wrap_inplace(d)
-    out = np.square(d, out=d).sum(axis=-1)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = _residual_cost(ph, plan, np.asarray(q, dtype=float))
+    return float(out) if out.ndim == 0 else out
+
+
+def _residual_cost(ph, plan, q, work=(None, None)) -> np.ndarray:
+    """:func:`ls_cost`'s arithmetic, its residual and the wrap's temporary
+    taken from the two flat buffers ``work`` (see :func:`_buffer`)."""
+    shape = np.broadcast_shapes(ph.shape, q.shape + (plan.n,))
+    d = np.multiply((TWO_PI / plan.c) * q[..., None], plan.frequencies, out=_buffer(work[0], shape))
+    np.subtract(ph, d, out=d)
+    _wrap_inplace(d, _buffer(work[1], shape))
+    return np.square(d, out=d).sum(axis=-1)
+
+
+def _buffer(flat, shape, dtype=np.float64) -> np.ndarray:
+    """A C-ordered array of ``shape`` and ``dtype``: a view of the front of
+    the flat float64 buffer ``flat`` where it fits there, else a new one."""
+    size = math.prod(shape)
+    if flat is None or size * np.dtype(dtype).itemsize > flat.nbytes:
+        return np.empty(shape, dtype)
+    return flat.view(dtype)[:size].reshape(shape)
 
 
 def _wrapped_square(d: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -179,44 +201,6 @@ def _wrapped_square(d: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     np.subtract(TWO_PI, d, out=tmp)
     np.minimum(d, tmp, out=d)
     return np.multiply(d, d, out=d)
-
-
-def _scan_block(
-    phases: np.ndarray, coef: np.ndarray, grid: np.ndarray, best_val: np.ndarray, best_idx: np.ndarray
-) -> None:
-    """Fill per-trial (min cost, lowest argmin index) by a full grid scan.
-
-    The reference for the branch and bound of :meth:`LsSearch.run`:
-    the tests check that the B&B returns this scan's (cost, index) bit for
-    bit, and check this scan against :func:`ls_cost`.  With both the
-    observed phases and the per-chunk model phases pre-wrapped to
-    (-pi, pi], the residual lies in (-2*pi, 2*pi) and its wrapped square
-    is min(|d|, 2*pi - |d|)^2, which avoids a rounding pass per element;
-    :func:`_cell_costs` applies the same :func:`_wrapped_square`, term by
-    term in plan order, to the cells the B&B visits.
-    """
-    t = phases.shape[0]
-    n_pts = grid.size
-    chunk = max(16, min(n_pts, _TARGET_ELEMS // max(1, t)))
-    wrapped = np.asarray(phases)  # in (-pi, pi]: LsSearch.run wraps on entry
-    d = np.empty((t, chunk))
-    tmp = np.empty((t, chunk))
-    for start in range(0, n_pts, chunk):
-        g = grid[start : start + chunk]
-        model = coef[:, None] * g[None, :]
-        _wrap_inplace(model)  # (N, chunk): cheap relative to the t x chunk work
-        if g.size != chunk:
-            d = np.empty((t, g.size))
-            tmp = np.empty((t, g.size))
-        acc = np.zeros((t, g.size))
-        for i in range(coef.size):
-            np.subtract(wrapped[:, i : i + 1], model[i][None, :], out=d)
-            acc += _wrapped_square(d, tmp)
-        idx = np.argmin(acc, axis=1)
-        val = acc[np.arange(t), idx]
-        better = val < best_val  # strict: earlier chunks win ties (lower q)
-        best_val[better] = val[better]
-        best_idx[better] = idx[better] + start
 
 
 def _allowance(n: int) -> float:
@@ -300,20 +284,20 @@ def _bound_arrays(centre_model, shrink) -> tuple[np.ndarray, np.ndarray, np.ndar
     )
 
 
-def _frequency_groups(n, acc):
+def _frequency_groups(n, acc, work=(None, None)):
     """(frequency slice, d, tmp) for each group of the N frequencies of a
     per-frequency loop that adds into ``acc``: as many frequencies per
     group as fit in ``_GROUP_ELEMS`` elements, with the two (group,
-    *acc.shape) buffers reused from group to group."""
+    *acc.shape) buffers reused from group to group, views of the two flat
+    buffers ``work`` (see :func:`_buffer`)."""
     group = max(1, min(n, _GROUP_ELEMS // max(1, acc.size)))
-    d_buf = np.empty((group,) + acc.shape, dtype=acc.dtype)
-    tmp_buf = np.empty_like(d_buf)
+    d_buf, tmp_buf = (_buffer(w, (group,) + acc.shape, acc.dtype) for w in work)
     for i in range(0, n, group):
         k = min(group, n - i)
         yield slice(i, i + k), d_buf[:k], tmp_buf[:k]
 
 
-def _lower_bounds(phases, centre_model, shrink, wrap_shrink) -> np.ndarray:
+def _lower_bounds(phases, centre_model, shrink, wrap_shrink, work=(None, None)) -> np.ndarray:
     """(trials x combs) certified LB = max(0, LB32 - E(N)), a view of a
     (combs x trials) float32 array.
 
@@ -326,7 +310,7 @@ def _lower_bounds(phases, centre_model, shrink, wrap_shrink) -> np.ndarray:
     n, combs = centre_model.shape[:2]
     ph = np.ascontiguousarray(phases.T, dtype=np.float32)[:, None, :]
     lb = np.zeros((combs, ph.shape[2]), dtype=np.float32)
-    for f, d, tmp in _frequency_groups(n, lb):
+    for f, d, tmp in _frequency_groups(n, lb, work):
         np.subtract(ph[f], centre_model[f], out=d)
         np.abs(d, out=d)
         np.subtract(wrap_shrink[f], d, out=tmp)
@@ -339,7 +323,7 @@ def _lower_bounds(phases, centre_model, shrink, wrap_shrink) -> np.ndarray:
     return np.maximum(lb, 0, out=lb).T
 
 
-def _cell_costs(phases, model, combs) -> np.ndarray:
+def _cell_costs(phases, model, combs, work=(None, None)) -> np.ndarray:
     """(pairs x width) costs of comb ``combs[p]`` for the phase vector
     ``phases[p]``, in the dtype of ``model``.
 
@@ -349,7 +333,7 @@ def _cell_costs(phases, model, combs) -> np.ndarray:
     in float64 every cost equals the full scan's bit for bit.
     """
     acc = np.zeros((combs.size, model.shape[2]), dtype=model.dtype)
-    for f, d, tmp in _frequency_groups(model.shape[0], acc):
+    for f, d, tmp in _frequency_groups(model.shape[0], acc, work):
         np.take(model[f], combs, axis=1, out=d, mode="clip")
         np.subtract(phases.T[f, :, None], d, out=d)
         for term in _wrapped_square(d, tmp):
@@ -357,7 +341,7 @@ def _cell_costs(phases, model, combs) -> np.ndarray:
     return acc
 
 
-def _visit(phases, coef, grid, table, rows, combs, best_val, best_idx) -> None:
+def _visit(phases, coef, grid, table, rows, combs, best_val, best_idx, work=(None, None)) -> None:
     """Cost the (trial, comb) pairs and keep each trial's lowest-index minimum.
 
     Cells are costed in float32.  Only a cell within 2*E(N) of its pair's
@@ -365,7 +349,9 @@ def _visit(phases, coef, grid, table, rows, combs, best_val, best_idx) -> None:
     hold or tie the float64 minimum; those alone are costed again by
     :func:`_cell_costs` in float64, each as a comb of one cell, and the
     least (cost, grid index) of each trial wins.
-    ``best_val`` and ``best_idx`` are updated in place.
+    ``best_val`` and ``best_idx`` are updated in place.  A chunk of pairs
+    holds ``_TARGET_ELEMS`` model elements: about 950 pairs on a 30 001-cell
+    N = 21 grid, so a 50-trial block's visits are one chunk each.
     """
     e = _allowance(coef.size)
     per_chunk = max(1, _TARGET_ELEMS // (table.shape[1] * coef.size))
@@ -375,12 +361,12 @@ def _visit(phases, coef, grid, table, rows, combs, best_val, best_idx) -> None:
         cells = table[uniq]
         model = _wrap_inplace(coef[:, None, None] * grid[cells]).astype(np.float32)
         ph = phases[r]
-        acc = _cell_costs(ph.astype(np.float32), model, inv)
+        acc = _cell_costs(ph.astype(np.float32), model, inv, work)
         cap = np.minimum(np.add(acc.min(axis=1), 2.0 * e, dtype=np.float64), best_val[r] + e)
         pair, j = np.nonzero(acc <= cap[:, None])
         r, idx = r[pair], cells[inv[pair], j]
         model64 = _wrap_inplace(coef[:, None, None] * grid[idx][:, None])
-        val = _cell_costs(ph[pair], model64, np.arange(idx.size))[:, 0]
+        val = _cell_costs(ph[pair], model64, np.arange(idx.size), work)[:, 0]
         # Per trial: least cost, then least index; a trial whose cost
         # drops forgets its old index.
         prev = best_val[r]
@@ -389,31 +375,6 @@ def _visit(phases, coef, grid, table, rows, combs, best_val, best_idx) -> None:
         best_idx[r[low < prev]] = np.iinfo(np.int64).max
         hit = val == low
         np.minimum.at(best_idx, r[hit], idx[hit])
-
-
-def _bnb_scan(phases, coef, grid, table, centre_model, shrink, wrap_shrink, best_val, best_idx):
-    """Fill per-trial (min cost, lowest argmin index) by branch and bound.
-
-    Two passes per chunk of trials.  Each trial first visits its
-    lowest-bound comb; then every other comb whose certified bound is not
-    above the cost that visit found is visited, all trials' in one call.
-    A skipped comb's cells all cost more than that, so they can neither
-    win nor tie.  Trials are chunked so (trials x combs) arrays stay
-    within the chunk size.
-    """
-    per_chunk = max(1, _TARGET_ELEMS // table.shape[0])
-    for a in range(0, phases.shape[0], per_chunk):
-        ph = phases[a : a + per_chunk]
-        t = ph.shape[0]
-        val, idx = best_val[a : a + t], best_idx[a : a + t]
-        lb = _lower_bounds(ph, centre_model, shrink, wrap_shrink)
-        trials = np.arange(t)
-        first = np.argmin(lb, axis=1)
-        _visit(ph, coef, grid, table, trials, first, val, idx)
-        lb[trials, first] = np.inf
-        rows, combs = np.nonzero(lb <= val[:, None])
-        del lb
-        _visit(ph, coef, grid, table, rows, combs, val, idx)
 
 
 class LsSearch:
@@ -455,6 +416,9 @@ class LsSearch:
         self.coef = (TWO_PI / plan.c) * plan.frequencies
         table, centre_model, shrink = _combs(self.coef, self.grid, cfg.step)
         self.combs = (table, *_bound_arrays(centre_model, shrink))
+        # Trials per slice of run: the refine's (trials, 3, N) array within
+        # _SLICE_ELEMS and the (trials x combs) bounds within _TARGET_ELEMS.
+        self.slice = max(1, min(_SLICE_ELEMS // (3 * plan.n), _TARGET_ELEMS // table.shape[0]))
         for arr in (self.grid, self.coef, *self.combs):
             arr.setflags(write=False)
 
@@ -465,26 +429,57 @@ class LsSearch:
 
     def run(self, phases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(q_hat, cost_at_min, grid_index) arrays for a (trials x N)
-        block of phase vectors.  Phases are wrapped to (-pi, pi] on entry
-        (values already there keep their bits) and must be finite."""
-        plan, grid, step = self.plan, self.grid, self.cfg.step
-        phases = np.array(phases, dtype=float)
-        if phases.ndim != 2 or phases.shape[1] != plan.n:
-            raise ValueError("phases must be (trials, N) matching the plan")
-        if not np.all(np.isfinite(phases)):
-            raise ValueError("phases must be finite")
-        _wrap_inplace(phases)
-        t = phases.shape[0]
-        best_val = np.full(t, np.inf)
-        best_idx = np.zeros(t, dtype=np.int64)
-        _bnb_scan(phases, self.coef, grid, *self.combs, best_val, best_idx)
+        block of finite phase vectors.
 
-        q_hat = grid[best_idx]
-        cost = best_val
-        rows = np.nonzero(self.refines(best_idx))[0]
+        The block is checked once, then searched in slices of
+        ``self.slice`` trials, each copied into one buffer and wrapped to
+        (-pi, pi] there (values already there keep their bits).  The refine
+        and the per-frequency loops work in one workspace per run, two
+        buffers of a slice's refine size.  No output bit depends on the
+        slice size: trials are independent and :func:`ls_cost` sums per
+        row.  On a 601-cell N = 21 grid with refine on, the traced
+        temporaries beside the outputs (24 bytes a trial) take about 1.1 MiB,
+        where the whole block took 1.4 / 5.4 / 53.5 MiB at 1 000 / 4 000 /
+        40 000 trials."""
+        phases = np.asarray(phases, dtype=float)
+        if phases.ndim != 2 or phases.shape[1] != self.plan.n:
+            raise ValueError("phases must be (trials, N) matching the plan")
+        # NaN and inf reach the minimum or maximum: no block-sized temporary.
+        if phases.size and not (np.isfinite(phases.min()) and np.isfinite(phases.max())):
+            raise ValueError("phases must be finite")
+        t = phases.shape[0]
+        q_hat, cost, idx = np.empty(t), np.full(t, np.inf), np.zeros(t, dtype=np.int64)
+        buf = np.empty((min(t, self.slice), self.plan.n))
+        # Sized for the refine of one slice; a group buffer that does not fit is new.
+        work = tuple(np.empty(3 * buf.size) for _ in range(2))
+        for a in range(0, t, self.slice):
+            b, ph = a + self.slice, buf[: t - a]
+            np.copyto(ph, phases[a:b])
+            self._run_slice(ph, q_hat[a:b], cost[a:b], idx[a:b], work)
+        return q_hat, cost, idx
+
+    def _run_slice(self, ph, q_hat, cost, idx, work) -> None:
+        """Fill one slice's outputs, ``cost`` from inf and ``idx`` from 0,
+        for its phases ``ph``, wrapped here in place.  Each trial visits
+        its comb of least bound, then every comb whose certified bound is
+        not above the cost that visit found, all trials' in one call; the
+        cells of any other comb cost more, so they can neither win nor tie.
+        """
+        grid, step, table = self.grid, self.cfg.step, self.combs[0]
+        _wrap_inplace(ph, _buffer(work[0], ph.shape))
+        trials = np.arange(ph.shape[0])
+        lb = _lower_bounds(ph, *self.combs[1:], work)
+        first = np.argmin(lb, axis=1)
+        _visit(ph, self.coef, grid, table, trials, first, cost, idx, work)
+        lb[trials, first] = np.inf
+        rows, combs = np.nonzero(lb <= cost[:, None])
+        del lb
+        _visit(ph, self.coef, grid, table, rows, combs, cost, idx, work)
+        np.take(grid, idx, out=q_hat)
+        rows = np.nonzero(self.refines(idx))[0]
         if rows.size:
-            q3 = grid[best_idx[rows, None] + np.array([-1, 0, 1])]
-            c3 = ls_cost(phases[rows, None, :], plan, q3)
+            q3 = grid[idx[rows, None] + np.array([-1, 0, 1])]
+            c3 = _residual_cost(ph[rows, None, :], self.plan, q3, work)
             denom = c3[:, 0] - 2.0 * c3[:, 1] + c3[:, 2]
             ok = denom > 0
             delta = np.zeros(rows.size)
@@ -492,8 +487,7 @@ class LsSearch:
             np.clip(delta, -step / 2.0, step / 2.0, out=delta)
             q_ref = q_hat[rows] + delta
             q_hat[rows] = q_ref
-            cost[rows] = ls_cost(phases[rows], plan, q_ref)
-        return q_hat, cost, best_idx
+            cost[rows] = _residual_cost(ph[rows], self.plan, q_ref, work)
 
 
 # The search of the last (plan, config) asked for.  A campaign loops the

@@ -568,3 +568,20 @@ def test_python_dash_m_entry_point(tmp_path):
     bad = subprocess.run([*run, "design"], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
     assert bad.returncode == 2 and bad.stdout == ""
     assert bad.stderr.count("\n") == 1 and bad.stderr.startswith("error: usage:")
+
+
+@pytest.mark.parametrize("method, res", [("prime-min-error", "1e-20"), ("prime-max-error", "1e-299")])
+def test_prime_design_of_a_huge_quotient_ends(tmp_path, method, res):
+    # B / resolution = 2e27 and 2e306: the common factor was counted up one
+    # step at a time from the float quotient, about K * 2^-52 steps, and ran
+    # for hours.  In a subprocess with a timeout, so a regression fails
+    # instead of hanging the suite.
+    env = {"PYTHONPATH": str(Path(mfirange.__file__).parents[1]), "PATH": os.environ.get("PATH", "")}
+    argv = [sys.executable, "-m", "mfirange", "design", "--method", method, "--B", "20e6",
+            "--N", "5", "--f1", "400e6", "--res", res, "--skip-sidelobe", "--out", str(tmp_path)]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report = dict(line.split(",", 1) for line in (tmp_path / f"{method}_report.csv").read_text().splitlines())
+    k, r = int(report["design_tuple_common_factor_k"]), float(res)
+    assert report["primes"] == "2 3 5 7"
+    assert k * r * 17 <= 20e6 < (k + 1) * r * 17 and k > 2**60

@@ -25,6 +25,7 @@ from mfirange import (
 )
 from mfirange.analysis import quadform
 from mfirange.core import spacing_gcd
+from mfirange.design import _common_factor
 
 
 def quadform_scaled_int(perm):
@@ -92,6 +93,38 @@ class TestPrimeWindowSelect:
         )
         assert w.prime_index > 1
         assert C_PAPER / (w.common_factor * 65.0) > need
+
+    @staticmethod
+    def counted_factor(bandwidth, resolution, window_sum):
+        """K counted one step at a time from the float quotient: the rule
+        the bisection replaced, which needed about K * 2^-52 steps."""
+        k = int(bandwidth // (resolution * window_sum))
+        while (k + 1) * resolution * window_sum <= bandwidth:
+            k += 1
+        while k >= 1 and k * resolution * window_sum > bandwidth:
+            k -= 1
+        return k
+
+    def test_common_factor_is_the_counted_one(self):
+        # Random quotients up to 2^66, where counting still ends quickly,
+        # and exact fits K * resolution * window_sum == B.
+        rng = np.random.default_rng(53)
+        primes = first_primes(90)
+        cases = 0
+        for _ in range(3000):
+            i, width = int(rng.integers(1, 50)), int(rng.integers(1, 40))
+            window_sum = sum(primes[i - 1 : i - 1 + width])
+            if rng.random() < 0.3:
+                res = float(rng.integers(1, 1000))
+                b = int(rng.integers(1, 10**6)) * res * window_sum
+            else:
+                b, res = 10.0 ** rng.uniform(0, 12), 10.0 ** rng.uniform(-8, 8)
+                if b / res > 2.0**66:
+                    continue
+            got = _common_factor(b, res, window_sum)
+            assert got == self.counted_factor(b, res, window_sum), (b, res, window_sum)
+            cases += 1
+        assert cases > 2000
 
     def test_infeasible_bandwidth(self):
         with pytest.raises(DesignInfeasible):

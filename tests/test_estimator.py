@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,12 +40,41 @@ PLANS = {
 }
 
 
+# Grid points per chunk of the reference scan: chunk x trials elements.
+SCAN_ELEMS = 4_000_000
+
+
 def full_scan(phases, plan, cfg):
-    """(cost, grid_index) of the full-scan reference kernel."""
+    """(min cost, lowest argmin index) per trial by a full grid scan.
+
+    The reference for the branch and bound of ``estimator.LsSearch.run``,
+    which must return this scan's (cost, index) bit for bit.  With both
+    the observed phases and the per-chunk model phases wrapped to
+    (-pi, pi], the residual lies in (-2*pi, 2*pi) and its wrapped square
+    is min(|d|, 2*pi - |d|)^2; ``estimator._cell_costs`` applies the same
+    ``_wrapped_square``, term by term in plan order, to the cells the B&B
+    visits.  Earlier chunks win ties, so the lowest index of least cost wins.
+    """
     coef = (TWO_PI / plan.c) * plan.frequencies
-    best_val = np.full(phases.shape[0], np.inf)
-    best_idx = np.zeros(phases.shape[0], dtype=np.int64)
-    estimator._scan_block(phases, coef, cfg.grid(), best_val, best_idx)
+    grid = cfg.grid()
+    wrapped = _wrap_inplace(np.array(phases, dtype=float))
+    t = wrapped.shape[0]
+    best_val = np.full(t, np.inf)
+    best_idx = np.zeros(t, dtype=np.int64)
+    chunk = max(16, min(grid.size, SCAN_ELEMS // max(1, t)))
+    for start in range(0, grid.size, chunk):
+        g = grid[start : start + chunk]
+        model = _wrap_inplace(coef[:, None] * g[None, :])
+        d, tmp = np.empty((t, g.size)), np.empty((t, g.size))
+        acc = np.zeros((t, g.size))
+        for i in range(coef.size):
+            np.subtract(wrapped[:, i : i + 1], model[i][None, :], out=d)
+            acc += estimator._wrapped_square(d, tmp)
+        idx = np.argmin(acc, axis=1)
+        val = acc[np.arange(t), idx]
+        better = val < best_val  # strict: earlier chunks win ties (lower q)
+        best_val[better] = val[better]
+        best_idx[better] = idx[better] + start
     return best_val, best_idx
 
 
@@ -209,6 +239,106 @@ class TestBatch:
             assert a.dtype == b.dtype and np.array_equal(a, b)
         for arr in (search.grid, search.coef, *search.combs):
             assert not arr.flags.writeable
+
+
+class TestSlices:
+    """``LsSearch.run`` searches a block in slices of ``search.slice``
+    trials, with one workspace for the run."""
+
+    # The campaign-fine shape: uniform N = 21 plan, 601 cells, refine on.
+    CFG = EstimatorConfig(-3.0, 3.0, 0.01, refine=True)
+
+    def edge_block(self, plan, search):
+        """2*S + 1 trials, S = search.slice: noisy interior ones, and
+        noise-free ones at the grid ends placed on every slice edge."""
+        s = search.slice
+        noise = NoiseModel.phase_gaussian(snr_db=20.0)
+        phases = synth_trial_matrix(plan, 0.1237, noise, 3, "edges", 0, 2 * s + 1)
+        lo, hi = (synth_phases(plan, q, NoiseModel.none()).as_array() for q in search.grid[[0, -1]])
+        ends = {0: lo, s - 1: hi, s: lo, 2 * s - 1: hi, 2 * s: lo}
+        for t, row in ends.items():
+            phases[t] = row
+        return phases, ends
+
+    def test_slice_size_from_the_element_budget(self, plan21):
+        search = estimator.LsSearch(plan21, self.CFG)
+        assert search.slice == estimator._SLICE_ELEMS // (3 * plan21.n) == 520
+        # The wide-window far-cluster shape of the acceptance checks (N = 31,
+        # 500 001 cells): the (trials x combs) bounds cap the slice.
+        replay = design_prime_min_error(
+            DesignParams(bandwidth=40.378e6, n=31, resolution=65.0, prime_index=12), 410e6, c=C_PAPER
+        )
+        far = estimator.LsSearch(replay, EstimatorConfig(-1e3, 2.4e4, 0.05))
+        assert far.slice == estimator._TARGET_ELEMS // far.combs[0].shape[0]
+        assert far.slice < estimator._SLICE_ELEMS // (3 * replay.n)
+
+    def test_slice_edges_match_per_trial_and_full_scan(self, plan21):
+        search = estimator.LsSearch(plan21, self.CFG)
+        phases, ends = self.edge_block(plan21, search)
+        q, cost, idx = search.run(phases)
+        assert [idx[t] for t in ends] == [0, self.CFG.size - 1, 0, self.CFG.size - 1, 0]
+        refined = search.refines(idx)
+        assert refined.sum() == phases.shape[0] - len(ends)
+        for t in range(phases.shape[0]):
+            est = ls_estimate(phases[t], plan21, self.CFG)
+            assert (est.q_hat, est.cost_at_min, est.grid_index) == (q[t], cost[t], idx[t])
+            assert est.refined == refined[t]
+        ref_cost, ref_idx = full_scan(phases, plan21, self.CFG)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(cost[~refined], ref_cost[~refined])
+        assert (cost[refined] < ref_cost[refined]).all()
+
+    @pytest.mark.parametrize("size", [1, 7, 519, 521, 5000])
+    def test_any_slice_size_keeps_the_bits(self, plan21, size):
+        search = estimator.LsSearch(plan21, self.CFG)
+        phases, _ = self.edge_block(plan21, search)
+        want = search.run(phases)
+        search.slice = size
+        for a, b in zip(search.run(phases), want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_unwrapped_phases_match_prewrapped(self, plan21):
+        search = estimator.LsSearch(plan21, self.CFG)
+        phases, _ = self.edge_block(plan21, search)
+        turns = np.random.default_rng(8).integers(-40, 40, phases.shape)
+        outside = phases + TWO_PI * turns
+        assert (np.abs(outside) > math.pi).mean() > 0.9
+        prewrapped = _wrap_inplace(outside.copy())
+        for a, b in zip(search.run(outside), search.run(prewrapped)):
+            assert a.tobytes() == b.tobytes()
+        assert np.array_equal(outside, phases + TWO_PI * turns)  # the input is not wrapped
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_in_the_last_slice(self, plan21, bad):
+        search = estimator.LsSearch(plan21, self.CFG)
+        phases, _ = self.edge_block(plan21, search)
+        phases[-1, 3] = bad
+        with pytest.raises(ValueError, match="^phases must be finite$"):
+            search.run(phases)
+
+    def test_empty_block(self, plan21):
+        q, cost, idx = estimator.LsSearch(plan21, self.CFG).run(np.empty((0, plan21.n)))
+        assert (q.dtype, cost.dtype, idx.dtype) == (np.float64, np.float64, np.int64)
+        assert q.size == cost.size == idx.size == 0
+
+    @pytest.mark.parametrize("trials", [4000, 40_000])
+    def test_memory_does_not_grow_with_the_block(self, plan21, trials):
+        # The temporaries are one slice's: the (slice x N) phase buffer, the
+        # workspace of two buffers of up to _SLICE_ELEMS float64 elements,
+        # and the bounds and visit arrays of one slice, about 1.1 MiB on this
+        # shape.  The three outputs, 24 bytes a trial, are 0.92 MiB at 40 000
+        # trials.  The whole block at once took 5.4 and 53.5 MiB here.
+        search = estimator.LsSearch(plan21, self.CFG)
+        noise = NoiseModel.phase_gaussian(snr_db=20.0)
+        phases = synth_trial_matrix(plan21, 0.1237, noise, 4, "memory", 0, trials)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            search.run(phases)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 8 * estimator._SLICE_ELEMS, peak
 
 
 class TestUnwrapOk:
@@ -528,9 +658,9 @@ class TestBranchAndBound:
         visits = []
         visit = estimator._visit
 
-        def spy(ph, coef, grid, table, rows, combs, val, idx):
+        def spy(ph, coef, grid, table, rows, combs, val, idx, work):
             visits.append(set(combs.tolist()))
-            visit(ph, coef, grid, table, rows, combs, val, idx)
+            visit(ph, coef, grid, table, rows, combs, val, idx, work)
 
         monkeypatch.setattr(estimator, "_visit", spy)
         _, cost, idx = ls_estimate_batch(phases, plan, cfg)
@@ -551,16 +681,18 @@ class TestBranchAndBound:
     def test_two_visit_passes_at_low_snr(self, monkeypatch):
         # The wideband plan at -35 dB, where each trial leaves about 170
         # combs open after its first visit: they are all costed in one more
-        # _visit call, and the answers stay the full scan's.
+        # _visit call, and the answers stay the full scan's.  The block is
+        # one slice of LsSearch.run: 200 <= 2^15 // (3 * 40) = 273 trials.
         cfg = EstimatorConfig(-32.0, 32.0, 0.02)
+        assert estimator.LsSearch(WIDE, cfg).slice >= 200
         noise = NoiseModel.phase_gaussian(snr_db=-35.0)
         phases = synth_trial_matrix(WIDE, 0.0, noise, 7, "passes", 0, 200)
         pairs = []
         visit = estimator._visit
 
-        def spy(ph, coef, grid, table, rows, combs, val, idx):
+        def spy(ph, coef, grid, table, rows, combs, val, idx, work):
             pairs.append(rows.size)
-            visit(ph, coef, grid, table, rows, combs, val, idx)
+            visit(ph, coef, grid, table, rows, combs, val, idx, work)
 
         monkeypatch.setattr(estimator, "_visit", spy)
         _, cost, idx = ls_estimate_batch(phases, WIDE, cfg)

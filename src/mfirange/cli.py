@@ -586,6 +586,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate.
+        print(f"error: out-of-memory: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

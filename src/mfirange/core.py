@@ -58,8 +58,9 @@ def _wrap_inplace(d: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     array of the shape of ``d``, holds the temporary if given.
 
     Its users are the estimator (``ls_cost``, the model phases of the scan,
-    the re-cost and the comb layout, and the phases ``LsSearch.run`` takes)
-    and the sidelobe bound of ``analysis._block_bounds``.  Each needs a
+    the re-cost, the refine and the comb layout, and the phases
+    ``LsSearch.run`` takes) and the sidelobe bound of
+    ``analysis._block_bounds``.  Each needs a
     phase only up to a multiple of 2*pi, so either boundary sign serves.
     :func:`wrap_phase` is not used there: its finiteness check and exact
     remainder cost more, and this is one multiply, a rounding and a

@@ -40,13 +40,15 @@ to the lower grid index.  The grid and the comb layout depend on the
 plan and the config alone, so one :class:`LsSearch` per (plan, config)
 holds them and searches any number of phase blocks.  It takes a block
 in slices of S = min(2^15 // (3*N), 4e6 // combs) trials (520 at N = 21)
-with one workspace per run, so its temporaries, about 1.1 MiB on a
+with one workspace per run, so its temporaries, about 1.1-1.2 MiB on a
 601-cell N = 21 grid, do not grow with the block.
 
 Precision rule: every number that only prunes or filters is float32, and
 every number that is returned is float64, computed with the full scan's
 arithmetic, so the answers equal a full scan's bit for bit;
 ``full_scan`` in ``tests/test_estimator.py`` is that scan, the reference.
+One kernel, :func:`_cell_costs`, gives every float64 cost (the re-cost,
+the refine, :func:`ls_cost`), so ``cost_at_min`` is ``ls_cost`` at q_hat.
 
 - The bound of a comb is max(0, LB32 - E(N)), where LB32 is LB summed in
   float32 from float32 copies of phi_i, cm_i, s_i and 2*pi - s_i.  It is
@@ -80,8 +82,8 @@ in u:
 That is N*(N + 16)*pi^2*u.  The last 2*N*pi^2*u of E(N) covers the
 rounding of LB32 - E(N) (at most N*pi^2*u), the float64 sums'
 own rounding and the second-order terms, for N up to a few thousand.
-The float64 re-cost adds its N terms one after another in plan order,
-as the full scan does.  ``np.sum`` and ``np.add.reduce`` over the
+The kernel adds its N terms one after another in plan order, as the
+full scan does.  ``np.sum`` and ``np.add.reduce`` over the
 frequency axis sum pairwise and change the last bits of the costs, and
 with them the argmin of some trials.
 """
@@ -100,8 +102,8 @@ from .core import TWO_PI, FrequencyPlan, PhaseVector, _wrap_inplace, check_posit
 # A visit's (pairs x cells x N) model and a slice's (trials x combs)
 # bounds stay within this many elements.
 _TARGET_ELEMS = 4_000_000
-# LsSearch.run takes a block in slices whose (trials, 3, N) refine array
-# holds at most this many float64 elements: 520 trials at N = 21.
+# LsSearch.run takes a block in slices of T trials, each of its two
+# workspace buffers 3*T*N <= this many float64s: 520 trials at N = 21.
 _SLICE_ELEMS = 1 << 15
 # The per-frequency loops of the B&B take as many frequencies per numpy
 # call as fit in this many elements: a large block runs one frequency at
@@ -125,6 +127,9 @@ class EstimatorConfig:
         if not self.search_lo < self.search_hi:
             raise ValueError("search_lo must be below search_hi")
         check_positive("step", self.step)
+        # hi - lo, or its count of steps, can overflow to inf.
+        if not math.isfinite((self.search_hi - self.search_lo) / self.step):
+            raise ValueError("search window holds too many grid steps to count")
         if self.search_hi - self.search_lo < self.step:
             raise ValueError("search interval is narrower than one grid step")
 
@@ -157,31 +162,25 @@ def ls_cost(phases, plan: FrequencyPlan, q) -> np.ndarray | float:
     Zero exactly at the true range for noise-free phases, and at every
     UMR-multiple offset.  ``phases`` is (..., N) and ``q`` broadcasts
     against its leading axes; the last axis of the model is the plan's
-    frequencies.  This is the one wrapped-residual cost of the package:
-    the parabolic refine of :meth:`LsSearch.run` runs its arithmetic,
-    :func:`_residual_cost`, and ``montecarlo.pumr_confusion_rate`` calls it
-    for its two-point comparison.  The tests
-    check the scan kernels against it: the full-scan reference of
-    ``tests/test_estimator.py`` and the float64 re-cost :func:`_cell_costs`
-    of the branch and bound.  Its frequency sum is numpy's pairwise
-    ``sum``, run per row, and the refined estimates' bits depend on it, so
-    it is not the scan's plan-order sum.
+    frequencies.  The phases are wrapped, and the cost is that of
+    :func:`_cell_costs`, the one wrapped-residual cost kernel: the scan,
+    its refine and ``montecarlo.pumr_confusion_rate`` (through this
+    function) run its arithmetic, so an estimate's ``cost_at_min`` is
+    ``ls_cost`` at its q_hat, bit for bit.
     """
     ph = _phases_array(phases)
     if ph.shape[-1:] != (plan.n,):
         raise ValueError("phase vector length must match the plan")
-    out = _residual_cost(ph, plan, np.asarray(q, dtype=float))
+    ndim = max(ph.ndim - 1, np.ndim(q))
+    ph = _wrap_inplace(np.array(ph, dtype=float, ndmin=ndim + 1))
+    q = np.array(q, dtype=float, ndmin=ndim)[..., None]
+    out = _cell_costs(ph, _model((TWO_PI / plan.c) * plan.frequencies, q))[..., 0]
     return float(out) if out.ndim == 0 else out
 
 
-def _residual_cost(ph, plan, q, work=(None, None)) -> np.ndarray:
-    """:func:`ls_cost`'s arithmetic, its residual and the wrap's temporary
-    taken from the two flat buffers ``work`` (see :func:`_buffer`)."""
-    shape = np.broadcast_shapes(ph.shape, q.shape + (plan.n,))
-    d = np.multiply((TWO_PI / plan.c) * q[..., None], plan.frequencies, out=_buffer(work[0], shape))
-    np.subtract(ph, d, out=d)
-    _wrap_inplace(d, _buffer(work[1], shape))
-    return np.square(d, out=d).sum(axis=-1)
+def _model(coef, q) -> np.ndarray:
+    """The wrapped model phases wrap(c_i*q), (N, *q.shape)."""
+    return _wrap_inplace(np.multiply.outer(coef, q))
 
 
 def _buffer(flat, shape, dtype=np.float64) -> np.ndarray:
@@ -323,19 +322,20 @@ def _lower_bounds(phases, centre_model, shrink, wrap_shrink, work=(None, None)) 
     return np.maximum(lb, 0, out=lb).T
 
 
-def _cell_costs(phases, model, combs, work=(None, None)) -> np.ndarray:
-    """(pairs x width) costs of comb ``combs[p]`` for the phase vector
-    ``phases[p]``, in the dtype of ``model``.
-
-    ``model`` is the wrapped model of each comb's cells, (N, combs,
-    width), and ``phases`` (pairs x N) is of the same dtype.  The terms
+def _cell_costs(phases, model, combs=None, work=(None, None)) -> np.ndarray:
+    """(..., width) costs of the cells of the wrapped ``model`` (N, ...,
+    width) for the wrapped ``phases`` (..., N), in their one dtype; the
+    middle axes broadcast.  With ``combs``, phase row p takes comb
+    ``combs[p]`` of the (N, combs, width) model.  The terms
     are :func:`_wrapped_square`'s, added one after another in plan order;
     in float64 every cost equals the full scan's bit for bit.
     """
-    acc = np.zeros((combs.size, model.shape[2]), dtype=model.dtype)
+    pt = phases.transpose(-1, *range(phases.ndim - 1))[..., None]
+    rows = model.shape[1:] if combs is None else (combs.size,) + model.shape[2:]
+    acc = np.zeros(np.broadcast_shapes(pt.shape[1:], rows), dtype=model.dtype)
     for f, d, tmp in _frequency_groups(model.shape[0], acc, work):
-        np.take(model[f], combs, axis=1, out=d, mode="clip")
-        np.subtract(phases.T[f, :, None], d, out=d)
+        m = model[f] if combs is None else np.take(model[f], combs, axis=1, out=d, mode="clip")
+        np.subtract(pt[f], m, out=d)
         for term in _wrapped_square(d, tmp):
             acc += term
     return acc
@@ -347,7 +347,7 @@ def _visit(phases, coef, grid, table, rows, combs, best_val, best_idx, work=(Non
     Cells are costed in float32.  Only a cell within 2*E(N) of its pair's
     float32 minimum, and within E(N) of its trial's best cost so far, can
     hold or tie the float64 minimum; those alone are costed again by
-    :func:`_cell_costs` in float64, each as a comb of one cell, and the
+    :func:`_cell_costs` in float64, one model row per cell, and the
     least (cost, grid index) of each trial wins.
     ``best_val`` and ``best_idx`` are updated in place.  A chunk of pairs
     holds ``_TARGET_ELEMS`` model elements: about 950 pairs on a 30 001-cell
@@ -359,14 +359,13 @@ def _visit(phases, coef, grid, table, rows, combs, best_val, best_idx, work=(Non
         r, b = rows[a : a + per_chunk], combs[a : a + per_chunk]
         uniq, inv = np.unique(b, return_inverse=True)
         cells = table[uniq]
-        model = _wrap_inplace(coef[:, None, None] * grid[cells]).astype(np.float32)
+        model = _model(coef, grid[cells]).astype(np.float32)
         ph = phases[r]
         acc = _cell_costs(ph.astype(np.float32), model, inv, work)
         cap = np.minimum(np.add(acc.min(axis=1), 2.0 * e, dtype=np.float64), best_val[r] + e)
         pair, j = np.nonzero(acc <= cap[:, None])
         r, idx = r[pair], cells[inv[pair], j]
-        model64 = _wrap_inplace(coef[:, None, None] * grid[idx][:, None])
-        val = _cell_costs(ph[pair], model64, np.arange(idx.size), work)[:, 0]
+        val = _cell_costs(ph[pair], _model(coef, grid[idx, None]), work=work)[:, 0]
         # Per trial: least cost, then least index; a trial whose cost
         # drops forgets its old index.
         prev = best_val[r]
@@ -401,7 +400,8 @@ class LsSearch:
     result equals a full scan's bit for bit, and ties break toward the
     smallest range (lowest grid index).  With ``refine`` set, a 3-point
     parabolic fit around each interior grid minimum sharpens q_hat below
-    the grid step; the reported cost is re-evaluated at the refined point.
+    the grid step; its centre cost is the search's, and the reported cost
+    is :func:`ls_cost` at the refined point.
     """
 
     def __init__(self, plan: FrequencyPlan, cfg: EstimatorConfig):
@@ -416,8 +416,8 @@ class LsSearch:
         self.coef = (TWO_PI / plan.c) * plan.frequencies
         table, centre_model, shrink = _combs(self.coef, self.grid, cfg.step)
         self.combs = (table, *_bound_arrays(centre_model, shrink))
-        # Trials per slice of run: the refine's (trials, 3, N) array within
-        # _SLICE_ELEMS and the (trials x combs) bounds within _TARGET_ELEMS.
+        # Trials per slice of run: (trials, 3, N) within _SLICE_ELEMS and
+        # the (trials x combs) bounds within _TARGET_ELEMS.
         self.slice = max(1, min(_SLICE_ELEMS // (3 * plan.n), _TARGET_ELEMS // table.shape[0]))
         for arr in (self.grid, self.coef, *self.combs):
             arr.setflags(write=False)
@@ -433,14 +433,14 @@ class LsSearch:
 
         The block is checked once, then searched in slices of
         ``self.slice`` trials, each copied into one buffer and wrapped to
-        (-pi, pi] there (values already there keep their bits).  The refine
+        (-pi, pi] there (values already there keep their bits).  The wrap
         and the per-frequency loops work in one workspace per run, two
-        buffers of a slice's refine size.  No output bit depends on the
-        slice size: trials are independent and :func:`ls_cost` sums per
-        row.  On a 601-cell N = 21 grid with refine on, the traced
-        temporaries beside the outputs (24 bytes a trial) take about 1.1 MiB,
-        where the whole block took 1.4 / 5.4 / 53.5 MiB at 1 000 / 4 000 /
-        40 000 trials."""
+        buffers of three times a slice's phases.  No output bit depends on
+        the slice size: trials are independent and the cost kernel sums
+        per row.  On a 601-cell N = 21 grid with refine on, the traced
+        temporaries beside the outputs (24 bytes a trial) take about
+        1.1-1.2 MiB, where the whole block took 1.4 / 5.4 / 53.5 MiB at
+        1 000 / 4 000 / 40 000 trials."""
         phases = np.asarray(phases, dtype=float)
         if phases.ndim != 2 or phases.shape[1] != self.plan.n:
             raise ValueError("phases must be (trials, N) matching the plan")
@@ -450,7 +450,7 @@ class LsSearch:
         t = phases.shape[0]
         q_hat, cost, idx = np.empty(t), np.full(t, np.inf), np.zeros(t, dtype=np.int64)
         buf = np.empty((min(t, self.slice), self.plan.n))
-        # Sized for the refine of one slice; a group buffer that does not fit is new.
+        # Three slices' phases each; a group buffer that does not fit is new.
         work = tuple(np.empty(3 * buf.size) for _ in range(2))
         for a in range(0, t, self.slice):
             b, ph = a + self.slice, buf[: t - a]
@@ -478,16 +478,16 @@ class LsSearch:
         np.take(grid, idx, out=q_hat)
         rows = np.nonzero(self.refines(idx))[0]
         if rows.size:
-            q3 = grid[idx[rows, None] + np.array([-1, 0, 1])]
-            c3 = _residual_cost(ph[rows, None, :], self.plan, q3, work)
-            denom = c3[:, 0] - 2.0 * c3[:, 1] + c3[:, 2]
+            ph_r, q_2 = ph[rows], grid[idx[rows, None] + [-1, 1]]
+            c_lo, c_hi = _cell_costs(ph_r, _model(self.coef, q_2), work=work).T
+            denom = c_lo - 2.0 * cost[rows] + c_hi
             ok = denom > 0
             delta = np.zeros(rows.size)
-            delta[ok] = 0.5 * (c3[ok, 0] - c3[ok, 2]) / denom[ok] * step
+            delta[ok] = 0.5 * (c_lo[ok] - c_hi[ok]) / denom[ok] * step
             np.clip(delta, -step / 2.0, step / 2.0, out=delta)
             q_ref = q_hat[rows] + delta
             q_hat[rows] = q_ref
-            cost[rows] = _residual_cost(ph[rows], self.plan, q_ref, work)
+            cost[rows] = _cell_costs(ph_r, _model(self.coef, q_ref[:, None]), work=work)[:, 0]
 
 
 # The search of the last (plan, config) asked for.  A campaign loops the

@@ -47,6 +47,12 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+# The environment of a ``python -m mfirange`` subprocess: this one's, so
+# settings such as PYTHONDONTWRITEBYTECODE carry over, with the package on
+# the path.
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(mfirange.__file__).parents[1])}
+
+
 class TestDesignAnalyze:
     def test_design_writes_plan_and_report(self, tmp_path, capsys):
         rc = run_cli(
@@ -551,6 +557,46 @@ def test_subcommands_refuse_flags_they_do_not_read(tmp_path, capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("lo, hi, step", [("-1e308", "1e308", "1"), ("-1e300", "1e300", "1e-300")])
+def test_window_whose_grid_cannot_be_counted(tmp_path, capsys, lo, hi, step):
+    # hi - lo, or (hi - lo) / step, overflows to inf: sizing the grid ended
+    # in an OverflowError traceback.
+    problem = "search window holds too many grid steps to count"
+    rec = TestEstimateReplay().make_record(tmp_path)
+    window = ["--lo", lo, "--hi", hi, "--step", step]
+    for argv in (["estimate", "--record", rec, "--experiment", "e1"],
+                 ["replay", "--record", rec, "--out", tmp_path / "rep"]):
+        assert run_cli(*argv, *window) == 2
+        assert capsys.readouterr().err == f"error: invalid-value: {problem}\n"
+    cfg = TestSimulate().write_campaign(tmp_path, search_lo_m=lo, search_hi_m=hi, step_m=step)
+    capsys.readouterr()
+    assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "sim") == 2
+    assert capsys.readouterr().err == f"error: validation: {problem}\n"
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [(MemoryError("Unable to allocate 1.46 TiB for an array with shape (200000000001,)"),
+      "Unable to allocate 1.46 TiB for an array with shape (200000000001,)"),
+     (MemoryError(), "out of memory")],
+)
+def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, exc, line):
+    # A finite window too large to allocate (--lo -1e9 --hi 1e9 --step 0.01
+    # is 2e11 cells) ended in numpy's MemoryError traceback.  Raised here,
+    # not allocated.
+    from mfirange import cli
+
+    def out_of_memory(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_estimate", out_of_memory)
+    rc = run_cli("estimate", "--plan", tmp_path / "p.plan", "--phases", "0.1,0.2",
+                 "--lo", "-1e9", "--hi", "1e9", "--step", "0.01")
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: out-of-memory: {line}\n"
+
+
 @pytest.mark.parametrize("kind", ["plan", "config"])
 def test_line_without_equals_sign_is_config_error(tmp_path, capsys, kind):
     path = tmp_path / f"x.{kind}"
@@ -561,11 +607,11 @@ def test_line_without_equals_sign_is_config_error(tmp_path, capsys, kind):
 
 
 def test_python_dash_m_entry_point(tmp_path):
-    env = {"PYTHONPATH": str(Path(mfirange.__file__).parents[1]), "PATH": os.environ.get("PATH", "")}
     run = [sys.executable, "-m", "mfirange"]
-    ok = subprocess.run([*run, "--help"], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    opts = dict(capture_output=True, text=True, env=SUBPROCESS_ENV, cwd=tmp_path, timeout=60)
+    ok = subprocess.run([*run, "--help"], **opts)
     assert ok.returncode == 0 and ok.stdout.startswith("usage: mfirange")
-    bad = subprocess.run([*run, "design"], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    bad = subprocess.run([*run, "design"], **opts)
     assert bad.returncode == 2 and bad.stdout == ""
     assert bad.stderr.count("\n") == 1 and bad.stderr.startswith("error: usage:")
 
@@ -576,10 +622,11 @@ def test_prime_design_of_a_huge_quotient_ends(tmp_path, method, res):
     # step at a time from the float quotient, about K * 2^-52 steps, and ran
     # for hours.  In a subprocess with a timeout, so a regression fails
     # instead of hanging the suite.
-    env = {"PYTHONPATH": str(Path(mfirange.__file__).parents[1]), "PATH": os.environ.get("PATH", "")}
     argv = [sys.executable, "-m", "mfirange", "design", "--method", method, "--B", "20e6",
             "--N", "5", "--f1", "400e6", "--res", res, "--skip-sidelobe", "--out", str(tmp_path)]
-    done = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    done = subprocess.run(
+        argv, capture_output=True, text=True, env=SUBPROCESS_ENV, cwd=tmp_path, timeout=60
+    )
     assert done.returncode == 0, done.stderr
     report = dict(line.split(",", 1) for line in (tmp_path / f"{method}_report.csv").read_text().splitlines())
     k, r = int(report["design_tuple_common_factor_k"]), float(res)

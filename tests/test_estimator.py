@@ -168,6 +168,10 @@ class TestLsEstimate:
             EstimatorConfig(0.0, 0.05, 0.1)  # narrower than one step
         with pytest.raises(ValueError):
             EstimatorConfig(0.0, 1.0, -0.1)
+        # hi - lo, or (hi - lo) / step, overflows: the grid cannot be counted.
+        for lo, hi, step in [(-1e308, 1e308, 1.0), (-1e300, 1e300, 1e-300)]:
+            with pytest.raises(ValueError, match="too many grid steps to count"):
+                EstimatorConfig(lo, hi, step)
 
     def test_phases_off_by_whole_turns(self, plan21):
         # Noise-free phases rounded to multiples of 2^-49: phi + 4*pi is then
@@ -214,6 +218,21 @@ class TestBatch:
             assert est.q_hat == q[t]
             assert est.cost_at_min == pytest.approx(cost[t], rel=1e-12)
             assert est.grid_index == idx[t]
+
+    def test_unrefined_cost_is_ls_cost_at_grid_point(self, plan21):
+        # One cost kernel: the search's cost of its grid minimum is ls_cost
+        # at that grid point, bit for bit, in a batch and one at a time.
+        cfg = EstimatorConfig(-3.0, 3.0, 0.01)
+        phases = synth_trial_matrix(
+            plan21, 0.1237, NoiseModel.phase_gaussian(snr_db=13.0), 5, "kernel", 0, 200
+        )
+        grid = cfg.grid()
+        q, cost, idx = ls_estimate_batch(phases, plan21, cfg)
+        assert np.array_equal(q, grid[idx])
+        assert cost.tolist() == ls_cost(phases, plan21, grid[idx]).tolist()
+        for t in range(200):
+            est = ls_estimate(phases[t], plan21, cfg)
+            assert est.cost_at_min == ls_cost(phases[t], plan21, grid[est.grid_index])
 
     def test_refined_cost_is_ls_cost_at_refined_range(self, plan21):
         cfg = EstimatorConfig(-2.0, 2.0, 0.01, refine=True)

@@ -7,7 +7,9 @@ the row-at-a-time record parser and fixed-size sidelobe chunks, the
 analyze digests on the full (unpruned) sidelobe scan, the ambiguity
 and PUMR digests on the round-scheduled branch and bound, and the
 full-block synthesis digest on the re-keying loop that hashed the whole
-key per trial and assigned the state dict that Philox returns.  A
+key per trial and assigned the state dict that Philox returns.  The
+refined outputs (the campaign's ``mse.csv`` and the refined replay) were
+computed with the refine on the scan's cost kernel.  A
 change that alters the noise stream or the arithmetic on purpose updates
 them and says so in its change notes; any other change must leave them as
 they are.
@@ -33,7 +35,7 @@ from mfirange.cli import main, read_plan_file, write_plan_file
 from mfirange.records import Experiment
 
 SIMULATE_SHA256 = {
-    "mse.csv": "22d5fb36b008eded483e755f77dfb1579088690d1e90912ca7081e3ab2d3f34f",
+    "mse.csv": "ea2562aac1db0dc6094babe398aa39d90253ef70c2348beb66115866b808e423",
     "pf.csv": "5d6c1a367f1c8c59f607c1e90e9dff8d10b6ae7cb6c8495ec7955f3e7133b9df",
 }
 
@@ -116,9 +118,9 @@ REPLAY_SHA256 = {
         "golden_histogram.csv": "f0ee6732fd795207cb307af105ff3d5a278c7c17943e035495c389ab0539f710",
     },
     True: {
-        "golden_estimates.csv": "fea51faf4faef33da154ae2e009d1abfaeef59e6a96c5f89d5eda0aa7c7e56b1",
-        "golden_summary.csv": "66afeab383936e3dfb12167a8d143b145e53ffe8742d297b763a5f7464e0358b",
-        "golden_histogram.csv": "8cccff28acdffa9b89811d78ea1a6af8e5a95e27d29bb0b12407347b48164ef6",
+        "golden_estimates.csv": "3cdd7c39879eeaebbc4b5cb8a687d6187f8cc92af7be96cb01fdaa5f0e757986",
+        "golden_summary.csv": "018e2f05ec2a6397e1e266ccd39bf4b7bd17db001eb596e69a7c2cc22b27b6c6",
+        "golden_histogram.csv": "bb0c2f0138d734dad7d53cc48a23e5a729c6ddb45218fab2366a77aa6e6f9347",
     },
 }
 

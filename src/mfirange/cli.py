@@ -9,6 +9,8 @@ phase file).
 Plan and campaign files use a flat ``key = value`` text format with the
 unit in the key name (``_hz``, ``_m``, ``_db``); '#' starts a comment.
 Outputs are CSV (default) or JSON with full-precision round-trip floats.
+JSON has no NaN or infinity, so a non-finite float is ``null`` there; the
+CSV keeps ``nan``, ``inf`` and ``-inf``.
 Every failure exits nonzero after printing one line ``error: <code>: <reason>``.
 A flag's value may be a negative number in any float syntax, written after
 a space or an '=': ``--lo -1e0``, ``--lo=-1e0``, ``--snr -inf`` and
@@ -33,6 +35,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -147,12 +150,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_value(value):
+    """``value``, or None (JSON ``null``) for a non-finite float."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_table(path, header: list[str], rows: list[list], fmt: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        payload = [{k: _json_value(v) for k, v in zip(header, row)} for row in rows]
+        path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -3,9 +3,11 @@
 The estimator minimizes the sum of squared wrapped phase residuals
 LS(q) = sum_i wrap(phi_i - c_i*q)^2, c_i = 2*pi*f_i/c, over a regular
 range grid, and returns the lowest grid index among the cells of least
-cost.
+cost.  Two exact searches share that contract: a grid of more than
+``_COS_CELLS`` = 2048 cells takes a branch and bound over combs, and a
+smaller one a cosine bound over every cell.
 
-The grid search is an exact branch and bound (B&B) over *combs*.  The
+The branch and bound (B&B) runs over *combs*.  The
 cost splits like the paper's two regimes: the frequency spread sets the
 envelope and the mean frequency the carrier cycle.  With cbar =
 (c_max + c_min)/2 and delta_i = c_i - cbar, the grid is tiled by
@@ -40,8 +42,38 @@ to the lower grid index.  The grid and the comb layout depend on the
 plan and the config alone, so one :class:`LsSearch` per (plan, config)
 holds them and searches any number of phase blocks.  It takes a block
 in slices of S = min(2^15 // (3*N), 4e6 // combs) trials (520 at N = 21)
-with one workspace per run, so its temporaries, about 1.1-1.2 MiB on a
-601-cell N = 21 grid, do not grow with the block.
+with one workspace per run, so its temporaries do not grow with the
+block.
+
+The cosine bound.  For |x| <= pi, x^2 >= 2*(1 - cos x), and cos is
+2*pi-periodic, so every cell q with wrapped model m_i has
+
+    LS(q) >= 2*N - 2*C(q),  C(q) = sum_i cos(phi_i - m_i) = Z . W(q),
+
+with Z = [cos phi; sin phi] of a trial and W(q) = [cos m; sin m] of the
+cell.  C is the real part of the coherent sum behind the paper's
+ambiguity function.  A search keeps W of every cell, float32 (2N x
+cells) from the float64 wrapped model, so the C of a slice of trials is
+one (trials x 2N) @ (2N x cells) float32 matrix product, made in chunks
+of at most 2^18 multiply-adds (OpenBLAS runs those on one thread; on a
+loaded 2-vCPU machine a threaded product can stall for milliseconds).
+Each trial's cell j0 of largest C32 is costed in float64, c0.  A cell of
+float64 cost at most c0 has C >= N - c0/2, so its float32 C32 reaches
+the float32 threshold N - (c0 + F(N))/2 derived below, and so does j0.
+A trial with no other cell at the threshold is done, with j0 and c0.  A
+trial with a few more has each costed in float64, and the least (cost,
+index) wins; one with candidates in more than a quarter of the cells
+(low SNR) is visited like one comb of every cell.  At high SNR few
+trials have a second candidate, so there is no second pass over whole
+combs, and a one-trial search is one small product.  A slice holds
+S = min(2^15 // (3*N), 2^17 // cells) trials (218 on a 601-cell grid),
+so the (S x cells) float32 sums stay at 0.5 MiB.
+
+The cut between the two searches is a measured crossover.
+``LsSearch.run`` on the uniform N = 21 plan, 2000 trials with random
+ranges in the window at 13 and 20 dB, refine off, ran 2.4x the B&B's
+speed at 601 cells, 1.7-1.8x at 1201, 1.1x at 2401, 0.5x at 4801 and
+0.3x at 9601 (best of 9 alternating runs on a 2-vCPU x86-64 machine).
 
 Precision rule: every number that only prunes or filters is float32, and
 every number that is returned is float64, computed with the full scan's
@@ -61,6 +93,8 @@ the refine, :func:`ls_cost`), so ``cost_at_min`` is ``ls_cost`` at q_hat.
   least float64 cost passes both tests: its float32 cost is within E(N)
   of its float64 cost, which is at most the float64 cost of any other
   cell of the pair and of the trial's best so far.
+- The cosine bound's C32 and its threshold are float32; j0 and every
+  candidate are costed in float64 by :func:`_cell_costs`.
 
 With u = 2^-24, each float32 value is within E(N) = N*(N + 18)*pi^2*u of
 its float64 counterpart.  The terms of the error, each to first order
@@ -82,6 +116,26 @@ in u:
 That is N*(N + 16)*pi^2*u.  The last 2*N*pi^2*u of E(N) covers the
 rounding of LB32 - E(N) (at most N*pi^2*u), the float64 sums'
 own rounding and the second-order terms, for N up to a few thousand.
+With the same u, the cosine bound's allowance is F(N) = 8*N*(N + 4)*u.
+To first order in u:
+
+- cos and sin of phi_i and m_i, computed in float64 and each in [-1, 1],
+  move by at most u when cast to float32, so each product z_k*w_k of the
+  2N terms of Z . W moves by at most 2*u*|z_k*w_k|;
+- a float32 dot product of 2N terms is within 2*N*u*sum_k |z_k*w_k| of
+  the exact dot product of its rounded inputs, in any summation order
+  and with or without fused multiply-adds;
+- sum_k |z_k*w_k| = sum_i |cos phi_i cos m_i| + |sin phi_i sin m_i| <= N.
+
+So |C32 - C| <= 2*N*(N + 1)*u, and the bound 2*N - 2*C32 is within
+4*N*(N + 1)*u of 2*N - 2*C.  The threshold N - (c0 + F(N))/2 lies in
+(-4*N, N], since c0 <= N*pi^2, so rounding it to float32 moves it by at
+most 4*N*u: 8*N*u on the scale of costs.  That is 4*N*(N + 3)*u.  The
+rest of F(N), 4*N*(N + 5)*u, covers the kernel's float64 rounding (its
+residuals, squares and sum, within about N*(N + 3)*pi^2*2^-53 of the
+exact cost of the float64 phases), the float64 rounding of the
+threshold and the second-order terms, for N up to a few thousand.
+
 The kernel adds its N terms one after another in plan order, as the
 full scan does.  ``np.sum`` and ``np.add.reduce`` over the
 frequency axis sum pairwise and change the last bits of the costs, and
@@ -105,6 +159,17 @@ _TARGET_ELEMS = 4_000_000
 # LsSearch.run takes a block in slices of T trials, each of its two
 # workspace buffers 3*T*N <= this many float64s: 520 trials at N = 21.
 _SLICE_ELEMS = 1 << 15
+# LsSearch searches a grid of at most this many cells with the cosine
+# bound, and a larger one with the comb B&B (the measured crossover is in
+# the module docstring).
+_COS_CELLS = 2048
+# A cosine-bound slice's (trials x cells) float32 bound holds at most this
+# many elements.
+_COS_ELEMS = 1 << 17
+# One matrix product of the cosine bound makes at most this many
+# multiply-adds: OpenBLAS runs a product of up to 65536 * 4 of them on one
+# thread, and a threaded one can stall for milliseconds on a loaded core.
+_GEMM_ELEMS = 1 << 18
 # The per-frequency loops of the B&B take as many frequencies per numpy
 # call as fit in this many elements: a large block runs one frequency at
 # a time on cache-sized arrays, and a block of a few trials makes a few
@@ -207,6 +272,13 @@ def _allowance(n: int) -> float:
     module docstring: a bound's or a cell cost's float32 value is within
     E(N) of its float64 counterpart."""
     return n * (n + 18) * math.pi**2 * 2.0**-24
+
+
+def _cos_allowance(n: int) -> float:
+    """F(N) = 8*N*(N + 4)*2^-24, the allowance of the cosine bound in the
+    module docstring: a cell whose float64 cost is at most c has a float32
+    coherent sum of at least the float32 threshold N - (c + F(N))/2."""
+    return 8 * n * (n + 4) * 2.0**-24
 
 
 def _layout(coef, step, n_pts) -> tuple[float, int, int]:
@@ -366,42 +438,62 @@ def _visit(phases, coef, grid, table, rows, combs, best_val, best_idx, work=(Non
         pair, j = np.nonzero(acc <= cap[:, None])
         r, idx = r[pair], cells[inv[pair], j]
         val = _cell_costs(ph[pair], _model(coef, grid[idx, None]), work=work)[:, 0]
-        # Per trial: least cost, then least index; a trial whose cost
-        # drops forgets its old index.
-        prev = best_val[r]
-        np.minimum.at(best_val, r, val)
-        low = best_val[r]
-        best_idx[r[low < prev]] = np.iinfo(np.int64).max
-        hit = val == low
-        np.minimum.at(best_idx, r[hit], idx[hit])
+        _keep_least(best_val, best_idx, r, val, idx)
+
+
+def _keep_least(best_val, best_idx, rows, val, idx) -> None:
+    """Fold the float64 costs ``val`` of grid cells ``idx``, one per entry
+    of ``rows``, into each trial's (least cost, then least index), in place;
+    a trial whose cost drops forgets its old index."""
+    prev = best_val[rows]
+    np.minimum.at(best_val, rows, val)
+    low = best_val[rows]
+    best_idx[rows[low < prev]] = np.iinfo(np.int64).max
+    hit = val == low
+    np.minimum.at(best_idx, rows[hit], idx[hit])
+
+
+def _coherent_sums(phases, phasors, out, rows_per_product, trig=None) -> np.ndarray:
+    """The float32 coherent sums C = Z @ ``phasors``, Z = float32 [cos phi,
+    sin phi] of the (trials x N) ``phases``, written into the (trials x
+    cells) ``out`` and returned, in matrix products of at most
+    ``rows_per_product`` trials.  ``trig`` is a float64 buffer of the
+    phases' shape, or None."""
+    n = phases.shape[1]
+    z = np.empty((phases.shape[0], 2 * n), np.float32)
+    z[:, :n] = np.cos(phases, out=trig)
+    z[:, n:] = np.sin(phases, out=trig)
+    for a in range(0, phases.shape[0], rows_per_product):
+        b = a + rows_per_product
+        np.matmul(z[a:b], phasors, out=out[a:b])
+    return out
 
 
 class LsSearch:
     """The grid search of one (plan, config), built once for any number of
     phase blocks.
 
-    It holds the plan's ``coef`` c_i = 2*pi*f_i/c, the grid and the comb
-    layout of the module docstring, all read-only: ``combs`` is the cell
-    table and the float32 cm_i, s_i and 2*pi - s_i of every comb, each
-    (N, combs, 1), built once here.  Building it is the one place for
-    checks that depend on both the plan and the config: a step above
-    lambda_min/4 warns here, once per search.
+    It holds the plan's ``coef`` c_i = 2*pi*f_i/c and the grid, and the
+    read-only arrays of one of the module docstring's two searches.  A grid
+    of at most ``_COS_CELLS`` cells takes the cosine bound: ``phasors`` is
+    the float32 [cos m; sin m] of the float64 wrapped model m, (2N, cells),
+    and ``combs`` is None.  A larger grid takes the comb B&B: ``combs`` is
+    the cell table and the float32 cm_i, s_i and 2*pi - s_i of every comb,
+    each (N, combs, 1), and ``phasors`` is None.  Building it is the one
+    place for checks that depend on both the plan and the config: a step
+    above lambda_min/4 warns here, once per search.
 
-    :meth:`run` is the exact branch and bound of the module docstring:
-    each trial visits its comb of least bound, then every other comb
-    whose bound is not above the cost that comb gave.  It follows the
-    module's precision rule: bounds and cell costs that only prune or
-    filter are float32, and within E(N) = N*(N + 18)*pi^2*2^-24 of their
-    float64 values (derived in the module docstring), so a bound is taken
-    as max(0, LB32 - E(N)) and a cell is costed again in float64 when its
-    float32 cost is within 2*E(N) of its comb's float32 minimum.  The
-    float64 re-cost adds the N terms in plan order; ``np.sum`` or
-    ``np.add.reduce`` over frequencies would change the bits.  So the
-    result equals a full scan's bit for bit, and ties break toward the
-    smallest range (lowest grid index).  With ``refine`` set, a 3-point
-    parabolic fit around each interior grid minimum sharpens q_hat below
-    the grid step; its centre cost is the search's, and the reported cost
-    is :func:`ls_cost` at the refined point.
+    :meth:`run` follows the module's precision rule: bounds and cell costs
+    that only prune or filter are float32, each within its allowance of
+    its float64 value (E(N) for the B&B, F(N) for the cosine bound), and
+    every returned cost is the float64 kernel's, :func:`_cell_costs`, which
+    adds the N terms in plan order; ``np.sum`` or ``np.add.reduce`` over
+    frequencies would change the bits.  So the result equals a full scan's
+    bit for bit, and ties break toward the smallest range (lowest grid
+    index).  With ``refine`` set, a 3-point parabolic fit around each
+    interior grid minimum sharpens q_hat below the grid step; its centre
+    cost is the search's, and the reported cost is :func:`ls_cost` at the
+    refined point.
     """
 
     def __init__(self, plan: FrequencyPlan, cfg: EstimatorConfig):
@@ -414,12 +506,24 @@ class LsSearch:
         self.cfg = cfg
         self.grid = cfg.grid()
         self.coef = (TWO_PI / plan.c) * plan.frequencies
-        table, centre_model, shrink = _combs(self.coef, self.grid, cfg.step)
-        self.combs = (table, *_bound_arrays(centre_model, shrink))
-        # Trials per slice of run: (trials, 3, N) within _SLICE_ELEMS and
-        # the (trials x combs) bounds within _TARGET_ELEMS.
-        self.slice = max(1, min(_SLICE_ELEMS // (3 * plan.n), _TARGET_ELEMS // table.shape[0]))
-        for arr in (self.grid, self.coef, *self.combs):
+        n, cells = plan.n, self.grid.size
+        # Trials per slice of run: (trials, 3, N) within _SLICE_ELEMS, and
+        # the (trials x cells) or (trials x combs) float32 bounds within
+        # _COS_ELEMS or _TARGET_ELEMS.
+        if cells <= _COS_CELLS:
+            model = _model(self.coef, self.grid)
+            self.phasors = np.concatenate([np.cos(model), np.sin(model)]).astype(np.float32)
+            self.combs = None
+            # Trials per matrix product, at most _GEMM_ELEMS multiply-adds.
+            self.gemm_rows = max(1, _GEMM_ELEMS // (2 * n * cells))
+            bound_rows = _COS_ELEMS // cells
+        else:
+            table, centre_model, shrink = _combs(self.coef, self.grid, cfg.step)
+            self.combs = (table, *_bound_arrays(centre_model, shrink))
+            self.phasors = None
+            bound_rows = _TARGET_ELEMS // table.shape[0]
+        self.slice = max(1, min(_SLICE_ELEMS // (3 * n), bound_rows))
+        for arr in (self.grid, self.coef, *(self.combs or (self.phasors,))):
             arr.setflags(write=False)
 
     def refines(self, grid_index: np.ndarray) -> np.ndarray:
@@ -439,7 +543,7 @@ class LsSearch:
         the slice size: trials are independent and the cost kernel sums
         per row.  On a 601-cell N = 21 grid with refine on, the traced
         temporaries beside the outputs (24 bytes a trial) take about
-        1.1-1.2 MiB, where the whole block took 1.4 / 5.4 / 53.5 MiB at
+        1.0 MiB at 20 dB, where the whole block took 1.4 / 5.4 / 53.5 MiB at
         1 000 / 4 000 / 40 000 trials."""
         phases = np.asarray(phases, dtype=float)
         if phases.ndim != 2 or phases.shape[1] != self.plan.n:
@@ -452,21 +556,27 @@ class LsSearch:
         buf = np.empty((min(t, self.slice), self.plan.n))
         # Three slices' phases each; a group buffer that does not fit is new.
         work = tuple(np.empty(3 * buf.size) for _ in range(2))
+        # The cosine bound's (slice x cells) coherent sums.
+        sums = None if self.phasors is None else np.empty((buf.shape[0], self.grid.size), np.float32)
         for a in range(0, t, self.slice):
             b, ph = a + self.slice, buf[: t - a]
             np.copyto(ph, phases[a:b])
-            self._run_slice(ph, q_hat[a:b], cost[a:b], idx[a:b], work)
+            _wrap_inplace(ph, _buffer(work[0], ph.shape))
+            if sums is None:
+                self._branch_and_bound(ph, cost[a:b], idx[a:b], work)
+            else:
+                self._cosine_search(ph, sums[: ph.shape[0]], cost[a:b], idx[a:b], work)
+            self._refine(ph, q_hat[a:b], cost[a:b], idx[a:b], work)
         return q_hat, cost, idx
 
-    def _run_slice(self, ph, q_hat, cost, idx, work) -> None:
-        """Fill one slice's outputs, ``cost`` from inf and ``idx`` from 0,
-        for its phases ``ph``, wrapped here in place.  Each trial visits
-        its comb of least bound, then every comb whose certified bound is
-        not above the cost that visit found, all trials' in one call; the
-        cells of any other comb cost more, so they can neither win nor tie.
+    def _branch_and_bound(self, ph, cost, idx, work) -> None:
+        """Fill one slice's ``cost`` (from inf) and ``idx`` for its wrapped
+        phases ``ph`` by the comb B&B.  Each trial visits its comb of least
+        bound, then every comb whose certified bound is not above the cost
+        that visit found, all trials' in one call; the cells of any other
+        comb cost more, so they can neither win nor tie.
         """
-        grid, step, table = self.grid, self.cfg.step, self.combs[0]
-        _wrap_inplace(ph, _buffer(work[0], ph.shape))
+        grid, table = self.grid, self.combs[0]
         trials = np.arange(ph.shape[0])
         lb = _lower_bounds(ph, *self.combs[1:], work)
         first = np.argmin(lb, axis=1)
@@ -475,6 +585,43 @@ class LsSearch:
         rows, combs = np.nonzero(lb <= cost[:, None])
         del lb
         _visit(ph, self.coef, grid, table, rows, combs, cost, idx, work)
+
+    def _cosine_search(self, ph, sums, cost, idx, work) -> None:
+        """Fill one slice's ``cost`` and ``idx`` for its wrapped phases
+        ``ph`` by the cosine bound, with ``sums`` its (trials x cells)
+        float32 workspace.  Each trial's cell of largest coherent sum is
+        costed in float64; every cell whose sum reaches the threshold that
+        cost sets is a candidate, and a trial with more than one has all of
+        its candidates costed, at most ``_SLICE_ELEMS // N`` cells per call,
+        or, with candidates in more than a quarter of the cells, is visited
+        by :func:`_visit` like one comb of every cell.
+        """
+        n = self.plan.n
+        _coherent_sums(ph, self.phasors, sums, self.gemm_rows, _buffer(work[1], ph.shape))
+        np.argmax(sums, axis=1, out=idx)
+        cost[:] = _cell_costs(ph, _model(self.coef, self.grid[idx, None]), work=work)[:, 0]
+        floor = (n - 0.5 * (cost + _cos_allowance(n))).astype(np.float32)
+        # The rows whose largest sum besides the first cell's reaches the floor.
+        sums[np.arange(sums.shape[0]), idx] = -np.inf
+        multi = np.nonzero(sums.max(axis=1) >= floor)[0]
+        is_cand = sums[multi] >= floor[multi, None]
+        # Low SNR: float32 costs of a whole row filter many candidates.
+        wide = np.count_nonzero(is_cand, axis=1) > self.grid.size // 4
+        if wide.any():
+            table, rows = np.arange(self.grid.size)[None, :], multi[wide]
+            _visit(ph, self.coef, self.grid, table, rows, np.zeros_like(rows), cost, idx, work)
+        rows, cells = np.nonzero(is_cand[~wide])
+        rows = multi[~wide][rows]
+        per_call = max(1, _SLICE_ELEMS // n)
+        for a in range(0, rows.size, per_call):
+            r, j = rows[a : a + per_call], cells[a : a + per_call]
+            val = _cell_costs(ph[r], _model(self.coef, self.grid[j, None]), work=work)[:, 0]
+            _keep_least(cost, idx, r, val, j)
+
+    def _refine(self, ph, q_hat, cost, idx, work) -> None:
+        """Set one slice's ``q_hat`` from its grid minima ``idx``, and refine
+        the estimates :meth:`refines` picks, with their ``cost``."""
+        grid, step = self.grid, self.cfg.step
         np.take(grid, idx, out=q_hat)
         rows = np.nonzero(self.refines(idx))[0]
         if rows.size:
@@ -514,10 +661,15 @@ def ls_estimate(phases, plan: FrequencyPlan, cfg: EstimatorConfig) -> Estimate:
     phase vector.
 
     Ties break toward the smallest range; optional parabolic refinement is
-    off by default to match a pure grid search.
+    off by default to match a pure grid search.  ``phases`` must be one
+    vector of the plan's N phases.
     """
+    ph = _phases_array(phases)
+    if ph.shape != (plan.n,):
+        got = f"{ph.size} phases" if ph.ndim == 1 else f"shape {ph.shape}"
+        raise ValueError(f"phase vector has {got}, but the plan has {plan.n} frequencies")
     search = _search(plan, cfg)
-    q_hat, cost, idx = search.run(_phases_array(phases)[None, ...])
+    q_hat, cost, idx = search.run(ph[None, :])
     return Estimate(
         q_hat=float(q_hat[0]),
         cost_at_min=float(cost[0]),

@@ -392,6 +392,27 @@ class TestSimulate:
         rows = json.loads((tmp_path / "j" / "mse.json").read_text())
         assert rows[0]["label"] == "rips" and rows[0]["metric"] == "mse"
 
+    def test_json_writes_null_for_a_non_finite_value(self, tmp_path):
+        # At -30 dB both trials are outliers, so mse_excl_outlier averages
+        # no trial and is NaN.  JSON has no NaN: the file says null, and the
+        # CSV keeps nan.
+        cfg = self.write_campaign(
+            tmp_path, kind="mse", snr_db="-30", trials="2", seed="5",
+            search_lo_m="-3", search_hi_m="3", step_m="0.01",
+        )
+        assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "j", "--format", "json") == 0
+        assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "c") == 0
+
+        def refuse(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        rows = json.loads((tmp_path / "j" / "mse.json").read_text(), parse_constant=refuse)
+        excl = next(row for row in rows if row["metric"] == "mse_excl_outlier")
+        assert excl["value"] is None and excl["trials"] == 0
+        assert all(row["value"] is not None for row in rows if row is not excl)
+        csv_rows = (tmp_path / "c" / "mse.csv").read_text().splitlines()
+        assert any(ln.startswith("rips,-30.0,mse_excl_outlier,nan,") for ln in csv_rows)
+
 
 class TestEstimateReplay:
     def make_record(self, tmp_path, with_q0=True, drop_row=False):
@@ -517,6 +538,16 @@ class TestEstimateReplay:
         assert out == f"q_hat_m = {est.q_hat!r}\ncost_at_min = {est.cost_at_min!r}\n"
         assert run_cli(*argv, "--experiment", "e9") == 2
         assert capsys.readouterr().err == "error: record: experiment 'e9' not found\n"
+
+    def test_estimate_wrong_phase_count_names_both_counts(self, tmp_path, capsys):
+        write_plan_file(tmp_path / "p.plan", FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1,) * 20))
+        rc = run_cli(
+            "estimate", "--plan", tmp_path / "p.plan", "--phases", "0.1,0.2",
+            "--lo", 0, "--hi", 10, "--step", 0.01,
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: invalid-value: phase vector has 2 phases, but the plan has 21 frequencies\n"
 
     def test_estimate_nan_phase_is_invalid_value(self, tmp_path, capsys):
         write_plan_file(tmp_path / "p.plan", FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1, 1)))

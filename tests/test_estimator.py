@@ -1,6 +1,8 @@
+import contextlib
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -76,6 +78,30 @@ def full_scan(phases, plan, cfg):
         best_val[better] = val[better]
         best_idx[better] = idx[better] + start
     return best_val, best_idx
+
+
+# LsSearch's two searches, forced on any grid by patching the cut.
+SEARCH_CUTS = {"cosine": 1 << 62, "bnb": 0}
+
+
+@contextlib.contextmanager
+def search_path(path):
+    """Force LsSearch's search: "cosine" (the cosine bound) or "bnb" (the
+    comb B&B) on every grid.  The cached search of the last (plan, config)
+    is dropped on entry and on exit, so no search built under the patch is
+    reused outside it."""
+    estimator._search.cache_clear()
+    try:
+        with mock.patch.object(estimator, "_COS_CELLS", SEARCH_CUTS[path]):
+            yield
+    finally:
+        estimator._search.cache_clear()
+
+
+@pytest.fixture(params=sorted(SEARCH_CUTS))
+def path(request):
+    with search_path(request.param):
+        yield request.param
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +218,13 @@ class TestLsEstimate:
         with pytest.raises(ValueError):
             ls_estimate_batch(np.full((2, plan21.n), np.inf), plan21, cfg)
 
+    def test_phase_count_must_match_the_plan(self, plan21):
+        cfg = EstimatorConfig(-1.0, 1.0, 0.01)
+        with pytest.raises(ValueError, match=r"^phase vector has 5 phases, but the plan has 21 "):
+            ls_estimate(np.zeros(5), plan21, cfg)
+        with pytest.raises(ValueError, match=r"^phase vector has shape \(1, 21\), but the plan"):
+            ls_estimate(np.zeros((1, plan21.n)), plan21, cfg)
+
     def test_coarse_step_warns(self, plan21):
         pv = synth_phases(plan21, 0.0, NoiseModel.none())
         with pytest.warns(UserWarning):
@@ -262,7 +295,7 @@ class TestBatch:
 
 class TestSlices:
     """``LsSearch.run`` searches a block in slices of ``search.slice``
-    trials, with one workspace for the run."""
+    trials, with one workspace for the run, on either search."""
 
     # The campaign-fine shape: uniform N = 21 plan, 601 cells, refine on.
     CFG = EstimatorConfig(-3.0, 3.0, 0.01, refine=True)
@@ -280,18 +313,37 @@ class TestSlices:
         return phases, ends
 
     def test_slice_size_from_the_element_budget(self, plan21):
-        search = estimator.LsSearch(plan21, self.CFG)
-        assert search.slice == estimator._SLICE_ELEMS // (3 * plan21.n) == 520
-        # The wide-window far-cluster shape of the acceptance checks (N = 31,
-        # 500 001 cells): the (trials x combs) bounds cap the slice.
-        replay = design_prime_min_error(
-            DesignParams(bandwidth=40.378e6, n=31, resolution=65.0, prime_index=12), 410e6, c=C_PAPER
-        )
-        far = estimator.LsSearch(replay, EstimatorConfig(-1e3, 2.4e4, 0.05))
-        assert far.slice == estimator._TARGET_ELEMS // far.combs[0].shape[0]
-        assert far.slice < estimator._SLICE_ELEMS // (3 * replay.n)
+        with search_path("bnb"):
+            search = estimator.LsSearch(plan21, self.CFG)
+            assert search.slice == estimator._SLICE_ELEMS // (3 * plan21.n) == 520
+            # The wide-window far-cluster shape of the acceptance checks (N = 31,
+            # 500 001 cells): the (trials x combs) bounds cap the slice.
+            replay = design_prime_min_error(
+                DesignParams(bandwidth=40.378e6, n=31, resolution=65.0, prime_index=12), 410e6,
+                c=C_PAPER,
+            )
+            far = estimator.LsSearch(replay, EstimatorConfig(-1e3, 2.4e4, 0.05))
+            assert far.slice == estimator._TARGET_ELEMS // far.combs[0].shape[0]
+            assert far.slice < estimator._SLICE_ELEMS // (3 * replay.n)
 
-    def test_slice_edges_match_per_trial_and_full_scan(self, plan21):
+    def test_cosine_slice_size_from_the_element_budget(self, plan21):
+        # The (trials x cells) float32 sums cap the slice below the phase
+        # budget's 520 trials, and each matrix product takes at most
+        # _GEMM_ELEMS multiply-adds.
+        search = estimator.LsSearch(plan21, self.CFG)
+        assert search.combs is None and search.phasors.shape == (2 * plan21.n, 601)
+        assert search.slice == estimator._COS_ELEMS // 601 == 218
+        assert search.gemm_rows == estimator._GEMM_ELEMS // (2 * plan21.n * 601) == 10
+        # The largest grid of the cosine bound, and the smallest of the B&B.
+        step = self.CFG.step
+        top = estimator.LsSearch(plan21, EstimatorConfig(0.0, (estimator._COS_CELLS - 1) * step, step))
+        assert top.grid.size == estimator._COS_CELLS and top.combs is None
+        assert top.slice == estimator._COS_ELEMS // estimator._COS_CELLS == 64
+        assert top.gemm_rows == estimator._GEMM_ELEMS // (2 * plan21.n * top.grid.size) == 3
+        over = estimator.LsSearch(plan21, EstimatorConfig(0.0, estimator._COS_CELLS * step, step))
+        assert over.grid.size == estimator._COS_CELLS + 1 and over.phasors is None
+
+    def test_slice_edges_match_per_trial_and_full_scan(self, plan21, path):
         search = estimator.LsSearch(plan21, self.CFG)
         phases, ends = self.edge_block(plan21, search)
         q, cost, idx = search.run(phases)
@@ -308,7 +360,7 @@ class TestSlices:
         assert (cost[refined] < ref_cost[refined]).all()
 
     @pytest.mark.parametrize("size", [1, 7, 519, 521, 5000])
-    def test_any_slice_size_keeps_the_bits(self, plan21, size):
+    def test_any_slice_size_keeps_the_bits(self, plan21, size, path):
         search = estimator.LsSearch(plan21, self.CFG)
         phases, _ = self.edge_block(plan21, search)
         want = search.run(phases)
@@ -316,7 +368,7 @@ class TestSlices:
         for a, b in zip(search.run(phases), want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    def test_unwrapped_phases_match_prewrapped(self, plan21):
+    def test_unwrapped_phases_match_prewrapped(self, plan21, path):
         search = estimator.LsSearch(plan21, self.CFG)
         phases, _ = self.edge_block(plan21, search)
         turns = np.random.default_rng(8).integers(-40, 40, phases.shape)
@@ -328,25 +380,27 @@ class TestSlices:
         assert np.array_equal(outside, phases + TWO_PI * turns)  # the input is not wrapped
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_phase_in_the_last_slice(self, plan21, bad):
+    def test_non_finite_phase_in_the_last_slice(self, plan21, path, bad):
         search = estimator.LsSearch(plan21, self.CFG)
         phases, _ = self.edge_block(plan21, search)
         phases[-1, 3] = bad
         with pytest.raises(ValueError, match="^phases must be finite$"):
             search.run(phases)
 
-    def test_empty_block(self, plan21):
+    def test_empty_block(self, plan21, path):
         q, cost, idx = estimator.LsSearch(plan21, self.CFG).run(np.empty((0, plan21.n)))
         assert (q.dtype, cost.dtype, idx.dtype) == (np.float64, np.float64, np.int64)
         assert q.size == cost.size == idx.size == 0
 
     @pytest.mark.parametrize("trials", [4000, 40_000])
-    def test_memory_does_not_grow_with_the_block(self, plan21, trials):
+    def test_memory_does_not_grow_with_the_block(self, plan21, path, trials):
         # The temporaries are one slice's: the (slice x N) phase buffer, the
         # workspace of two buffers of up to _SLICE_ELEMS float64 elements,
         # and the bounds and visit arrays of one slice, about 1.1 MiB on this
-        # shape.  The three outputs, 24 bytes a trial, are 0.92 MiB at 40 000
-        # trials.  The whole block at once took 5.4 and 53.5 MiB here.
+        # shape (the B&B), or the (slice x cells) float32 sums and the
+        # candidates' arrays, about 1.0 MiB (the cosine bound).  The three
+        # outputs, 24 bytes a trial, are 0.92 MiB at 40 000 trials.  The
+        # whole block at once took 5.4 and 53.5 MiB here.
         search = estimator.LsSearch(plan21, self.CFG)
         noise = NoiseModel.phase_gaussian(snr_db=20.0)
         phases = synth_trial_matrix(plan21, 0.1237, noise, 4, "memory", 0, trials)
@@ -382,6 +436,8 @@ WIDE = FrequencyPlan(f1=105e6, resolution=10e6, spacings=(1,) * 40, c=C_PAPER)
 BNB_PLANS = {**PLANS, "wideband": WIDE}
 # A narrowband N=64 plan (B/f_max = 0.14).
 N64 = FrequencyPlan(f1=390.1e6, resolution=1e6, spacings=(1,) * 63, c=C_PAPER)
+# A narrowband N=128 plan (B/f_max = 0.25).
+N128 = FrequencyPlan(f1=390.1e6, resolution=1e6, spacings=(1,) * 127, c=C_PAPER)
 
 
 def coef_of(plan):
@@ -438,6 +494,37 @@ class TestFloat32Allowance:
         assert (lb <= lb64).all() and (lb >= lb64 - 2.0 * e).all()
         assert lb.max() > 0.9 * n * math.pi**2
 
+    @pytest.mark.parametrize("n", [2, 21, 31, 64, 200])
+    def test_cosine_sums_within_allowance(self, n):
+        # The cosine bound's float32 sums, from a search's phasors over a
+        # grid far from 0: 2*|C32 - C| is within 4*N*(N + 1)*2^-24, and every
+        # cell's C32 reaches the threshold of its own float64 cost.
+        plan = FrequencyPlan(f1=400e6, resolution=0.5e6, spacings=(1,) * (n - 1), c=C_PAPER)
+        step = plan.lambda_min / 7.0
+        search = estimator.LsSearch(plan, EstimatorConfig(-2e4, -2e4 + 1499.5 * step, step))
+        assert search.grid.size == 1500 and search.combs is None
+        model = estimator._model(search.coef, search.grid)
+        rng = np.random.default_rng(n)
+        # Phases at +-pi, uniform ones, ones opposite a model (sums near -N)
+        # and ones equal to a model (sums near N, the coherent worst case).
+        phases = np.vstack([
+            np.full((1, n), math.pi),
+            np.full((1, n), -math.pi),
+            rng.uniform(-math.pi, math.pi, (6, n)),
+            _wrap_inplace(model[:, :4].T + math.pi),
+            model[:, rng.choice(1500, 8, replace=False)].T,
+        ])
+        sums = np.empty((phases.shape[0], 1500), np.float32)
+        c32 = estimator._coherent_sums(phases, search.phasors, sums, search.gemm_rows)
+        c64 = np.cos(phases[:, :, None] - model[None]).sum(axis=1)
+        assert (2.0 * np.abs(c32 - c64) <= 4 * n * (n + 1) * 2.0**-24).all()
+        assert c32.max() > n - 1e-3 and c32.min() < -n + 1e-3
+        rows = np.zeros(phases.shape[0], dtype=np.int64)
+        k64 = estimator._cell_costs(phases, model[:, None, :], rows)
+        assert (2.0 * n - 2.0 * c64 <= k64 + 1e-9).all()
+        floor = (n - 0.5 * (k64 + estimator._cos_allowance(n))).astype(np.float32)
+        assert (c32 >= floor).all()
+
 
 class TestBranchAndBound:
     @given(
@@ -462,8 +549,9 @@ class TestBranchAndBound:
              q0_frac=0.5, trials=40, seed=1)
     @example(label="wideband", snr_db=0.0, cells_per_lambda=2.9, n_pts=31, lo=-3.1,
              q0_frac=0.5, trials=31, seed=493)
+    @pytest.mark.parametrize("path", sorted(SEARCH_CUTS))
     def test_matches_full_scan(
-        self, label, snr_db, cells_per_lambda, n_pts, lo, q0_frac, trials, seed
+        self, path, label, snr_db, cells_per_lambda, n_pts, lo, q0_frac, trials, seed
     ):
         plan = BNB_PLANS[label]
         step = plan.lambda_min / cells_per_lambda
@@ -472,7 +560,7 @@ class TestBranchAndBound:
         noise = NoiseModel.none() if snr_db is None else NoiseModel.phase_gaussian(snr_db=snr_db)
         q0 = lo + q0_frac * (n_pts - 1) * step
         phases = synth_trial_matrix(plan, q0, noise, seed, "bnb", 0, trials)
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), search_path(path):
             warnings.simplefilter("ignore")  # steps above lambda_min/4 warn
             _, cost, idx = ls_estimate_batch(phases, plan, cfg)
         ref_cost, ref_idx = full_scan(phases, plan, cfg)
@@ -485,7 +573,7 @@ class TestBranchAndBound:
          ("wideband", 1.5e4, 7.0, 900), ("n64", -40.0, 25.0, 5000)],
     )
     def test_far_windows_and_many_frequencies_match_full_scan(
-        self, label, lo, cells_per_lambda, n_pts
+        self, label, lo, cells_per_lambda, n_pts, path
     ):
         # Far from 0 the model phases c_i*q reach 1e5 rad before the wrap;
         # at N = 64 the float32 allowance is about 4 times that of N = 31.
@@ -505,7 +593,7 @@ class TestBranchAndBound:
         assert np.array_equal(idx, ref_idx)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_near_tie_is_decided_in_float64(self, sign):
+    def test_near_tie_is_decided_in_float64(self, sign, path):
         # Zero phases, with the cells around 0 at -step/2 - delta and
         # step/2 - delta (sign 1) or mirrored (sign -1): the cell nearer 0
         # costs about 24*delta less, far below the float32 allowance, so
@@ -540,7 +628,7 @@ class TestBranchAndBound:
     ]
 
     @pytest.mark.parametrize("label, cells_per_lambda, n_pts, layout", EDGE_WINDOWS)
-    def test_edge_windows_match_full_scan(self, label, cells_per_lambda, n_pts, layout):
+    def test_edge_windows_match_full_scan(self, label, cells_per_lambda, n_pts, layout, path):
         plan = BNB_PLANS[label]
         step = plan.lambda_min / cells_per_lambda
         cfg = EstimatorConfig(-3.1, -3.1 + (n_pts - 0.5) * step, step)
@@ -565,7 +653,7 @@ class TestBranchAndBound:
         assert np.array_equal(cost, ref_cost)
         assert np.array_equal(idx, ref_idx)
 
-    def test_coincident_frequencies_match_full_scan(self):
+    def test_coincident_frequencies_match_full_scan(self, path):
         # 1e-8 Hz spacings vanish in f1 = 1 GHz: every c_i is equal, so the
         # comb bound has no envelope term and the window is one super-block.
         plan = FrequencyPlan(f1=1e9, resolution=1e-8, spacings=(1, 1), c=C_PAPER)
@@ -578,7 +666,7 @@ class TestBranchAndBound:
         assert np.array_equal(cost, ref_cost)
         assert np.array_equal(idx, ref_idx)
 
-    def test_noise_free_ambiguity_matches_full_scan(self):
+    def test_noise_free_ambiguity_matches_full_scan(self, path):
         plan = PLANS["rips"]
         cfg = EstimatorConfig(-20.0, 330.0, 0.01)  # holds 12.34 and 12.34 + UMR
         phases = synth_trial_matrix(plan, 12.34, NoiseModel.none(), 1, "amb", 0, 3)
@@ -682,7 +770,8 @@ class TestBranchAndBound:
             visit(ph, coef, grid, table, rows, combs, val, idx, work)
 
         monkeypatch.setattr(estimator, "_visit", spy)
-        _, cost, idx = ls_estimate_batch(phases, plan, cfg)
+        with search_path("bnb"):
+            _, cost, idx = ls_estimate_batch(phases, plan, cfg)
         ref_cost, ref_idx = full_scan(phases, plan, cfg)
         assert np.array_equal(cost, ref_cost)
         assert idx.tolist() == ref_idx.tolist() == [low] * 3
@@ -714,7 +803,8 @@ class TestBranchAndBound:
             visit(ph, coef, grid, table, rows, combs, val, idx, work)
 
         monkeypatch.setattr(estimator, "_visit", spy)
-        _, cost, idx = ls_estimate_batch(phases, WIDE, cfg)
+        with search_path("bnb"):
+            _, cost, idx = ls_estimate_batch(phases, WIDE, cfg)
         ref_cost, ref_idx = full_scan(phases, WIDE, cfg)
         assert np.array_equal(cost, ref_cost)
         assert np.array_equal(idx, ref_idx)
@@ -740,6 +830,98 @@ class TestBranchAndBound:
                 np.zeros((1, plan.n)), coef_of(plan), cfg.grid(), table, rows, combs, val, idx
             )
         assert idx[0] == low
+
+    @pytest.mark.parametrize(
+        "window, layout",
+        [
+            (ONE_COMB, "one block"),
+            (TWO_COMBS, "two blocks, equal bounds"),
+            (HIGHER_FIRST, "higher comb first"),
+        ],
+    )
+    def test_cosine_tie_goes_to_lower_index(self, window, layout, monkeypatch):
+        # The tie windows above on the cosine bound: the tied cell that is
+        # not a trial's first cell reaches the threshold too, so it is costed
+        # in float64 and folded in, and the lower index keeps the tie.
+        plan = PLANS["rips"]
+        cfg, low, *_ = self.tie_window(plan, window, layout)
+        phases = np.zeros((3, plan.n))
+        folded = set()
+        keep = estimator._keep_least
+
+        def spy(best_val, best_idx, rows, val, idx):
+            folded.update(zip(rows.tolist(), idx.tolist()))
+            keep(best_val, best_idx, rows, val, idx)
+
+        monkeypatch.setattr(estimator, "_keep_least", spy)
+        with search_path("cosine"):
+            _, cost, idx = ls_estimate_batch(phases, plan, cfg)
+        ref_cost, ref_idx = full_scan(phases, plan, cfg)
+        assert np.array_equal(cost, ref_cost)
+        assert idx.tolist() == ref_idx.tolist() == [low] * 3
+        for t in range(3):
+            assert {(t, low), (t, low + 1)} & folded
+
+    # Entries folded into trials whose first cells are 9 and 3, at cost 2:
+    # trial 0 gets a lower and a higher tied cell, trial 1 a lower cost at
+    # a higher index, a tie of that, and a cell tying only its old cost.
+    FOLD = [(0, 2.0, 4), (0, 2.0, 12), (1, 1.5, 8), (1, 1.5, 10), (1, 2.0, 1)]
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [1, 3, 0, 4, 2]])
+    def test_keep_least_keeps_lower_index_of_a_tie(self, order):
+        val, idx = np.array([2.0, 2.0]), np.array([9, 3])
+        rows, costs, cells = (np.array(col) for col in zip(*[self.FOLD[k] for k in order]))
+        estimator._keep_least(val, idx, rows, costs, cells)
+        assert val.tolist() == [2.0, 1.5] and idx.tolist() == [4, 8]
+
+    def test_cosine_low_snr_trials_are_visited_whole(self, monkeypatch):
+        # At -35 dB most cells reach a trial's threshold, so the trial is
+        # visited like one comb of every cell; a 30 dB trial has its few
+        # candidates costed one by one.  Both match the full scan.
+        plan, cfg = PLANS["rips"], EstimatorConfig(-3.0, 3.0, 0.01)
+        phases = np.vstack([
+            synth_trial_matrix(plan, 0.1237, NoiseModel.phase_gaussian(snr_db=snr), 8, "wide", 0, 40)
+            for snr in (-35.0, 30.0)
+        ])
+        visited = []
+        visit = estimator._visit
+
+        def spy(ph, coef, grid, table, rows, combs, val, idx, work):
+            assert np.array_equal(table, np.arange(grid.size)[None, :])
+            visited.extend(rows.tolist())
+            visit(ph, coef, grid, table, rows, combs, val, idx, work)
+
+        monkeypatch.setattr(estimator, "_visit", spy)
+        with search_path("cosine"):
+            _, cost, idx = ls_estimate_batch(phases, plan, cfg)
+        ref_cost, ref_idx = full_scan(phases, plan, cfg)
+        assert np.array_equal(cost, ref_cost)
+        assert np.array_equal(idx, ref_idx)
+        assert len(visited) == len(set(visited)) >= 30 and max(visited) < 40
+
+    def test_large_plan_noise_free_and_tied_rows_match_full_scan(self, path):
+        # The worst case for both allowances, which grow as N^2: N = 128,
+        # where F(N) = 0.0081 and E(N) = 0.011.  Rows equal to the kernel's
+        # model at a cell cost exactly 0 there, and their coherent sum is N,
+        # N terms near 1 each; zero phases tie the cells at -step/2 and
+        # +step/2 exactly (the dyadic tie window above).
+        plan = N128
+        step = self.TIE_STEP
+        cfg = EstimatorConfig(-99.5 * step, 99.5 * step, step)
+        grid = cfg.grid()
+        assert grid.size == 200 and grid[99] == -step / 2 and grid[100] == step / 2
+        at = np.array([0, 37, 99, 100, 150, 199])
+        phases = np.vstack([
+            np.zeros((2, plan.n)),
+            _wrap_inplace(coef_of(plan)[None, :] * grid[at, None]),
+            synth_trial_matrix(plan, 0.3, NoiseModel.none(), 2, "n128", 0, 2),
+            synth_trial_matrix(plan, -0.1, NoiseModel.phase_gaussian(snr_db=30.0), 2, "n128", 0, 2),
+        ])
+        _, cost, idx = ls_estimate_batch(phases, plan, cfg)
+        ref_cost, ref_idx = full_scan(phases, plan, cfg)
+        assert np.array_equal(cost, ref_cost)
+        assert np.array_equal(idx, ref_idx)
+        assert idx[:8].tolist() == [99, 99, *at] and (cost[2:8] == 0.0).all()
 
     # A "block" is a B&B comb; on the wideband plan it is a contiguous block.
     @pytest.mark.parametrize("label", sorted(BNB_PLANS))

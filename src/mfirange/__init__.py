@@ -57,6 +57,7 @@ from .analysis import (
 )
 from .estimator import (
     EstimatorConfig,
+    batch_slice,
     ls_cost,
     ls_estimate,
     ls_estimate_batch,

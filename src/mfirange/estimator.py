@@ -235,7 +235,10 @@ def ls_cost(phases, plan: FrequencyPlan, q) -> np.ndarray | float:
     """
     ph = _phases_array(phases)
     if ph.shape[-1:] != (plan.n,):
-        raise ValueError("phase vector length must match the plan")
+        raise ValueError(
+            f"phases have shape {ph.shape}, but their last axis must hold the plan's "
+            f"{plan.n} frequencies"
+        )
     ndim = max(ph.ndim - 1, np.ndim(q))
     ph = _wrap_inplace(np.array(ph, dtype=float, ndmin=ndim + 1))
     q = np.array(q, dtype=float, ndmin=ndim)[..., None]
@@ -546,14 +549,18 @@ class LsSearch:
         1.0 MiB at 20 dB, where the whole block took 1.4 / 5.4 / 53.5 MiB at
         1 000 / 4 000 / 40 000 trials."""
         phases = np.asarray(phases, dtype=float)
-        if phases.ndim != 2 or phases.shape[1] != self.plan.n:
-            raise ValueError("phases must be (trials, N) matching the plan")
+        n = self.plan.n
+        if phases.ndim != 2 or phases.shape[1] != n:
+            raise ValueError(
+                f"phases have shape {phases.shape}, but must be (trials, {n}) for the "
+                f"plan's {n} frequencies"
+            )
         # NaN and inf reach the minimum or maximum: no block-sized temporary.
         if phases.size and not (np.isfinite(phases.min()) and np.isfinite(phases.max())):
             raise ValueError("phases must be finite")
         t = phases.shape[0]
         q_hat, cost, idx = np.empty(t), np.full(t, np.inf), np.zeros(t, dtype=np.int64)
-        buf = np.empty((min(t, self.slice), self.plan.n))
+        buf = np.empty((min(t, self.slice), n))
         # Three slices' phases each; a group buffer that does not fit is new.
         work = tuple(np.empty(3 * buf.size) for _ in range(2))
         # The cosine bound's (slice x cells) coherent sums.
@@ -654,6 +661,16 @@ def ls_estimate_batch(
     ``perfbench/`` stop passing it.
     """
     return _search(plan, cfg).run(phases)
+
+
+def batch_slice(plan: FrequencyPlan, cfg: EstimatorConfig) -> int:
+    """Trials per slice of the search :func:`ls_estimate_batch` runs for
+    (plan, cfg), ``LsSearch(plan, cfg).slice``, built here if it is not
+    the cached search.  A call searches more trials than this a slice at a
+    time, with one slice's temporaries, and pays a fixed cost per call, so
+    a caller with many small blocks can stack them up to this many trials
+    per call at no extra memory."""
+    return _search(plan, cfg).slice
 
 
 def ls_estimate(phases, plan: FrequencyPlan, cfg: EstimatorConfig) -> Estimate:

@@ -4,14 +4,17 @@ A :class:`CampaignSpec` names labeled plans, an SNR grid, the trial
 count, the seed and one :class:`~mfirange.estimator.EstimatorConfig`.
 Every campaign runs one loop, :func:`run_campaign`: per (plan, SNR
 index) it synthesizes one (trials x N) phase block with
-:func:`synth_trial_matrix` and estimates it with one
-:func:`~mfirange.estimator.ls_estimate_batch` call under
-``spec.estimator``; the SNRs of a plan run back to back, so they share
-one :class:`~mfirange.estimator.LsSearch`.  Each ``simulate`` kind reads
-what it needs from those blocks: the MSE and unwrap-failure curves
-(:func:`rows_from_errors`) and the ambiguity errors take the errors of
-:func:`campaign_errors`; the practical-UMR check takes each block's
-phases (:func:`pumr_confusion_rate`) and errors (:func:`far_cluster`).
+:func:`synth_trial_matrix`, and estimates the blocks under
+``spec.estimator`` with :func:`~mfirange.estimator.ls_estimate_batch`.
+The SNRs of a plan run back to back, so they share one
+:class:`~mfirange.estimator.LsSearch`, and consecutive blocks smaller
+than its slice (:func:`~mfirange.estimator.batch_slice`) share one call
+of up to one slice of trials, which pays the call's fixed cost once.
+Each ``simulate`` kind reads what it needs from those blocks: the MSE
+and unwrap-failure curves (:func:`rows_from_errors`) and the ambiguity
+errors take the errors of :func:`campaign_errors`; the practical-UMR
+check takes each block's phases (:func:`pumr_confusion_rate`) and errors
+(:func:`far_cluster`).
 
 Campaigns are bit-reproducible: every trial draws its noise from a
 counter-based Philox substream keyed by (master seed, plan label, SNR
@@ -40,7 +43,7 @@ import numpy as np
 
 from . import analysis
 from .core import FrequencyPlan, NoiseModel, sigma_theta_from_snr_db, synth_phases
-from .estimator import EstimatorConfig, ls_cost, ls_estimate_batch, unwrap_ok
+from .estimator import EstimatorConfig, batch_slice, ls_cost, ls_estimate_batch, unwrap_ok
 
 T = TypeVar("T")
 
@@ -260,19 +263,40 @@ def run_campaign(
     spec: CampaignSpec, measure: Callable[[FrequencyPlan, int, np.ndarray, np.ndarray], T]
 ) -> dict[tuple[str, int], T]:
     """The campaign loop: for each plan, then each SNR index, one
-    :func:`synth_trial_matrix` block and one :func:`ls_estimate_batch`
-    call with ``spec.estimator``.  Returns ``measure(plan, SNR index,
-    phases, errors q_hat - q0)`` per (plan label, SNR index).  Only the
-    current block's phases are held while it is estimated, so ``measure``
-    should return a summary of them, not the phases."""
+    :func:`synth_trial_matrix` block, estimated by :func:`ls_estimate_batch`
+    with ``spec.estimator``.  Returns ``measure(plan, SNR index, phases,
+    errors q_hat - q0)`` per (plan label, SNR index), called in that order
+    with each block's own phases and errors.
+
+    A search call pays a fixed cost beside its per-trial work, so the
+    consecutive blocks of a plan share one call, up to max(trials, S)
+    trials, S being :func:`~mfirange.estimator.batch_slice`; a block of S
+    or more trials keeps its own call.  Trials are independent and no
+    output bit depends on how they are stacked.  Only the phases of one
+    call's blocks are held while they are estimated, so ``measure`` should
+    return a summary of them, not the phases."""
     out: dict[tuple[str, int], T] = {}
     for label, plan in spec.plans:
-        for si, snr in enumerate(spec.snr_grid):
-            phases = synth_trial_matrix(
-                plan, spec.q0, spec.noise_at(snr), spec.seed, label, si, spec.trials
+        per_call = max(1, batch_slice(plan, spec.estimator) // spec.trials)
+        for first in range(0, len(spec.snr_grid), per_call):
+            snrs = range(first, min(first + per_call, len(spec.snr_grid)))
+            blocks = [
+                synth_trial_matrix(
+                    plan, spec.q0, spec.noise_at(spec.snr_grid[si]), spec.seed, label, si,
+                    spec.trials,
+                )
+                for si in snrs
+            ]
+            stacked = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            q_hat, _, _ = ls_estimate_batch(stacked, plan, spec.estimator)
+            # Only ``blocks`` outlives this call (a for loop's names would
+            # keep its last block), so the next call's search holds none.
+            del stacked
+            errors = np.split(q_hat - spec.q0, len(blocks))
+            out.update(
+                ((label, si), measure(plan, si, phases, err))
+                for si, phases, err in zip(snrs, blocks, errors)
             )
-            q_hat, _, _ = ls_estimate_batch(phases, plan, spec.estimator)
-            out[(label, si)] = measure(plan, si, phases, q_hat - spec.q0)
     return out
 
 

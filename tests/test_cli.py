@@ -347,7 +347,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("kind", ["mse", "pf", "ambiguity", "pumr"])
     def test_one_synthesis_and_estimate_per_block(self, tmp_path, monkeypatch, kind):
-        from mfirange import design_rips, montecarlo
+        from mfirange import batch_slice, design_rips, montecarlo
 
         write_plan_file(tmp_path / "rips11.plan", design_rips(400.3e6, 20e6, 11, c=C_PAPER))
         snr_db = "0" if kind == "ambiguity" else "0,10"
@@ -355,17 +355,18 @@ class TestSimulate:
             tmp_path, kind=kind, snr_db=snr_db, trials="5", refine="true",
             **{"plan.rips11": "rips11.plan"},
         )
-        synthesized, configs, specs = [], [], []
+        synthesized, calls, specs = [], [], []
         synth, batch, errors = (
             montecarlo.synth_trial_matrix, montecarlo.ls_estimate_batch, montecarlo.campaign_errors
         )
 
         def spy_synth(plan, q0, noise, seed, label, snr_index, trials):
-            synthesized.append((label, snr_index))
-            return synth(plan, q0, noise, seed, label, snr_index, trials)
+            phases = synth(plan, q0, noise, seed, label, snr_index, trials)
+            synthesized.append((label, snr_index, plan, phases.copy()))
+            return phases
 
         def spy_batch(phases, plan, cfg, *args, **kwargs):
-            configs.append(cfg)
+            calls.append((np.array(phases), plan, cfg))
             return batch(phases, plan, cfg, *args, **kwargs)
 
         def spy_errors(spec):
@@ -376,12 +377,30 @@ class TestSimulate:
         monkeypatch.setattr(montecarlo, "ls_estimate_batch", spy_batch)
         monkeypatch.setattr(montecarlo, "campaign_errors", spy_errors)
         assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "o") == 0
-        # Each (plan, SNR index) block is drawn from its own stream once and
-        # estimated once, with the config's estimator.
+        # Each (plan, SNR index) block is drawn from its own stream once, in
+        # order, and estimated with the config's estimator.
         snrs = range(len(snr_db.split(",")))
-        assert synthesized == [(label, si) for label in ("rips", "rips11") for si in snrs]
-        assert len(configs) == len(synthesized)
-        assert all(c == EstimatorConfig(-150.0, 150.0, 0.05, refine=True) for c in configs)
+        assert [(label, si) for label, si, _, _ in synthesized] == [
+            (label, si) for label in ("rips", "rips11") for si in snrs
+        ]
+        assert all(c == EstimatorConfig(-150.0, 150.0, 0.05, refine=True) for _, _, c in calls)
+        # Each call holds whole consecutive blocks of one plan, as many as fit
+        # in max(trials, S) rows, S being the search's slice: a call ends at
+        # its plan's last block or where the next block would not fit.  The
+        # calls, in order, hold every block once, so every trial is
+        # estimated exactly once.
+        pending = list(synthesized)
+        for phases, plan, c in calls:
+            rows, cap = phases.shape[0], max(5, batch_slice(plan, c))
+            assert 0 < rows <= cap
+            label = pending[0][0]
+            while phases.shape[0]:
+                block_label, _, block_plan, block = pending.pop(0)
+                assert (block_label, block_plan) == (label, plan)
+                assert np.array_equal(phases[:5], block)
+                phases = phases[5:]
+            assert not pending or pending[0][0] != label or rows + 5 > cap
+        assert not pending
         if kind == "ambiguity":
             (spec,) = specs
             assert spec.estimator.refine

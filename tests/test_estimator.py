@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -134,8 +135,12 @@ class TestLsCost:
         )
 
     def test_length_mismatch(self, plan21):
-        with pytest.raises(ValueError):
+        # The message names the shape received and the plan's N.
+        msg = r"^phases have shape {}, but their last axis must hold the plan's 21 frequencies$"
+        with pytest.raises(ValueError, match=msg.format(r"\(5,\)")):
             ls_cost(np.zeros(5), plan21, 0.0)
+        with pytest.raises(ValueError, match=msg.format(r"\(21, 3\)")):
+            ls_cost(np.zeros((plan21.n, 3)), plan21, 0.0)
 
     def test_block_with_per_row_q_equals_row_calls(self, plan21):
         phases = synth_trial_matrix(
@@ -277,6 +282,17 @@ class TestBatch:
         assert interior.all()
         for t in range(20):
             assert cost[t] == ls_cost(phases[t], plan21, q[t])
+
+    @pytest.mark.parametrize("shape", [(4, 20), (21,), (2, 3, 21)])
+    def test_shape_must_match_the_plan(self, plan21, shape):
+        # The message names the shape received and the plan's N.
+        cfg = EstimatorConfig(-1.0, 1.0, 0.01)
+        got = re.escape(str(shape))
+        msg = rf"^phases have shape {got}, but must be \(trials, 21\) for the plan's 21 frequencies$"
+        with pytest.raises(ValueError, match=msg):
+            ls_estimate_batch(np.zeros(shape), plan21, cfg)
+        with pytest.raises(ValueError, match=msg):
+            estimator.LsSearch(plan21, cfg).run(np.zeros(shape))
 
     def test_batch_is_one_search_run(self, plan21):
         # ls_estimate_batch ignores ``workers`` and runs the search of

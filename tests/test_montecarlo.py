@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,20 +8,25 @@ from mfirange import (
     C_PAPER,
     CampaignSpec,
     CampaignValidationError,
+    DesignParams,
     EstimatorConfig,
     FrequencyPlan,
     NoiseModel,
+    batch_slice,
     confusion_bound_for_plan,
     crb,
     campaign_errors,
+    design_prime_min_error,
     design_rips,
+    ls_estimate_batch,
     sigma_theta_from_snr_db,
     synth_phases,
     synth_trial_matrix,
     trial_stream,
     unwrap_ok,
 )
-from mfirange.montecarlo import far_cluster, pumr_confusion_rate, rows_from_errors
+from mfirange import estimator
+from mfirange.montecarlo import far_cluster, pumr_confusion_rate, rows_from_errors, run_campaign
 
 
 @pytest.fixture(scope="module")
@@ -412,3 +418,110 @@ class TestAmbiguitySweep:
         bound = confusion_bound_for_plan(plan, 5.0)
         sigma3 = 3 * math.sqrt(bound.value * (1 - bound.value) / 2000)
         assert rate >= bound.value - sigma3
+
+
+class TestStackedBlocks:
+    """``run_campaign`` stacks a plan's consecutive SNR blocks into one
+    ``ls_estimate_batch`` call of at most max(trials, S) trials, S being
+    ``batch_slice``; every result must equal a search of each block on
+    its own, bit for bit."""
+
+    PLANS = {
+        "uniform": design_rips(400e6, 20e6, 21, c=C_PAPER),
+        "min_error": design_prime_min_error(DesignParams(20e6, 21, 65.0), 400e6, c=C_PAPER),
+    }
+    SNRS = (4.0, 8.0, 12.0, 16.0, 20.0)
+    # 3001 cells take the comb branch and bound, 601 the cosine bound.
+    GRIDS = {"bnb": EstimatorConfig(-15.0, 15.0, 0.01), "cosine": EstimatorConfig(-3.0, 3.0, 0.01)}
+    # Trials per block from S: below S (all five blocks in one call),
+    # dividing S (two blocks fill a call), not dividing S (two blocks per
+    # call, the last call holding one), above S/2 (one block per call),
+    # equal to S and above S (the search slices the block itself).
+    TRIALS = {
+        "below": lambda s: 7,
+        "dividing": lambda s: s // 2,
+        "not-dividing": lambda s: s // 3 + 1,
+        "over-half": lambda s: s // 2 + 1,
+        "equal": lambda s: s,
+        "above": lambda s: s + s // 2,
+    }
+
+    def spec(self, grid, trials, snrs=SNRS):
+        return CampaignSpec.build(
+            plans=self.PLANS, q0=0.1237, snr_grid=snrs, trials=trials, seed=2718,
+            estimator=self.GRIDS[grid],
+        )
+
+    @pytest.mark.parametrize("case", sorted(TRIALS))
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_equals_a_search_per_block(self, grid, case):
+        cfg = self.GRIDS[grid]
+        (s,) = {batch_slice(plan, cfg) for plan in self.PLANS.values()}
+        assert (estimator.LsSearch(self.PLANS["uniform"], cfg).phasors is None) == (grid == "bnb")
+        spec = self.spec(grid, self.TRIALS[case](s))
+        ref = {}
+        for label, plan in spec.plans:
+            for si, snr in enumerate(spec.snr_grid):
+                phases = synth_trial_matrix(
+                    plan, spec.q0, spec.noise_at(snr), spec.seed, label, si, spec.trials
+                )
+                ref[(label, si)] = phases, ls_estimate_batch(phases, plan, cfg)[0] - spec.q0
+
+        def same(a, b):
+            return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        # The errors of every block, as the mse, pf and ambiguity kinds read them.
+        errors = campaign_errors(spec)
+        assert list(errors) == list(ref)
+        assert all(same(errors[key], ref[key][1]) for key in ref)
+        # Each block's own phases and errors reach ``measure``, in order, and
+        # so does the practical-UMR check's summary of them.
+        seen = []
+
+        def measure(plan, si, phases, err):
+            seen.append((si, phases.copy(), err.copy()))
+            return pumr_confusion_rate(phases, plan, spec.q0), float(far_cluster(err, plan).mean())
+
+        pumr = run_campaign(spec, measure)
+        assert list(pumr) == list(ref)
+        for ((label, si), (phases, err)), (si_seen, ph_seen, err_seen) in zip(ref.items(), seen):
+            assert si_seen == si and same(ph_seen, phases) and same(err_seen, err)
+            plan = self.PLANS[label]
+            want = pumr_confusion_rate(phases, plan, spec.q0), float(far_cluster(err, plan).mean())
+            assert pumr[(label, si)] == want
+        # The ambiguity kind's one-SNR campaign.
+        one = campaign_errors(self.spec(grid, spec.trials, self.SNRS[:1]))
+        assert all(same(one[(label, 0)], ref[(label, 0)][1]) for label in self.PLANS)
+
+    def test_memory_does_not_grow_with_the_snr_count(self):
+        # campaign-pf's block shape: 50 trials of an N = 21 plan, so ten
+        # blocks fill one 520-trial call, and 10 SNRs already make a full
+        # call.  Held at once are one call's ten blocks and their stacked
+        # copy (82 KiB each) and one slice's search temporaries.  A loop
+        # that kept every block's phases would add 8.2 KiB per SNR, 246 KiB
+        # at 40 SNRs against 10; the outputs and the data-dependent visit
+        # sizes add under 18 KiB.
+        cfg = self.GRIDS["bnb"]
+        plan = self.PLANS["uniform"]
+        assert batch_slice(plan, cfg) // 50 == 10
+
+        def spec(count):
+            return CampaignSpec.build(
+                plans={"uniform": plan}, q0=0.1237, snr_grid=np.linspace(10.0, 13.0, count),
+                trials=50, seed=31, estimator=cfg,
+            )
+
+        def measure(plan, si, phases, err):
+            return None
+
+        run_campaign(spec(10), measure)  # one-time set-up outside the trace
+        peaks = []
+        for count in (10, 40):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run_campaign(spec(count), measure)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 32 * 1024, peaks

@@ -38,7 +38,9 @@ import json
 import math
 import re
 import sys
+from itertools import islice
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -155,18 +157,37 @@ def _json_value(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def write_table(path, header: list[str], rows: list[list], fmt: str) -> None:
+# Rows formatted at a time by write_table: the cells of one slice, not of
+# the whole table, are alive at once.
+_WRITE_ROWS = 256
+# The text of a cell whose value has exactly this type, as _fmt makes it.
+_PLAIN_TEXT = {float: float.__repr__, int: int.__repr__, str: str}
+
+
+def _cells(values) -> list[str]:
+    """:func:`_fmt` of each value of one column, in one pass; a column that
+    holds one plain type is formatted without a call of ``_fmt`` per cell."""
+    kinds = set(map(type, values))
+    text = _PLAIN_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(text or _fmt, values))
+
+
+def write_table(path, header: list[str], rows: Iterable[Sequence], fmt: str) -> None:
+    """Write ``rows`` (any iterable of rows, one value per header name) as
+    CSV or JSON.  CSV cells are formatted by column, ``_WRITE_ROWS`` rows at
+    a time, and written through one csv writer."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
         payload = [{k: _json_value(v) for k, v in zip(header, row)} for row in rows]
         path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
         return
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        while part := list(islice(rows, _WRITE_ROWS)):
+            writer.writerows(zip(*map(_cells, zip(*part))))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +223,7 @@ def _report_rows(plan: FrequencyPlan, sigma: float, include_sidelobe: bool) -> l
 def cmd_design(args) -> int:
     c = C_MODES[args.c_mode]
     method = args.method
-    sigma = _sigma_from_args(args)  # before any file is written
+    sigma = _sigma_from_args(args)
     extra: list[list] = []
     if method == "rips":
         _require(args, "f1", "B", "N")
@@ -246,12 +267,14 @@ def cmd_design(args) -> int:
         plan = design_random(args.f1, args.B, args.N, args.res, rng, c=c)
         extra.append(["seed", args.seed])
 
+    # The report is built before any file or directory is written, so a
+    # report that fails leaves no plan behind.
+    rows = _report_rows(plan, sigma, include_sidelobe=not args.skip_sidelobe) + extra
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     name = args.label or method
     plan_path = out / f"{name}.plan"
     write_plan_file(plan_path, plan)
-    rows = _report_rows(plan, sigma, include_sidelobe=not args.skip_sidelobe) + extra
     report_path = out / f"{name}_report.{args.format}"
     write_table(report_path, ["metric", "value"], rows, args.format)
     print(f"wrote {plan_path} and {report_path}")
@@ -445,16 +468,15 @@ def cmd_replay(args) -> int:
     exps = record.experiments
     phases = np.array([e.phases for e in exps]).reshape(-1, plan.n)
     q_hat, cost, _ = ls_estimate_batch(phases, plan, cfg)
-    q0 = np.array([np.nan if e.q0 is None else e.q0 for e in exps])
+    q0s = [e.q0 for e in exps]
+    q0 = np.array([np.nan if q is None else q for q in q0s])
     known = ~np.isnan(q0)
     err = q_hat - q0
-    ok = unwrap_ok(q_hat, q0, plan)
-    rows = [
-        [e.experiment_id, float(q_hat[t]), e.q0]
-        + ([float(err[t]), int(ok[t])] if known[t] else [None, None])
-        + [float(cost[t])]
-        for t, e in enumerate(exps)
-    ]
+    # The error and unwrap_ok cells of an experiment without q0 are empty.
+    errs = err.tolist()
+    oks = unwrap_ok(q_hat, q0, plan).astype(int).tolist()
+    for t in np.flatnonzero(~known).tolist():
+        errs[t] = oks[t] = None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.record).stem
@@ -462,7 +484,7 @@ def cmd_replay(args) -> int:
     write_table(
         path,
         ["experiment_id", "q_hat_m", "q0_m", "error_m", "unwrap_ok", "cost_at_min"],
-        rows,
+        zip([e.experiment_id for e in exps], q_hat.tolist(), q0s, errs, oks, cost.tolist()),
         args.format,
     )
     print(f"wrote {path}")

@@ -36,15 +36,19 @@ misses a frequency reported.
 :func:`read_record` reads the file in chunks of about ``_CHUNK_CHARS``
 characters, each ending at a line break, and parses each chunk as it is
 read.  Only per-row numpy arrays and the state the parse keeps (the header
-lines, the experiment ids and one ``float()`` per distinct frequency and
-q0 text) outlive a chunk, so the text, lines and fields of the whole file
-never exist at once.  The checks then judge the rows in slices of
+lines, the experiment ids and the values of the distinct frequency and q0
+texts) outlive a chunk, so the text, lines and fields of the whole file
+never exist at once.  Within a chunk the id, frequency and q0 columns are
+looked up a run at a time where equal texts come in runs, as
+:func:`write_record` writes an experiment's id and q0 over its N rows;
+each distinct frequency and q0 text is still ``float()``-ed once per file,
+and each phase once per row.  The checks then judge the rows in slices of
 ``_CHECK_ROWS``.  The peak is one chunk's strings or one slice's
 temporaries on top of about 50 bytes per data row: 3.7 MB traced, 1.3
 times the file size, on a 46 500-row record of 2.7 MB, where holding the
-text and full-length check temporaries took 6.9 MB.  Chunks and slices
-change no result and no error, since every row is judged by its own line
-and by earlier rows.
+text and full-length check temporaries took 6.9 MB.  Chunks, slices and
+runs change no result and no error, since every row is judged by its own
+line and by earlier rows, and equal texts give equal values.
 """
 
 from __future__ import annotations
@@ -52,7 +56,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, count, islice, repeat
+from operator import ne
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -235,6 +240,48 @@ def _first_seen(texts: Sequence[str], index: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
 
 
+def _runs(texts: list[str]) -> tuple[list[str], list[int]] | None:
+    """``texts`` as runs of equal texts: each run's first text and its
+    length, when they are one run or come in runs of one length of 2 or
+    more (the first and last run may be shorter, as where a chunk cuts a
+    run); else None.
+
+    :func:`write_record` writes an experiment's id and q0 in a run of N
+    rows.  The first two runs give the length, and one comparison of the
+    texts with their runs rebuilt decides; texts that change at once, as
+    the ids of a frequency-major record do, are turned down after three
+    comparisons.
+    """
+    n = len(texts)
+    if not n:
+        return None
+    if texts[-1] == texts[0] and texts.count(texts[0]) == n:
+        return texts[:1], [n]
+    ends = compress(count(1), map(ne, islice(texts, 1, None), texts))
+    first = next(ends)
+    size = next(ends, n) - first
+    if size < 2:
+        return None
+    bounds = [0, *range(first, n, size), n]
+    heads = [texts[0], *texts[first::size]]
+    lengths = [b - a for a, b in zip(bounds, bounds[1:])]
+    if list(chain.from_iterable(map(repeat, heads, lengths))) != texts:
+        return None
+    return heads, lengths
+
+
+def _by_runs(lookup, texts: list[str], state: dict) -> np.ndarray:
+    """``lookup(texts, state)`` (:func:`_first_seen` or :func:`_cached_floats`),
+    made once per run of equal texts where :func:`_runs` finds runs.  Equal
+    texts give equal values, and run heads keep first-seen order, so the
+    values and ``state`` are the same either way."""
+    runs = _runs(texts)
+    if runs is None:
+        return lookup(texts, state)
+    heads, lengths = runs
+    return np.repeat(lookup(heads, state), lengths)
+
+
 def _csv_row(row: int, line: str) -> list[str]:
     try:
         return next(csv.reader([line]))
@@ -243,26 +290,38 @@ def _csv_row(row: int, line: str) -> list[str]:
 
 
 def _fields(data: list[str], row0: int) -> tuple[list[str], np.ndarray]:
-    """Every field of the data rows, flat in file order, and each row's field count.
+    """Every field of the data rows, flat in file order with one filler
+    slot after each row's fields, and each row's field count.
 
     A row's fields are what ``csv.reader`` makes of its line on its own.
     Without a '"' that is the line split at its commas, so all rows are
-    split at once, in their join; with one, csv reads them.  On both paths
+    split at once, in their join with ",\\n," (a line holds no "\\n", so
+    the fillers are the fields "\\n" and no others); with one, csv reads
+    them.  When every row holds the same number of fields, the fillers
+    alone show it, and the lines are not counted one by one.  On both paths
     a field longer than ``csv.field_size_limit()`` raises, naming the first
     data row that holds one, as csv does; ``row0`` data rows of the file
     come before ``data``.
     """
     limit = csv.field_size_limit()
-    joined = ",".join(data)
+    joined = ",\n,".join(data)
     if '"' not in joined:
-        lengths = np.fromiter(map(len, data), np.intp, len(data))
-        for r in np.flatnonzero(lengths > limit):  # only a long line can hold a long field
-            if max(map(len, data[r].split(","))) > limit:
-                raise RecordFormatError(
-                    f"data row {row0 + r + 1}: field larger than field limit ({limit})"
-                )
-        counts = np.fromiter(map(str.count, data, repeat(",")), np.intp, len(data)) + 1
-        return (joined.split(",") if data else []), counts
+        if len(joined) > limit:  # else no field can be longer than the limit
+            lengths = np.fromiter(map(len, data), np.intp, len(data))
+            for r in np.flatnonzero(lengths > limit):  # only a long line can hold a long field
+                if max(map(len, data[r].split(","))) > limit:
+                    raise RecordFormatError(
+                        f"data row {row0 + r + 1}: field larger than field limit ({limit})"
+                    )
+        if not data:
+            return [], np.empty(0, np.intp)
+        fields = joined.split(",")
+        # Rows of w fields each fill len(data) * (w + 1) - 1 slots, with a
+        # filler at every (w + 1)-th.
+        width, extra = divmod(len(fields) + 1, len(data))
+        if not extra and fields[width - 1 :: width].count("\n") == len(data) - 1:
+            return fields, np.full(len(data), width - 1)
+        return fields, np.fromiter(map(str.count, data, repeat(",")), np.intp, len(data)) + 1
     try:
         rows = list(csv.reader(data))
     except csv.Error:  # a field over the limit, maybe one that ran on over lines
@@ -271,7 +330,8 @@ def _fields(data: list[str], row0: int) -> tuple[list[str], np.ndarray]:
         # A line that ends inside an open quote ran on into the next line;
         # split each line on its own, where csv closes the quote at its end.
         rows = [_csv_row(row0 + r, line) for r, line in enumerate(data)]
-    return list(chain.from_iterable(rows)), np.fromiter(map(len, rows), np.intp, len(rows))
+    counts = np.fromiter(map(len, rows), np.intp, len(rows))
+    return list(chain.from_iterable(row + ["\n"] for row in rows)), counts
 
 
 def _chunks(path):
@@ -311,9 +371,10 @@ class _Rows:
         """Take in the lines of ``chunk``, which follows the earlier chunks."""
         # Lines are split at '\n' alone: str.splitlines would also break at
         # characters such as \x0b, \x1c and \x85, which an id may hold.
-        lines = list(filter(None, map(str.strip, chunk.split("\n"))))
-        self.header += [line for line in lines if line[0] == "#"]
-        data = [line for line in lines if line[0] != "#"]
+        data = list(filter(None, map(str.strip, chunk.split("\n"))))
+        if "#" in chunk:
+            self.header += [line for line in data if line[0] == "#"]
+            data = [line for line in data if line[0] != "#"]
         fields, counts = _fields(data, self.rows)
         if self.miscount is None:
             bad = np.flatnonzero((counts != 3) & (counts != 4))
@@ -325,8 +386,9 @@ class _Rows:
         self.rows += len(data)
 
     def _add_columns(self, fields: list[str], counts: np.ndarray) -> None:
-        """Parse the columns of the data rows of ``fields``, with ``counts`` fields each."""
-        starts = np.cumsum(counts) - counts  # each row's first field
+        """Parse the columns of the data rows of ``fields``, laid out as
+        :func:`_fields` gives them, with ``counts`` fields each."""
+        starts = np.cumsum(counts + 1) - (counts + 1)  # each row's first field
         # Rows of one field count lie in runs (first field, rows, count); within
         # a run a column is a slice.  Counts are at least 1, so the zero padding
         # marks where the first run starts and the last ends.
@@ -336,17 +398,17 @@ class _Rows:
 
         def column(k: int) -> list[str]:
             """Field k of every row that has one, run by run."""
-            slices = (fields[s + k : s + rows * w : w] for s, rows, w in runs if k < w)
-            return list(chain.from_iterable(slices))
+            slices = [fields[s + k : s + rows * (w + 1) : w + 1] for s, rows, w in runs if k < w]
+            return slices[0] if len(slices) == 1 else list(chain.from_iterable(slices))
 
-        group = _first_seen(column(0), self.exp_index)
+        group = _by_runs(_first_seen, column(0), self.exp_index)
         f_texts, ph_texts, q0_texts = column(1), column(2), column(3)
-        f = _cached_floats(f_texts, self.f_cache)
+        f = _by_runs(_cached_floats, f_texts, self.f_cache)
         ph = _floats(ph_texts)
         has_q0 = counts == 4
         q0_rows = np.flatnonzero(has_q0)
         q0 = np.full(len(counts), np.nan)
-        q0[q0_rows] = q0_part = _cached_floats(q0_texts, self.q0_cache)
+        q0[q0_rows] = q0_part = _by_runs(_cached_floats, q0_texts, self.q0_cache)
         for errors in (
             _float_errors(f_texts, f),
             _float_errors(ph_texts, ph),
@@ -448,10 +510,12 @@ def read_record(path) -> PhaseRecord:
     chunk's data rows become one flat list of fields, without a list per
     row; csv reads them only when a '"' appears (see :func:`_fields`).  A
     field longer than ``csv.field_size_limit()`` is refused first, with its
-    data row.  Each column of a chunk is then parsed as a whole, each
-    distinct frequency and q0 text once per file.  Last, the rows are
-    judged in slices (see :func:`_check_rows`), in the order the module
-    docstring gives.
+    data row.  Each column of a chunk is then parsed as a whole: the ids,
+    frequencies and q0 a run of equal texts at a time where the chunk shows
+    runs (see :func:`_by_runs`), each distinct frequency and q0 text
+    ``float()``-ed once per file, and each phase once per row.  Last,
+    the rows are judged in slices (see :func:`_check_rows`), in the order
+    the module docstring gives.
     """
     parsed = _Rows()
     for chunk in _chunks(path):

@@ -106,6 +106,23 @@ class TestDesignAnalyze:
         assert captured.err == f"error: invalid-value: {message}\n"
         assert not list(tmp_path.iterdir())
 
+    def test_failing_report_writes_no_plan(self, tmp_path, capsys):
+        # B = 1e-300 designs a plan whose mainlobe width is inf, which the
+        # report refuses; the plan was written before the report was built.
+        argv = ["design", "--method", "rips", "--f1", "400e6", "--B", "1e-300", "--N", "21",
+                "--label", "tiny"]
+        assert run_cli(*argv, "--out", tmp_path / "new") == 2
+        message = "error: invalid-value: mainlobe_width must be finite and positive, got inf\n"
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "new").exists()
+        earlier = tmp_path / "old" / "tiny.plan"
+        earlier.parent.mkdir()
+        earlier.write_text("# an earlier plan\n", encoding="utf-8")
+        assert run_cli(*argv, "--out", earlier.parent) == 2
+        assert capsys.readouterr().err == message
+        assert list(earlier.parent.iterdir()) == [earlier]
+        assert earlier.read_text(encoding="utf-8") == "# an earlier plan\n"
+
     def test_towers_reports_snap_error(self, tmp_path):
         rc = run_cli(
             "design", "--method", "towers", "--fN", "420e6", "--B", "20e6", "--N", "5",
@@ -583,6 +600,83 @@ class TestEstimateReplay:
             rc = run_cli("estimate", "--plan", tmp_path / "p.plan", "--hi", 10, "--step", 0.1, *tail)
             assert rc != 0
             assert capsys.readouterr().err.startswith("error: usage: argument --phases")
+
+
+def _reference_estimates(record, cfg, fmt) -> bytes:
+    """The replay estimates table built and written a row at a time: one
+    list of values per experiment, each cell formatted on its own."""
+    import csv
+    import io
+
+    from mfirange.estimator import ls_estimate_batch, unwrap_ok
+
+    plan = record.plan
+    header = ["experiment_id", "q_hat_m", "q0_m", "error_m", "unwrap_ok", "cost_at_min"]
+    phases = np.array([e.phases for e in record.experiments]).reshape(-1, plan.n)
+    q_hat, cost, _ = ls_estimate_batch(phases, plan, cfg)
+    rows = []
+    for t, e in enumerate(record.experiments):
+        known = e.q0 is not None
+        err = float(q_hat[t]) - e.q0 if known else None
+        ok = int(unwrap_ok(float(q_hat[t]), e.q0, plan)) if known else None
+        rows.append([e.experiment_id, float(q_hat[t]), e.q0, err, ok, float(cost[t])])
+    if fmt == "json":
+        payload = [
+            {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in zip(header, row)}
+            for row in rows
+        ]
+        return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode()
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row])
+    return buf.getvalue().encode()
+
+
+class TestReplayEstimatesTable:
+    """The replay estimates table, written by column in slices of rows,
+    against the row-at-a-time reference, byte for byte."""
+
+    PLAN = FrequencyPlan(f1=400e6, resolution=1e6, spacings=(1, 2, 1), c=C_PAPER)
+    WINDOW = ["--lo", "-2", "--hi", "2", "--step", "0.01", "--refine"]
+
+    def replay(self, tmp_path, exps, fmt):
+        rec = tmp_path / "rec.csv"
+        write_record(rec, self.PLAN, exps)
+        out = tmp_path / f"out_{fmt}"
+        assert run_cli("replay", "--record", rec, "--out", out, "--format", fmt, *self.WINDOW) == 0
+        expected = _reference_estimates(
+            read_record(rec), EstimatorConfig(-2.0, 2.0, 0.01, refine=True), fmt
+        )
+        return (out / f"rec_estimates.{fmt}").read_bytes(), expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("write_rows", [1, 7, 256])
+    def test_matches_reference_writer(self, tmp_path, monkeypatch, fmt, write_rows):
+        from mfirange import cli
+
+        monkeypatch.setattr(cli, "_WRITE_ROWS", write_rows)
+        rng = np.random.default_rng(3)
+        q0s = rng.uniform(-2.0, 2.0, 530).tolist()
+        q0s[:2] = [-0.0, 1e3]  # a negative zero, and one far off (unwrap_ok 0)
+        ids = ["a,b", 'q"t', "x y"]  # csv quotes the first two
+        # Every third experiment has no q0: its error and unwrap_ok cells are empty.
+        exps = [
+            Experiment(ids[k] if k < len(ids) else f"e{k:03d}", rng.uniform(-3.0, 3.0, self.PLAN.n),
+                       None if k % 3 == 2 else q0s[k])
+            for k in range(530)
+        ]
+        got, expected = self.replay(tmp_path, exps, fmt)
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [("csv", "experiment_id,q_hat_m,q0_m,error_m,unwrap_ok,cost_at_min\r\n"), ("json", "[]\n")],
+    )
+    def test_header_only_record(self, tmp_path, fmt, text):
+        got, expected = self.replay(tmp_path, [], fmt)
+        assert got == expected == text.encode()
 
 
 @pytest.mark.parametrize(

@@ -297,10 +297,12 @@ CORRUPTIONS = (
 )
 
 
-def _corrupt(draw, rows, kind):
-    """Apply one corruption in place; each one makes the record invalid."""
+def _corrupt(draw, rows, kind, i=None):
+    """Apply one corruption in place, at row ``i`` if given; each one makes
+    the record invalid."""
     whole = [k for k, row in enumerate(rows) if len(row) in (3, 4)]
-    i = draw(st.sampled_from(whole))
+    if i is None:
+        i = draw(st.sampled_from(whole))
     row = list(rows[i])
     if kind == "drop":
         del rows[i]
@@ -807,3 +809,113 @@ def test_parse_memory_is_bounded_by_the_rows(tmp_path):
     assert len(rec.experiments) == len(exps) and rows >= 40_000
     bound = 64 * rows + 128 * records._CHECK_ROWS + 16 * records._CHUNK_CHARS
     assert peak <= bound, (peak, bound)
+
+
+@st.composite
+def run_rows(draw):
+    """Data rows as ``write_record`` lays them out: each experiment's N rows
+    in plan frequency order, its id and q0 text repeated over the run."""
+    rows = []
+    for exp_id in draw(st.lists(IDS, min_size=1, max_size=6, unique=True)):
+        q0 = draw(st.none() | st.floats(-1e3, 1e3, allow_nan=False))
+        for f in PLAN4.frequencies:
+            ph = draw(GOOD_PHASES)
+            rows.append([exp_id, repr(float(f)), repr(ph)] + ([] if q0 is None else [repr(q0)]))
+    return rows
+
+
+# Characters per parse chunk: one line, two or three lines (runs of N = 4
+# rows are cut in every place), and the default.
+CHUNK_SIZES = st.sampled_from([1, 70, 97, 150, records._CHUNK_CHARS])
+
+
+def _read_in_chunks(path, chunk_chars):
+    """``_outcome`` of ``read_record`` with chunks of ``chunk_chars`` characters."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(records, "_CHUNK_CHARS", chunk_chars)
+        return _outcome(read_record, path)
+
+
+class TestRunShapedRecords:
+    """Records whose ids and q0 come in runs of N rows, as ``write_record``
+    writes them, against the row-at-a-time reference, whatever the chunks."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_written_records_match_reference(self, record_dir, data):
+        exps = data.draw(st.lists(
+            st.builds(Experiment, IDS, st.lists(GOOD_PHASES, min_size=4, max_size=4).map(np.array),
+                      st.one_of(st.none(), st.floats(-1e3, 1e3))),
+            min_size=1, max_size=6, unique_by=lambda e: e.experiment_id,
+        ))
+        path = record_dir / "written_runs.csv"
+        write_record(path, PLAN4, exps)
+        expected = _outcome(_reference_read_record, path)
+        assert expected[0] == "ok"
+        assert _read_in_chunks(path, data.draw(CHUNK_SIZES)) == expected
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_corruption_at_each_place_in_a_run(self, record_dir, data):
+        rows = data.draw(run_rows())
+        kind = data.draw(st.sampled_from(CORRUPTIONS))
+        run = data.draw(st.integers(0, len(rows) // PLAN4.n - 1))
+        place = data.draw(st.sampled_from([0, 1, 2, PLAN4.n - 1]))  # first, middle, last
+        _corrupt(data.draw, rows, kind, run * PLAN4.n + place)
+        path = record_dir / "corrupt_runs.csv"
+        path.write_text(_record_text(PLAN4, map(_csv_line, rows)), encoding="utf-8")
+        expected = _outcome(_reference_read_record, path)
+        assert expected[0] == "error", kind
+        assert _read_in_chunks(path, data.draw(CHUNK_SIZES)) == expected
+
+    @pytest.mark.parametrize("chunk_chars", [1, 70, 97, 150, records._CHUNK_CHARS])
+    def test_equal_q0_values_in_different_texts(self, tmp_path, chunk_chars):
+        lines = [f"{e},{float(f)!r},0.25,{q}" for e in ("a", "b") for f, q
+                 in zip(PLAN4.frequencies, ("1.5", "1.50", "1.5", "15e-1"))]
+        path = tmp_path / "q0_texts.csv"
+        path.write_text(_record_text(PLAN4, lines), encoding="utf-8")
+        outcome = _read_in_chunks(path, chunk_chars)
+        assert outcome == _outcome(_reference_read_record, path)
+        assert outcome[0] == "ok" and [q0 for _, q0, _, _ in outcome[2]] == ["1.5", "1.5"]
+
+
+# Texts in runs of 1 to 5, among them different texts of one value.
+RUN_TEXTS = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "1.5", "1.50", "-0.0", "0.0", "x,y"]), st.integers(1, 5)),
+    max_size=12,
+).map(lambda runs: [text for text, k in runs for _ in range(k)])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(texts=RUN_TEXTS, known=st.lists(st.sampled_from(["b", "1.5", "z"]), unique=True))
+def test_lookup_by_runs_equals_lookup_by_row(texts, known):
+    # The same values and the same state after, whether the texts are
+    # looked up a row or a run at a time.
+    for lookup in (records._first_seen, records._cached_floats):
+        states = [{}, {}]
+        for state in states:
+            lookup(known, state)
+        by_row = lookup(list(texts), states[0])
+        by_runs = records._by_runs(lookup, list(texts), states[1])
+        assert by_runs.dtype == by_row.dtype and by_runs.tobytes() == by_row.tobytes()
+        assert repr(list(states[1].items())) == repr(list(states[0].items()))
+
+
+@pytest.mark.parametrize(
+    "texts, runs",
+    [
+        ([], None),
+        (["a"], (["a"], [1])),
+        (["a"] * 5, (["a"], [5])),
+        (["a", "b", "c"], None),
+        (["a", "b", "b", "c", "c", "d"], (["a", "b", "c", "d"], [1, 2, 2, 1])),
+        (["a", "a", "b", "b", "a", "a"], (["a", "b", "a"], [2, 2, 2])),
+        # Runs of one length, the first and last cut short.
+        (["a", "a", "b", "b", "b", "c"], (["a", "b", "c"], [2, 3, 1])),
+        # The first two runs give length 2, which the third run breaks.
+        (["a", "b", "b", "c", "d", "d"], None),
+        (["a", "a", "b", "b", "c", "b"], None),
+    ],
+)
+def test_runs(texts, runs):
+    assert records._runs(texts) == runs

@@ -52,6 +52,11 @@ from .core import (
 # complex128 temporaries stays near 512 KB, however many points it is given.
 # A sidelobe-scan block holds at most one slice.
 _SCAN_ELEMS = 1 << 15
+# A sidelobe scan of more blocks than this is refused before it allocates:
+# the bound pass and the visits took about 0.9 us a block at N = 6
+# (0.70 s for 763 633 blocks), so this is about a second; the replay
+# workload's N = 31 plan has 16 493 blocks.
+_MAX_SIDELOBE_BLOCKS = 1 << 20
 
 
 def umr(plan: FrequencyPlan) -> float:
@@ -223,7 +228,9 @@ def sidelobe_scan(
     visited first; then every other block whose bound is not below the
     best value is visited, in ascending order and one batch.  A visited
     point with a value equal to the best replaces it only if it lies lower,
-    so the result is the full scan's bit for bit.
+    so the result is the full scan's bit for bit.  A grid of more than
+    ``_MAX_SIDELOBE_BLOCKS`` blocks is refused with a ValueError that
+    names its point count, before anything is allocated.
     """
     if mainlobe_width is None:
         mainlobe_width = plan.c / plan.bandwidth
@@ -238,6 +245,12 @@ def sidelobe_scan(
     n_pts = int((hi - lo) / step) + 1
     slope = _sidelobe_slope(plan)
     width = _sidelobe_block_width(plan, step, slope)
+    blocks = -(-n_pts // width)
+    if blocks > _MAX_SIDELOBE_BLOCKS:
+        raise ValueError(
+            f"the sidelobe scan would cover {n_pts} grid points in {blocks} blocks, more than "
+            f"its limit of {_MAX_SIDELOBE_BLOCKS}; skip it (--skip-sidelobe)"
+        )
     bounds = _block_bounds(plan, lo, step, n_pts, width, slope)
     cells = np.arange(width)
     best_val, best_k = -1.0, 0

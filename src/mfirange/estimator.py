@@ -3,14 +3,14 @@
 The estimator minimizes the sum of squared wrapped phase residuals
 LS(q) = sum_i wrap(phi_i - c_i*q)^2, c_i = 2*pi*f_i/c, over a regular
 range grid, and returns the lowest grid index among the cells of least
-cost.  Two exact searches share that contract: a grid of more than
-``_COS_CELLS`` = 2048 cells takes a branch and bound over combs, and a
-smaller one a cosine bound over every cell.
+cost.  It visits *combs* of cells, and filters each comb's cells by their
+coherent sums.  A grid of more than ``_COS_CELLS`` = 1600 cells is laid
+out in many combs, with a bound pass that picks the combs to visit; a
+smaller grid is one comb of every cell, visited by every trial.
 
-The branch and bound (B&B) runs over *combs*.  The
-cost splits like the paper's two regimes: the frequency spread sets the
-envelope and the mean frequency the carrier cycle.  With cbar =
-(c_max + c_min)/2 and delta_i = c_i - cbar, the grid is tiled by
+The combs.  The cost splits like the paper's two regimes: the frequency
+spread sets the envelope and the mean frequency the carrier cycle.  With
+cbar = (c_max + c_min)/2 and delta_i = c_i - cbar, the grid is tiled by
 super-blocks of consecutive cells.  A cell q = q_s + x of a super-block
 with centre q_s gets the carrier class k = round(wrap(cbar*x)/(2*pi/n_u))
 mod n_u, with u_k = 2*pi*k/n_u and v = wrap(cbar*x - u_k); a comb is
@@ -41,39 +41,60 @@ comb gave; no other comb can hold a cell of that cost or less.  Ties go
 to the lower grid index.  The grid and the comb layout depend on the
 plan and the config alone, so one :class:`LsSearch` per (plan, config)
 holds them and searches any number of phase blocks.  It takes a block
-in slices of S = min(2^15 // (3*N), 4e6 // combs) trials (520 at N = 21)
-with one workspace per run, so its temporaries do not grow with the
-block.
+in slices of S = min(2^15 // (3*N), 4e6 // combs) trials (520 at N = 21),
+or S = min(2^15 // (3*N), 2^17 // G) on one comb (218 on a 601-cell
+grid), with one workspace per run, so its temporaries do not grow with
+the block.
 
-The cosine bound.  For |x| <= pi, x^2 >= 2*(1 - cos x), and cos is
+The coherent visit.  For |x| <= pi, x^2 >= 2*(1 - cos x), and cos is
 2*pi-periodic, so every cell q with wrapped model m_i has
 
-    LS(q) >= 2*N - 2*C(q),  C(q) = sum_i cos(phi_i - m_i) = Z . W(q),
+    LS(q) >= 2*N - 2*C(q),  C(q) = sum_i cos(phi_i - m_i),
 
-with Z = [cos phi; sin phi] of a trial and W(q) = [cos m; sin m] of the
-cell.  C is the real part of the coherent sum behind the paper's
-ambiguity function.  A search keeps W of every cell, float32 (2N x
-cells) from the float64 wrapped model, so the C of a slice of trials is
-one (trials x 2N) @ (2N x cells) float32 matrix product, made in chunks
-of at most 2^18 multiply-adds (OpenBLAS runs those on one thread; on a
-loaded 2-vCPU machine a threaded product can stall for milliseconds).
-Each trial's cell j0 of largest C32 is costed in float64, c0.  A cell of
-float64 cost at most c0 has C >= N - c0/2, so its float32 C32 reaches
-the float32 threshold N - (c0 + F(N))/2 derived below, and so does j0.
-A trial with no other cell at the threshold is done, with j0 and c0.  A
-trial with a few more has each costed in float64, and the least (cost,
-index) wins; one with candidates in more than a quarter of the cells
-(low SNR) is visited like one comb of every cell.  At high SNR few
-trials have a second candidate, so there is no second pass over whole
-combs, and a one-trial search is one small product.  A slice holds
-S = min(2^15 // (3*N), 2^17 // cells) trials (218 on a 601-cell grid),
-so the (S x cells) float32 sums stay at 0.5 MiB.
+the real part of the coherent sum behind the paper's ambiguity function.
+The cells of a comb of super-block s and class k are q = d_s + x, with
+d_s = b_s - g_0 for the super-block's first cell b_s and the grid's first
+cell g_0, and x = g_0 + step*p over the class's cells p of the first
+super-block, as the grid computes them (past the grid's end too).  So
 
-The cut between the two searches is a measured crossover.
+    C(q) = Z . P_k(x),  Z = [cos a; sin a],  a_i = wrap(phi_i - wrap(c_i*d_s)),
+                        P_k(x) = [cos m_x; sin m_x],  m_x,i = wrap(c_i*x),
+
+and the sums C32 of a chunk of (trial, comb) pairs of one class are one
+float32 (pairs x 2N) @ (2N x width) matrix product against the class
+phasors P_k, which the search builds once.  Z and P_k are float32 cos
+and sin of angles wrapped in float64.  One comb of every cell has d_s =
+0, so its angles are the phases.  A product makes fewer than 2^19
+multiply-adds, which OpenBLAS runs on one thread, and a visit's (pairs x
+width) float32 sums hold at most 2^17 elements per chunk.  On a trial's
+first visit its cell of largest C32 is costed in float64.  A cell of
+float64 cost at most the trial's best cost c has C >= N - c/2, so its
+C32 reaches the float32 threshold N - (c + F)/2 derived below.  Each
+pair's cells at the threshold are counted first: a pair with none is
+done, one with candidates in more than a quarter of its comb (low SNR)
+is visited by ``_visit``, which costs the comb's cells in float32 and
+only the few near its least in float64, and every other candidate is
+costed in float64; the least (cost, index) of a trial wins.  At high SNR
+few pairs have a candidate.  In the clipped last super-block, a column
+past the grid's end names the comb's last real cell in the cell table,
+so it can only have that cell costed, never one off the grid.  Combs
+narrower than ``_COHERENT_WIDTH`` = 12 cells skip the sums and go to
+``_visit`` alone: rotating a pair's N phases costs about as much as
+costing a narrow comb's cells.
+
+Both cuts are measured crossovers (best or median of alternating runs
+on a 2-vCPU x86-64 machine, every output equal bit for bit).
 ``LsSearch.run`` on the uniform N = 21 plan, 2000 trials with random
-ranges in the window at 13 and 20 dB, refine off, ran 2.4x the B&B's
-speed at 601 cells, 1.7-1.8x at 1201, 1.1x at 2401, 0.5x at 4801 and
-0.3x at 9601 (best of 9 alternating runs on a 2-vCPU x86-64 machine).
+ranges in the window at 13 and 20 dB, refine off, ran on one comb at
+2.2x the speed of the bound pass at 601 cells, 1.2-1.5x at 1201,
+1.0-1.1x at 1601, 0.9x at 1801, 0.8-0.9x at 2047, 0.5x at 3601, 0.4x at
+4801 and 0.2x at 9601.  Coherent visits against ``_visit`` alone, 200 or
+300 trials with random ranges at -35 / 0 / 11 or 20 dB: contiguous
+wideband combs (N = 41) of 4 to 9 cells ran 0.6-0.7x / 0.96x / 0.9-1.0x,
+of 12 to 48 cells 0.7-0.85x / 0.85-0.93x / 1.0-1.24x; narrowband combs of
+12 cells (N = 128) 0.85-1.1x / 2.2-2.7x / 1.05-1.2x, of 23 cells (N = 64)
+0.9-1.0x / 3.5-3.7x / 1.2-1.3x, and of 28 to 204 cells (N = 21)
+0.8-2.7x / 1.0-5.7x / 1.2-3.1x.
 
 Precision rule: every number that only prunes or filters is float32, and
 every number that is returned is float64, computed with the full scan's
@@ -86,15 +107,15 @@ the refine, :func:`ls_cost`), so ``cost_at_min`` is ``ls_cost`` at q_hat.
   float32 from float32 copies of phi_i, cm_i, s_i and 2*pi - s_i.  It is
   at most LB, and the pad in s_i keeps LB at or below the float64 cost
   of every cell of the comb.
-- A visit costs its cells in float32, from the float64-wrapped model
+- The coherent sums C32 and their threshold are float32; a trial's first
+  cell and every candidate are costed in float64 by :func:`_cell_costs`.
+- ``_visit`` costs its cells in float32, from the float64-wrapped model
   cast to float32.  Only a cell within 2*E(N) of the float32 minimum of
   its (trial, comb) pair, and within E(N) of the trial's best float64
-  cost so far, is costed again in float64 by :func:`_cell_costs`.  A cell of
-  least float64 cost passes both tests: its float32 cost is within E(N)
-  of its float64 cost, which is at most the float64 cost of any other
-  cell of the pair and of the trial's best so far.
-- The cosine bound's C32 and its threshold are float32; j0 and every
-  candidate are costed in float64 by :func:`_cell_costs`.
+  cost so far, is costed again in float64.  A cell of least float64 cost
+  passes both tests: its float32 cost is within E(N) of its float64
+  cost, which is at most the float64 cost of any other cell of the pair
+  and of the trial's best so far.
 
 With u = 2^-24, each float32 value is within E(N) = N*(N + 18)*pi^2*u of
 its float64 counterpart.  The terms of the error, each to first order
@@ -116,25 +137,35 @@ in u:
 That is N*(N + 16)*pi^2*u.  The last 2*N*pi^2*u of E(N) covers the
 rounding of LB32 - E(N) (at most N*pi^2*u), the float64 sums'
 own rounding and the second-order terms, for N up to a few thousand.
-With the same u, the cosine bound's allowance is F(N) = 8*N*(N + 4)*u.
-To first order in u:
+With the same u, the coherent sums' allowance is F = 8*N*(N + 10)*u +
+2*N*pad, with the pad above.  To first order in u:
 
-- cos and sin of phi_i and m_i, computed in float64 and each in [-1, 1],
-  move by at most u when cast to float32, so each product z_k*w_k of the
-  2N terms of Z . W moves by at most 2*u*|z_k*w_k|;
+- numpy's float32 cos and sin of a float64 angle in [-pi, pi], cast to
+  float32, are within 8*u of the float64 cos and sin of that angle: the
+  cast moves the angle by at most pi*u, and the float32 functions add a
+  few ulps (``tests/test_estimator.py`` sweeps [-pi, pi] for this
+  budget).  So each product z_k*w_k of the 2N terms of Z . P_k moves by
+  at most 8*u*(|z_k| + |w_k|), and as sum_k |z_k| + |w_k| <=
+  2*sqrt(2)*N, the inputs move C32 by at most 16*sqrt(2)*N*u <= 23*N*u;
 - a float32 dot product of 2N terms is within 2*N*u*sum_k |z_k*w_k| of
   the exact dot product of its rounded inputs, in any summation order
-  and with or without fused multiply-adds;
-- sum_k |z_k*w_k| = sum_i |cos phi_i cos m_i| + |sin phi_i sin m_i| <= N.
+  and with or without fused multiply-adds, and sum_k |z_k*w_k| =
+  sum_i |cos a_i cos m_x,i| + |sin a_i sin m_x,i| <= N;
+- the factored angle a_i - m_x,i differs from the kernel's phi_i -
+  wrap(c_i*q), mod 2*pi, by the rounding of the grid values, of the
+  products c_i*q, c_i*d_s and c_i*x, and of three wraps: a few ulps of
+  the largest model phase, within the pad.  Each cosine term then moves
+  by at most the pad, and C by at most N*pad.
 
-So |C32 - C| <= 2*N*(N + 1)*u, and the bound 2*N - 2*C32 is within
-4*N*(N + 1)*u of 2*N - 2*C.  The threshold N - (c0 + F(N))/2 lies in
-(-4*N, N], since c0 <= N*pi^2, so rounding it to float32 moves it by at
-most 4*N*u: 8*N*u on the scale of costs.  That is 4*N*(N + 3)*u.  The
-rest of F(N), 4*N*(N + 5)*u, covers the kernel's float64 rounding (its
-residuals, squares and sum, within about N*(N + 3)*pi^2*2^-53 of the
-exact cost of the float64 phases), the float64 rounding of the
-threshold and the second-order terms, for N up to a few thousand.
+So |C32 - C| <= 2*N*(N + 11.5)*u + N*pad, and the bound 2*N - 2*C32 is
+within 4*N*(N + 11.5)*u + 2*N*pad of 2*N - 2*C.  The threshold N - (c +
+F)/2 lies in (-4*N, N], since c <= N*pi^2, so rounding it to float32
+moves it by at most 4*N*u: 8*N*u on the scale of costs.  That is
+4*N*(N + 13.5)*u + 2*N*pad.  The rest of F, 4*N*(N + 6.5)*u, covers the
+kernel's float64 rounding (its residuals, squares and sum, within about
+N*(N + 3)*pi^2*2^-53 of the exact cost of the float64 phases), the
+float64 rounding of the threshold and the second-order terms, for N up
+to a few thousand.
 
 The kernel adds its N terms one after another in plan order, as the
 full scan does.  ``np.sum`` and ``np.add.reduce`` over the
@@ -148,6 +179,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,18 +191,25 @@ _TARGET_ELEMS = 4_000_000
 # LsSearch.run takes a block in slices of T trials, each of its two
 # workspace buffers 3*T*N <= this many float64s: 520 trials at N = 21.
 _SLICE_ELEMS = 1 << 15
-# LsSearch searches a grid of at most this many cells with the cosine
-# bound, and a larger one with the comb B&B (the measured crossover is in
-# the module docstring).
-_COS_CELLS = 2048
-# A cosine-bound slice's (trials x cells) float32 bound holds at most this
+# LsSearch searches a grid of at most this many cells as one comb of every
+# cell, and a larger one with a bound pass over combs first (the measured
+# crossover is in the module docstring).
+_COS_CELLS = 1600
+# Combs narrower than this many cells are visited by _visit alone: rotating
+# a pair's N phasors costs about as much as costing a narrow comb's cells
+# (the measured crossover is in the module docstring).
+_COHERENT_WIDTH = 12
+# A visit chunk's (pairs x width) float32 coherent sums hold at most this
 # many elements.
 _COS_ELEMS = 1 << 17
-# One matrix product of the cosine bound makes at most this many
-# multiply-adds: OpenBLAS runs a product of up to 65536 * 4 of them on one
-# thread, and a threaded one can stall for milliseconds on a loaded core.
-_GEMM_ELEMS = 1 << 18
-# The per-frequency loops of the B&B take as many frequencies per numpy
+# One matrix product of the coherent sums makes at most this many
+# multiply-adds, so OpenBLAS runs it on one thread: a threaded product can
+# stall for milliseconds on a loaded core.  On the 601-cell N = 21 comb,
+# products of up to 32 rows (808 K multiply-adds) used one thread and 48
+# rows two; a 218-row slice took 79 us in 20-row products against 108 us
+# in 10-row ones (under 2^18 multiply-adds).
+_GEMM_ELEMS = (1 << 19) - 1
+# The per-frequency loops of the search take as many frequencies per numpy
 # call as fit in this many elements: a large block runs one frequency at
 # a time on cache-sized arrays, and a block of a few trials makes a few
 # calls instead of several per frequency.
@@ -277,11 +316,12 @@ def _allowance(n: int) -> float:
     return n * (n + 18) * math.pi**2 * 2.0**-24
 
 
-def _cos_allowance(n: int) -> float:
-    """F(N) = 8*N*(N + 4)*2^-24, the allowance of the cosine bound in the
-    module docstring: a cell whose float64 cost is at most c has a float32
-    coherent sum of at least the float32 threshold N - (c + F(N))/2."""
-    return 8 * n * (n + 4) * 2.0**-24
+def _cos_allowance(n: int, pad: float) -> float:
+    """F = 8*N*(N + 10)*2^-24 + 2*N*pad, the allowance of the coherent sums
+    in the module docstring, for a layout whose factored angles are within
+    ``pad`` of the kernel's: a cell whose float64 cost is at most c has a
+    float32 coherent sum of at least the float32 threshold N - (c + F)/2."""
+    return 8 * n * (n + 10) * 2.0**-24 + 2 * n * pad
 
 
 def _layout(coef, step, n_pts) -> tuple[float, int, int]:
@@ -300,19 +340,32 @@ def _layout(coef, step, n_pts) -> tuple[float, int, int]:
     return c_max - spread, n_u, min(n_pts, max(1, int(TWO_PI / (n_u * spread * step))))
 
 
-def _combs(coef, grid, step) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """B&B comb layout of the module docstring for a plan's ``coef`` and a grid.
+class _Combs(NamedTuple):
+    """A comb layout of :func:`_combs`."""
 
-    Returns the cell table (combs x width), each row a comb's grid indices
-    in increasing order, and the centre model and shrink, (N x combs).  One
-    super-block's class pattern is tiled over the grid, so no sort runs
-    over the whole grid.  A comb with fewer cells than the widest repeats
-    its last cell, which changes no argmin.  The clipped last super-block
-    keeps its pattern's centre and maxima; its past-the-end cells repeat
-    the comb's last real cell, and a comb with no real cell is dropped.
+    table: np.ndarray  # (combs, width) grid indices, each row ascending
+    centre_model: np.ndarray  # (N, combs) float64 cm_i
+    shrink: np.ndarray  # (N, combs) float64 s_i
+    cls: np.ndarray  # (combs,) each comb's carrier class: its row of phasors
+    base_model: np.ndarray  # (combs, N) float64 wrap(c_i*(b - grid[0])), b its super-block's first cell
+    phasors: np.ndarray | None  # (classes, 2N, width) float32 P_k; None below _COHERENT_WIDTH
+    pad: float  # 16 ulps of the largest model phase
+
+
+def _combs(coef, grid, step, layout=None) -> _Combs:
+    """Comb layout of the module docstring for a plan's ``coef`` and a grid,
+    by the layout rule or by ``layout``, a (cbar, n_u, super-block size)
+    triple: (0, 1, G) makes the grid one comb of every cell.
+
+    One super-block's class pattern is tiled over the grid, so no sort runs
+    over the whole grid, and the class phasors P_k come from the same
+    pattern.  A comb with fewer cells than the widest repeats its last
+    cell, which changes no argmin.  The clipped last super-block keeps its
+    pattern's centre and maxima; its past-the-end cells repeat the comb's
+    last real cell in the table, and a comb with no real cell is dropped.
     """
     n_pts = grid.size
-    c_bar, n_u, size = _layout(coef, step, n_pts)
+    c_bar, n_u, size = _layout(coef, step, n_pts) if layout is None else layout
     x = (np.arange(size) - 0.5 * (size - 1)) * step
     w = _wrap_inplace(c_bar * x)
     turns = np.rint(w * (n_u / TWO_PI))
@@ -344,9 +397,20 @@ def _combs(coef, grid, step) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u = (classes - half) * (TWO_PI / n_u)
     centre_model = _wrap_inplace(coef[:, None, None] * centre[:, None] + u)[:, keep]
     reach = coef.max() * (abs(grid[0]) + abs(grid[-1] - grid[0]) + size * step) + TWO_PI
-    shrink = v_max + np.abs(coef - c_bar)[:, None] * x_max + 16.0 * np.spacing(reach)
+    pad = 16.0 * np.spacing(reach)
+    shrink = v_max + np.abs(coef - c_bar)[:, None] * x_max + pad
     shrink = np.broadcast_to(shrink[:, None, :], (coef.size, n_super, classes.size))[:, keep]
-    return table[keep], centre_model, shrink
+    # The factors of the coherent sums: a comb's cells are those of its
+    # class in the first super-block, grid[0] + step*p as the grid computes
+    # them (also past the end), moved by grid[base_s] - grid[0].
+    comb_cls = np.broadcast_to(np.arange(classes.size), keep.shape)[keep]
+    base_model = _model(coef, grid[base] - grid[0]).T[:, None, :]
+    base_model = np.broadcast_to(base_model, keep.shape + (coef.size,))[keep]
+    phasors = None
+    if width >= _COHERENT_WIDTH:
+        m = _model(coef, grid[0] + step * pat).astype(np.float32)  # (N, classes, width)
+        phasors = np.concatenate([np.cos(m), np.sin(m)]).transpose(1, 0, 2).copy()
+    return _Combs(table[keep], centre_model, shrink, comb_cls, base_model, phasors, float(pad))
 
 
 def _bound_arrays(centre_model, shrink) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -422,11 +486,10 @@ def _visit(phases, coef, grid, table, rows, combs, best_val, best_idx, work=(Non
     Cells are costed in float32.  Only a cell within 2*E(N) of its pair's
     float32 minimum, and within E(N) of its trial's best cost so far, can
     hold or tie the float64 minimum; those alone are costed again by
-    :func:`_cell_costs` in float64, one model row per cell, and the
-    least (cost, grid index) of each trial wins.
-    ``best_val`` and ``best_idx`` are updated in place.  A chunk of pairs
-    holds ``_TARGET_ELEMS`` model elements: about 950 pairs on a 30 001-cell
-    N = 21 grid, so a 50-trial block's visits are one chunk each.
+    :func:`_cost_cells`, and the least (cost, grid index) of each trial
+    wins.  ``best_val`` and ``best_idx`` are updated in place.  A chunk of
+    pairs holds ``_TARGET_ELEMS`` model elements: about 950 pairs on a
+    30 001-cell N = 21 grid.
     """
     e = _allowance(coef.size)
     per_chunk = max(1, _TARGET_ELEMS // (table.shape[1] * coef.size))
@@ -435,13 +498,21 @@ def _visit(phases, coef, grid, table, rows, combs, best_val, best_idx, work=(Non
         uniq, inv = np.unique(b, return_inverse=True)
         cells = table[uniq]
         model = _model(coef, grid[cells]).astype(np.float32)
-        ph = phases[r]
-        acc = _cell_costs(ph.astype(np.float32), model, inv, work)
+        acc = _cell_costs(phases[r].astype(np.float32), model, inv, work)
         cap = np.minimum(np.add(acc.min(axis=1), 2.0 * e, dtype=np.float64), best_val[r] + e)
         pair, j = np.nonzero(acc <= cap[:, None])
-        r, idx = r[pair], cells[inv[pair], j]
-        val = _cell_costs(ph[pair], _model(coef, grid[idx, None]), work=work)[:, 0]
-        _keep_least(best_val, best_idx, r, val, idx)
+        _cost_cells(phases, coef, grid, r[pair], cells[inv[pair], j], best_val, best_idx, work)
+
+
+def _cost_cells(phases, coef, grid, rows, cells, best_val, best_idx, work=(None, None)) -> None:
+    """Cost grid cell ``cells[p]`` of trial ``rows[p]`` in float64 with
+    :func:`_cell_costs`, one model row per pair and at most ``_SLICE_ELEMS
+    // N`` pairs per call, and fold the costs in with :func:`_keep_least`."""
+    per_call = max(1, _SLICE_ELEMS // coef.size)
+    for a in range(0, rows.size, per_call):
+        r, j = rows[a : a + per_call], cells[a : a + per_call]
+        val = _cell_costs(phases[r], _model(coef, grid[j, None]), work=work)[:, 0]
+        _keep_least(best_val, best_idx, r, val, j)
 
 
 def _keep_least(best_val, best_idx, rows, val, idx) -> None:
@@ -456,19 +527,23 @@ def _keep_least(best_val, best_idx, rows, val, idx) -> None:
     np.minimum.at(best_idx, rows[hit], idx[hit])
 
 
-def _coherent_sums(phases, phasors, out, rows_per_product, trig=None) -> np.ndarray:
-    """The float32 coherent sums C = Z @ ``phasors``, Z = float32 [cos phi,
-    sin phi] of the (trials x N) ``phases``, written into the (trials x
-    cells) ``out`` and returned, in matrix products of at most
-    ``rows_per_product`` trials.  ``trig`` is a float64 buffer of the
-    phases' shape, or None."""
-    n = phases.shape[1]
-    z = np.empty((phases.shape[0], 2 * n), np.float32)
-    z[:, :n] = np.cos(phases, out=trig)
-    z[:, n:] = np.sin(phases, out=trig)
-    for a in range(0, phases.shape[0], rows_per_product):
-        b = a + rows_per_product
-        np.matmul(z[a:b], phasors, out=out[a:b])
+def _coherent_sums(angles, phasors, classes, out, rows_per_product, z=None) -> np.ndarray:
+    """The float32 coherent sums C32 = Z @ P_k, written into the (pairs x
+    width) ``out`` and returned.  Row p of Z is float32 [cos a; sin a] of
+    row p of the (pairs x N) float64 ``angles``, each in [-pi, pi], and k is
+    ``classes[p]``, ascending, the row's class in the (classes, 2N, width)
+    ``phasors``.  Each matrix product takes at most ``rows_per_product``
+    rows; ``z`` is a (pairs x 2N) float32 workspace, or None."""
+    pairs, n = angles.shape
+    z = np.empty((pairs, 2 * n), np.float32) if z is None else z
+    z[:, n:] = angles
+    np.cos(z[:, n:], out=z[:, :n])
+    np.sin(z[:, n:], out=z[:, n:])
+    ends = np.searchsorted(classes, np.arange(phasors.shape[0] + 1))
+    for k in np.nonzero(np.diff(ends))[0]:
+        for a in range(ends[k], ends[k + 1], rows_per_product):
+            b = min(a + rows_per_product, ends[k + 1])
+            np.matmul(z[a:b], phasors[k], out=out[a:b])
     return out
 
 
@@ -476,27 +551,29 @@ class LsSearch:
     """The grid search of one (plan, config), built once for any number of
     phase blocks.
 
-    It holds the plan's ``coef`` c_i = 2*pi*f_i/c and the grid, and the
-    read-only arrays of one of the module docstring's two searches.  A grid
-    of at most ``_COS_CELLS`` cells takes the cosine bound: ``phasors`` is
-    the float32 [cos m; sin m] of the float64 wrapped model m, (2N, cells),
-    and ``combs`` is None.  A larger grid takes the comb B&B: ``combs`` is
-    the cell table and the float32 cm_i, s_i and 2*pi - s_i of every comb,
-    each (N, combs, 1), and ``phasors`` is None.  Building it is the one
-    place for checks that depend on both the plan and the config: a step
-    above lambda_min/4 warns here, once per search.
+    It holds the plan's ``coef`` c_i = 2*pi*f_i/c, the grid and the comb
+    layout of the module docstring.  ``table`` is the (combs x width) cell
+    table; ``comb_class`` and ``base_model`` give each comb's class and
+    wrap(c_i*(b - grid[0])) for its super-block's first cell b, and ``phasors`` is the
+    float32 (classes, 2N, width) class phasors P_k, or None where the
+    combs are narrower than ``_COHERENT_WIDTH``.  A grid of at most
+    ``_COS_CELLS`` cells is one comb of every cell and ``bounds`` is None;
+    on a larger one ``bounds`` is the float32 cm_i, s_i and 2*pi - s_i of
+    every comb, each (N, combs, 1).  ``allowance`` is the coherent sums'
+    F.  Building it is the one place for checks that depend on both the
+    plan and the config: a step above lambda_min/4 warns here, once per
+    search.
 
-    :meth:`run` follows the module's precision rule: bounds and cell costs
-    that only prune or filter are float32, each within its allowance of
-    its float64 value (E(N) for the B&B, F(N) for the cosine bound), and
-    every returned cost is the float64 kernel's, :func:`_cell_costs`, which
-    adds the N terms in plan order; ``np.sum`` or ``np.add.reduce`` over
-    frequencies would change the bits.  So the result equals a full scan's
-    bit for bit, and ties break toward the smallest range (lowest grid
-    index).  With ``refine`` set, a 3-point parabolic fit around each
-    interior grid minimum sharpens q_hat below the grid step; its centre
-    cost is the search's, and the reported cost is :func:`ls_cost` at the
-    refined point.
+    :meth:`run` follows the module's precision rule: bounds, coherent sums
+    and cell costs that only prune or filter are float32, each within its
+    allowance of its float64 value, and every returned cost is the float64
+    kernel's, :func:`_cell_costs`, which adds the N terms in plan order;
+    ``np.sum`` or ``np.add.reduce`` over frequencies would change the bits.
+    So the result equals a full scan's bit for bit, and ties break toward
+    the smallest range (lowest grid index).  With ``refine`` set, a 3-point
+    parabolic fit around each interior grid minimum sharpens q_hat below
+    the grid step; its centre cost is the search's, and the reported cost
+    is :func:`ls_cost` at the refined point.
     """
 
     def __init__(self, plan: FrequencyPlan, cfg: EstimatorConfig):
@@ -510,23 +587,25 @@ class LsSearch:
         self.grid = cfg.grid()
         self.coef = (TWO_PI / plan.c) * plan.frequencies
         n, cells = plan.n, self.grid.size
+        one = cells <= _COS_CELLS
+        combs = _combs(self.coef, self.grid, cfg.step, (0.0, 1, cells) if one else None)
+        self.table, self.comb_class = combs.table, combs.cls
+        self.base_model, self.phasors = combs.base_model, combs.phasors
+        self.bounds = None if one else _bound_arrays(combs.centre_model, combs.shrink)
+        self.allowance = _cos_allowance(n, combs.pad)
+        width = self.table.shape[1]
+        # Rows per matrix product, at most _GEMM_ELEMS multiply-adds, and
+        # (trial, comb) pairs per chunk of a visit: (pairs x width) float32
+        # sums within _COS_ELEMS, and (pairs x N) angles within _SLICE_ELEMS.
+        self.gemm_rows = max(1, _GEMM_ELEMS // (2 * n * width))
+        self.visit_pairs = max(1, min(_COS_ELEMS // width, _SLICE_ELEMS // n))
         # Trials per slice of run: (trials, 3, N) within _SLICE_ELEMS, and
-        # the (trials x cells) or (trials x combs) float32 bounds within
-        # _COS_ELEMS or _TARGET_ELEMS.
-        if cells <= _COS_CELLS:
-            model = _model(self.coef, self.grid)
-            self.phasors = np.concatenate([np.cos(model), np.sin(model)]).astype(np.float32)
-            self.combs = None
-            # Trials per matrix product, at most _GEMM_ELEMS multiply-adds.
-            self.gemm_rows = max(1, _GEMM_ELEMS // (2 * n * cells))
-            bound_rows = _COS_ELEMS // cells
-        else:
-            table, centre_model, shrink = _combs(self.coef, self.grid, cfg.step)
-            self.combs = (table, *_bound_arrays(centre_model, shrink))
-            self.phasors = None
-            bound_rows = _TARGET_ELEMS // table.shape[0]
-        self.slice = max(1, min(_SLICE_ELEMS // (3 * n), bound_rows))
-        for arr in (self.grid, self.coef, *(self.combs or (self.phasors,))):
+        # the (trials x combs) float32 bounds within _TARGET_ELEMS or, on
+        # one comb, the visit's pairs.
+        pairs = self.visit_pairs if one else _TARGET_ELEMS // self.table.shape[0]
+        self.slice = max(1, min(_SLICE_ELEMS // (3 * n), pairs))
+        arrays = (self.grid, self.coef, self.table, self.comb_class, self.base_model)
+        for arr in arrays + (self.phasors,) * (self.phasors is not None) + (self.bounds or ()):
             arr.setflags(write=False)
 
     def refines(self, grid_index: np.ndarray) -> np.ndarray:
@@ -540,14 +619,19 @@ class LsSearch:
 
         The block is checked once, then searched in slices of
         ``self.slice`` trials, each copied into one buffer and wrapped to
-        (-pi, pi] there (values already there keep their bits).  The wrap
-        and the per-frequency loops work in one workspace per run, two
-        buffers of three times a slice's phases.  No output bit depends on
-        the slice size: trials are independent and the cost kernel sums
-        per row.  On a 601-cell N = 21 grid with refine on, the traced
-        temporaries beside the outputs (24 bytes a trial) take about
-        1.0 MiB at 20 dB, where the whole block took 1.4 / 5.4 / 53.5 MiB at
-        1 000 / 4 000 / 40 000 trials."""
+        (-pi, pi] there (values already there keep their bits).  On a grid
+        of more than ``_COS_CELLS`` cells each trial visits its comb of
+        least bound, then every comb whose bound is not above the cost that
+        visit found, all trials' in one call; the cells of any other comb
+        cost more, so they can neither win nor tie.  On a smaller grid each
+        trial visits the one comb.  The wrap, the visits and the
+        per-frequency loops work in one workspace per run: two buffers of
+        three times a slice's phases, and one of a visit chunk's float32
+        sums.  No output bit depends on the slice size: trials are
+        independent and the cost kernel sums per row.  On a 601-cell N = 21
+        grid with refine on, the traced temporaries beside the outputs (24
+        bytes a trial) take about 1.0 MiB at 20 dB, where the whole block
+        took 1.4 / 5.4 / 53.5 MiB at 1 000 / 4 000 / 40 000 trials."""
         phases = np.asarray(phases, dtype=float)
         n = self.plan.n
         if phases.ndim != 2 or phases.shape[1] != n:
@@ -563,67 +647,78 @@ class LsSearch:
         buf = np.empty((min(t, self.slice), n))
         # Three slices' phases each; a group buffer that does not fit is new.
         work = tuple(np.empty(3 * buf.size) for _ in range(2))
-        # The cosine bound's (slice x cells) coherent sums.
-        sums = None if self.phasors is None else np.empty((buf.shape[0], self.grid.size), np.float32)
+        # A visit chunk's float32 sums: on one comb, a slice's.
+        pairs = buf.shape[0] if self.bounds is None else self.visit_pairs
+        sums = np.empty(pairs * self.table.shape[1], np.float32)
         for a in range(0, t, self.slice):
             b, ph = a + self.slice, buf[: t - a]
             np.copyto(ph, phases[a:b])
             _wrap_inplace(ph, _buffer(work[0], ph.shape))
-            if sums is None:
-                self._branch_and_bound(ph, cost[a:b], idx[a:b], work)
+            c, i, trials = cost[a:b], idx[a:b], np.arange(ph.shape[0])
+            if self.bounds is None:
+                self._visit_combs(ph, trials, np.zeros_like(trials), c, i, work, sums, True)
             else:
-                self._cosine_search(ph, sums[: ph.shape[0]], cost[a:b], idx[a:b], work)
-            self._refine(ph, q_hat[a:b], cost[a:b], idx[a:b], work)
+                lb = _lower_bounds(ph, *self.bounds, work)
+                first = np.argmin(lb, axis=1)
+                self._visit_combs(ph, trials, first, c, i, work, sums, True)
+                lb[trials, first] = np.inf
+                rows, combs = np.nonzero(lb <= c[:, None])
+                del lb
+                self._visit_combs(ph, rows, combs, c, i, work, sums)
+            self._refine(ph, q_hat[a:b], c, i, work)
         return q_hat, cost, idx
 
-    def _branch_and_bound(self, ph, cost, idx, work) -> None:
-        """Fill one slice's ``cost`` (from inf) and ``idx`` for its wrapped
-        phases ``ph`` by the comb B&B.  Each trial visits its comb of least
-        bound, then every comb whose certified bound is not above the cost
-        that visit found, all trials' in one call; the cells of any other
-        comb cost more, so they can neither win nor tie.
-        """
-        grid, table = self.grid, self.combs[0]
-        trials = np.arange(ph.shape[0])
-        lb = _lower_bounds(ph, *self.combs[1:], work)
-        first = np.argmin(lb, axis=1)
-        _visit(ph, self.coef, grid, table, trials, first, cost, idx, work)
-        lb[trials, first] = np.inf
-        rows, combs = np.nonzero(lb <= cost[:, None])
-        del lb
-        _visit(ph, self.coef, grid, table, rows, combs, cost, idx, work)
+    def _visit_combs(self, ph, rows, combs, cost, idx, work, sums, first=False) -> None:
+        """Visit comb ``combs[p]`` for trial ``rows[p]`` of one slice's
+        wrapped phases ``ph``, folding its least cells into ``cost`` and
+        ``idx``; ``sums`` is the flat float32 workspace of a chunk's sums.
 
-    def _cosine_search(self, ph, sums, cost, idx, work) -> None:
-        """Fill one slice's ``cost`` and ``idx`` for its wrapped phases
-        ``ph`` by the cosine bound, with ``sums`` its (trials x cells)
-        float32 workspace.  Each trial's cell of largest coherent sum is
-        costed in float64; every cell whose sum reaches the threshold that
-        cost sets is a candidate, and a trial with more than one has all of
-        its candidates costed, at most ``_SLICE_ELEMS // N`` cells per call,
-        or, with candidates in more than a quarter of the cells, is visited
-        by :func:`_visit` like one comb of every cell.
+        Narrow combs go to :func:`_visit`.  Otherwise each pair's coherent
+        sums C32 come from its phasors rotated by its super-block's first
+        cell, one matrix product per class.  On a trial's ``first`` visit
+        its cell of largest C32 is costed in float64.  A cell whose sum
+        reaches N - (best + F)/2, best the trial's least cost so far, is a
+        candidate: a pair with none is done, one with candidates in more
+        than a quarter of its comb is visited by :func:`_visit`, and every
+        other candidate is costed by :func:`_cost_cells`.
         """
-        n = self.plan.n
-        _coherent_sums(ph, self.phasors, sums, self.gemm_rows, _buffer(work[1], ph.shape))
-        np.argmax(sums, axis=1, out=idx)
-        cost[:] = _cell_costs(ph, _model(self.coef, self.grid[idx, None]), work=work)[:, 0]
-        floor = (n - 0.5 * (cost + _cos_allowance(n))).astype(np.float32)
-        # The rows whose largest sum besides the first cell's reaches the floor.
-        sums[np.arange(sums.shape[0]), idx] = -np.inf
-        multi = np.nonzero(sums.max(axis=1) >= floor)[0]
-        is_cand = sums[multi] >= floor[multi, None]
-        # Low SNR: float32 costs of a whole row filter many candidates.
-        wide = np.count_nonzero(is_cand, axis=1) > self.grid.size // 4
-        if wide.any():
-            table, rows = np.arange(self.grid.size)[None, :], multi[wide]
-            _visit(ph, self.coef, self.grid, table, rows, np.zeros_like(rows), cost, idx, work)
-        rows, cells = np.nonzero(is_cand[~wide])
-        rows = multi[~wide][rows]
-        per_call = max(1, _SLICE_ELEMS // n)
-        for a in range(0, rows.size, per_call):
-            r, j = rows[a : a + per_call], cells[a : a + per_call]
-            val = _cell_costs(ph[r], _model(self.coef, self.grid[j, None]), work=work)[:, 0]
-            _keep_least(cost, idx, r, val, j)
+        coef, grid, table = self.coef, self.grid, self.table
+        if self.phasors is None:
+            _visit(ph, coef, grid, table, rows, combs, cost, idx, work)
+            return
+        n, width = self.plan.n, table.shape[1]
+        cls = self.comb_class[combs]
+        if self.phasors.shape[0] > 1:
+            order = np.argsort(cls, kind="stable")
+            rows, combs, cls = rows[order], combs[order], cls[order]
+        wide = []
+        for a in range(0, rows.size, self.visit_pairs):
+            r, b, k = (x[a : a + self.visit_pairs] for x in (rows, combs, cls))
+            ang = np.take(ph, r, axis=0, out=_buffer(work[0], (r.size, n)))
+            if len(self.base_model) > 1:  # one comb is not moved
+                _wrap_inplace(np.subtract(ang, self.base_model[b], out=ang), _buffer(work[1], ang.shape))
+            z = _buffer(work[1], (r.size, 2 * n), np.float32)
+            s = _coherent_sums(ang, self.phasors, k, _buffer(sums, (r.size, width), np.float32),
+                               self.gemm_rows, z)
+            if first:
+                # Each trial has one pair here, and no cost yet.
+                j0 = np.argmax(s, axis=1)
+                idx[r] = cells = table[b, j0]
+                cost[r] = _cell_costs(ph[r], _model(coef, grid[cells, None]), work=work)[:, 0]
+                s[np.arange(r.size), j0] = -np.inf
+            floor = (n - 0.5 * (cost[r] + self.allowance)).astype(np.float32)
+            live = np.nonzero(s.max(axis=1) >= floor)[0]
+            is_cand = s[live] >= floor[live, None]
+            # Low SNR: float32 costs of the whole comb filter many candidates.
+            many = np.count_nonzero(is_cand, axis=1) > width // 4
+            wide.append(a + live[many])
+            p, j = np.nonzero(is_cand[~many])
+            if p.size:
+                p = live[~many][p]
+                _cost_cells(ph, coef, grid, r[p], table[b[p], j], cost, idx, work)
+        wide = np.concatenate(wide) if wide else np.empty(0, np.int64)
+        if wide.size:
+            _visit(ph, coef, grid, table, rows[wide], combs[wide], cost, idx, work)
 
     def _refine(self, ph, q_hat, cost, idx, work) -> None:
         """Set one slice's ``q_hat`` from its grid minima ``idx``, and refine

@@ -219,6 +219,27 @@ class TestSidelobeScan:
         with pytest.raises(ValueError):
             sidelobe_scan(plan)  # c/B equals the whole unambiguous range
 
+    def test_scan_above_the_block_limit_is_refused(self, monkeypatch):
+        # Spacings 1,1,19996,1,1 of 1 kHz: a 3e5 m UMR, 4.2e6 grid points in
+        # 76 360 blocks.  At the limit the scan runs; one block above it, it
+        # is refused before it allocates anything.
+        plan = FrequencyPlan(f1=400e6, resolution=1e3, spacings=(1, 1, 19996, 1, 1), c=C_PAPER)
+        monkeypatch.setattr(analysis, "_MAX_SIDELOBE_BLOCKS", 76_360)
+        assert 0.0 < sidelobe_scan(plan).value < 1.0
+        monkeypatch.setattr(analysis, "_MAX_SIDELOBE_BLOCKS", 76_359)
+        message = (
+            r"^the sidelobe scan would cover \d+ grid points in 76360 blocks, more than its "
+            r"limit of 76359; skip it \(--skip-sidelobe\)$"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                sidelobe_scan(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     @pytest.mark.parametrize(
         "width, step",
         [

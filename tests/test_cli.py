@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,30 @@ class TestDesignAnalyze:
         assert capsys.readouterr().err == message
         assert list(earlier.parent.iterdir()) == [earlier]
         assert earlier.read_text(encoding="utf-8") == "# an earlier plan\n"
+
+    # Spacings 1,1,19999996,1,1 of 1 Hz: a 2.998e8 m UMR, whose sidelobe
+    # grid holds 4.2e9 points in 7.6e7 blocks.
+    HUGE_UMR = ("design", "--method", "constrained-optimal", "--f1", "400e6", "--B", "20e6",
+                "--N", "6", "--res", "1")
+
+    def test_huge_sidelobe_scan_is_refused(self, tmp_path, capsys):
+        # design and analyze refuse the scan at once with one error line and
+        # write nothing; the same design without the scan succeeds.
+        assert run_cli(*self.HUGE_UMR, "--out", tmp_path / "plan", "--skip-sidelobe") == 0
+        capsys.readouterr()
+        plan_file = tmp_path / "plan" / "constrained-optimal.plan"
+        assert read_plan_file(plan_file).spacings == (1, 1, 19999996, 1, 1)
+        message = (
+            "error: invalid-value: the sidelobe scan would cover 4199999791 grid points in "
+            "76363633 blocks, more than its limit of 1048576; skip it (--skip-sidelobe)\n"
+        )
+        for argv in ([*self.HUGE_UMR, "--out", tmp_path / "design"],
+                     ["analyze", "--plan", plan_file, "--snr", "10", "--out", tmp_path / "analyze"]):
+            start = time.perf_counter()
+            assert run_cli(*argv) == 2
+            assert time.perf_counter() - start < 1.0
+            assert capsys.readouterr() == ("", message)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plan"]
 
     def test_towers_reports_snap_error(self, tmp_path):
         rc = run_cli(

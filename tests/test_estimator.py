@@ -23,6 +23,7 @@ from mfirange import (
     ls_estimate,
     ls_estimate_batch,
     practical_umr,
+    sigma_theta_from_snr_db,
     synth_phases,
     synth_trial_matrix,
     umr,
@@ -305,7 +306,8 @@ class TestBatch:
         got = ls_estimate_batch(phases, plan21, cfg, workers=4)
         for a, b in zip(got, search.run(phases)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        for arr in (search.grid, search.coef, *search.combs):
+        arrays = (search.grid, search.coef, search.table, search.comb_class, search.base_model)
+        for arr in arrays + (search.phasors, *search.bounds):
             assert not arr.flags.writeable
 
 
@@ -334,30 +336,30 @@ class TestSlices:
             assert search.slice == estimator._SLICE_ELEMS // (3 * plan21.n) == 520
             # The wide-window far-cluster shape of the acceptance checks (N = 31,
             # 500 001 cells): the (trials x combs) bounds cap the slice.
-            replay = design_prime_min_error(
-                DesignParams(bandwidth=40.378e6, n=31, resolution=65.0, prime_index=12), 410e6,
-                c=C_PAPER,
-            )
+            replay = REPLAY_PLAN
             far = estimator.LsSearch(replay, EstimatorConfig(-1e3, 2.4e4, 0.05))
-            assert far.slice == estimator._TARGET_ELEMS // far.combs[0].shape[0]
+            assert far.slice == estimator._TARGET_ELEMS // far.table.shape[0]
             assert far.slice < estimator._SLICE_ELEMS // (3 * replay.n)
 
     def test_cosine_slice_size_from_the_element_budget(self, plan21):
-        # The (trials x cells) float32 sums cap the slice below the phase
-        # budget's 520 trials, and each matrix product takes at most
-        # _GEMM_ELEMS multiply-adds.
+        # One comb of every cell: its (trials x cells) float32 sums cap the
+        # slice below the phase budget's 520 trials, and each matrix product
+        # takes at most _GEMM_ELEMS multiply-adds.
         search = estimator.LsSearch(plan21, self.CFG)
-        assert search.combs is None and search.phasors.shape == (2 * plan21.n, 601)
-        assert search.slice == estimator._COS_ELEMS // 601 == 218
-        assert search.gemm_rows == estimator._GEMM_ELEMS // (2 * plan21.n * 601) == 10
-        # The largest grid of the cosine bound, and the smallest of the B&B.
+        assert search.bounds is None and search.phasors.shape == (1, 2 * plan21.n, 601)
+        assert np.array_equal(search.table, np.arange(601)[None, :])
+        assert search.slice == search.visit_pairs == estimator._COS_ELEMS // 601 == 218
+        assert search.gemm_rows == estimator._GEMM_ELEMS // (2 * plan21.n * 601) == 20
+        # The largest grid of one comb, and the smallest with a bound pass.
         step = self.CFG.step
         top = estimator.LsSearch(plan21, EstimatorConfig(0.0, (estimator._COS_CELLS - 1) * step, step))
-        assert top.grid.size == estimator._COS_CELLS and top.combs is None
-        assert top.slice == estimator._COS_ELEMS // estimator._COS_CELLS == 64
-        assert top.gemm_rows == estimator._GEMM_ELEMS // (2 * plan21.n * top.grid.size) == 3
+        assert top.grid.size == estimator._COS_CELLS and top.bounds is None
+        assert top.table.shape == (1, estimator._COS_CELLS)
+        assert top.slice == estimator._COS_ELEMS // estimator._COS_CELLS == 81
+        assert top.gemm_rows == estimator._GEMM_ELEMS // (2 * plan21.n * top.grid.size) == 7
         over = estimator.LsSearch(plan21, EstimatorConfig(0.0, estimator._COS_CELLS * step, step))
-        assert over.grid.size == estimator._COS_CELLS + 1 and over.phasors is None
+        assert over.grid.size == estimator._COS_CELLS + 1 and over.bounds is not None
+        assert over.table.shape[0] > 1
 
     def test_slice_edges_match_per_trial_and_full_scan(self, plan21, path):
         search = estimator.LsSearch(plan21, self.CFG)
@@ -454,6 +456,10 @@ BNB_PLANS = {**PLANS, "wideband": WIDE}
 N64 = FrequencyPlan(f1=390.1e6, resolution=1e6, spacings=(1,) * 63, c=C_PAPER)
 # A narrowband N=128 plan (B/f_max = 0.25).
 N128 = FrequencyPlan(f1=390.1e6, resolution=1e6, spacings=(1,) * 127, c=C_PAPER)
+# The N=31 plan of the replay workload and the wide-window acceptance check.
+REPLAY_PLAN = design_prime_min_error(
+    DesignParams(bandwidth=40.378e6, n=31, resolution=65.0, prime_index=12), 410e6, c=C_PAPER
+)
 
 
 def coef_of(plan):
@@ -465,6 +471,18 @@ def kernel_costs(phases, plan, grid):
     coef = coef_of(plan)
     model = _wrap_inplace(coef[:, None] * grid)[:, None, :]
     return estimator._cell_costs(phases, model, np.zeros(phases.shape[0], dtype=np.int64))
+
+
+def virtual_cells(search):
+    """(combs x width) grid index of each column of the search's coherent
+    sums: its super-block's first cell plus its class cell, past the grid's
+    end where the last super-block is clipped (there the cell table repeats
+    the comb's last real cell).  The first super-block's combs come first,
+    one per class; it must not be clipped itself, so the grid must hold more
+    than one super-block or be one comb of every cell."""
+    table, cls = search.table, search.comb_class
+    pattern = table[: search.phasors.shape[0]]
+    return table[:, :1] - pattern[cls, :1] + pattern[cls]
 
 
 class TestFloat32Allowance:
@@ -510,36 +528,101 @@ class TestFloat32Allowance:
         assert (lb <= lb64).all() and (lb >= lb64 - 2.0 * e).all()
         assert lb.max() > 0.9 * n * math.pi**2
 
-    @pytest.mark.parametrize("n", [2, 21, 31, 64, 200])
-    def test_cosine_sums_within_allowance(self, n):
-        # The cosine bound's float32 sums, from a search's phasors over a
-        # grid far from 0: 2*|C32 - C| is within 4*N*(N + 1)*2^-24, and every
+    # (N, cells): one comb of every cell at 1500 cells; combs after a bound
+    # pass, with a clipped last super-block, at 6001 (at N = 200 the plan
+    # is wideband and its combs are too narrow for coherent visits).
+    @pytest.mark.parametrize(
+        "n, n_pts", [(n, 1500) for n in (2, 21, 31, 64, 200)] + [(n, 6001) for n in (2, 21, 64)]
+    )
+    def test_cosine_sums_within_allowance(self, n, n_pts):
+        # The coherent sums of a search far from 0: for pairs of every trial with the first, the
+        # middle and the last combs, 2*|C32 - C| is within
+        # 4*N*(N + 12)*2^-24 + 2*N*pad of the float64 sums over the kernel's
+        # model, also at the virtual cells past the grid's end, and every
         # cell's C32 reaches the threshold of its own float64 cost.
         plan = FrequencyPlan(f1=400e6, resolution=0.5e6, spacings=(1,) * (n - 1), c=C_PAPER)
         step = plan.lambda_min / 7.0
-        search = estimator.LsSearch(plan, EstimatorConfig(-2e4, -2e4 + 1499.5 * step, step))
-        assert search.grid.size == 1500 and search.combs is None
-        model = estimator._model(search.coef, search.grid)
+        search = estimator.LsSearch(plan, EstimatorConfig(-2e4, -2e4 + (n_pts - 0.5) * step, step))
+        assert search.grid.size == n_pts and (search.bounds is None) == (n_pts <= estimator._COS_CELLS)
+        assert search.phasors is not None
+        assert search.bounds is None or n_pts % estimator._layout(search.coef, step, n_pts)[2]
+        coef, grid, table = search.coef, search.grid, search.table
+        last = table.shape[0] - 1
+        combs = np.unique(np.minimum([0, 1, last // 2, last], last))
+        cells = virtual_cells(search)[combs]
+        model = _wrap_inplace(coef[:, None, None] * (grid[0] + step * cells))  # (N, combs, width)
         rng = np.random.default_rng(n)
         # Phases at +-pi, uniform ones, ones opposite a model (sums near -N)
         # and ones equal to a model (sums near N, the coherent worst case).
+        flat = model.reshape(n, -1)
         phases = np.vstack([
             np.full((1, n), math.pi),
             np.full((1, n), -math.pi),
-            rng.uniform(-math.pi, math.pi, (6, n)),
-            _wrap_inplace(model[:, :4].T + math.pi),
-            model[:, rng.choice(1500, 8, replace=False)].T,
+            rng.uniform(-math.pi, math.pi, (4, n)),
+            _wrap_inplace(flat[:, rng.choice(flat.shape[1], 3, replace=False)].T + math.pi),
+            flat[:, rng.choice(flat.shape[1], 6, replace=False)].T,
         ])
-        sums = np.empty((phases.shape[0], 1500), np.float32)
-        c32 = estimator._coherent_sums(phases, search.phasors, sums, search.gemm_rows)
-        c64 = np.cos(phases[:, :, None] - model[None]).sum(axis=1)
-        assert (2.0 * np.abs(c32 - c64) <= 4 * n * (n + 1) * 2.0**-24).all()
+        rows = np.repeat(np.arange(phases.shape[0]), combs.size)
+        comb = np.tile(np.arange(combs.size), phases.shape[0])
+        order = np.argsort(search.comb_class[combs][comb], kind="stable")
+        rows, comb = rows[order], comb[order]
+        ang = _wrap_inplace(phases[rows] - search.base_model[combs][comb])
+        sums = np.empty((rows.size, table.shape[1]), np.float32)
+        c32 = estimator._coherent_sums(
+            ang, search.phasors, search.comb_class[combs][comb], sums, search.gemm_rows
+        )
+        c64 = np.cos(phases[rows].T[:, :, None] - model[:, comb]).sum(axis=0)
+        pad = (search.allowance - estimator._cos_allowance(n, 0.0)) / (2 * n)
+        assert 0.0 < pad < 1e-6
+        assert (2.0 * np.abs(c32 - c64) <= 4 * n * (n + 12) * 2.0**-24 + 2 * n * pad).all()
         assert c32.max() > n - 1e-3 and c32.min() < -n + 1e-3
-        rows = np.zeros(phases.shape[0], dtype=np.int64)
-        k64 = estimator._cell_costs(phases, model[:, None, :], rows)
+        k64 = estimator._cell_costs(phases[rows], model, comb)
         assert (2.0 * n - 2.0 * c64 <= k64 + 1e-9).all()
-        floor = (n - 0.5 * (k64 + estimator._cos_allowance(n))).astype(np.float32)
+        floor = (n - 0.5 * (k64 + search.allowance)).astype(np.float32)
         assert (c32 >= floor).all()
+
+    def test_float32_trig_within_its_budget(self):
+        # The coherent sums' allowance F takes each float32 cos and sin of
+        # an angle wrapped in float64, cast to float32, within 8*2^-24 of
+        # the float64 cos and sin of the float64 angle.  A dense sweep of
+        # [-pi, pi] in chunks, with the ends and the quarter turns exact.
+        budget = 8 * 2.0**-24
+        worst = 0.0
+        for chunk in np.array_split(np.linspace(-math.pi, math.pi, 1 << 23), 16):
+            x32 = chunk.astype(np.float32)
+            for f in (np.cos, np.sin):
+                worst = max(worst, float(np.abs(f(x32) - f(chunk)).max()))
+        ends = np.multiply.outer([-1.0, 1.0], [0.0, math.pi / 2, math.pi]).ravel()
+        for f in (np.cos, np.sin):
+            worst = max(worst, float(np.abs(f(ends.astype(np.float32)) - f(ends)).max()))
+        assert 0.0 < worst <= budget
+
+    def test_reach_term_covers_the_factored_angles(self):
+        # Near +-24 km on the N = 31 replay plan the model phases reach
+        # 2.3e5 rad, and a cell's factored angle, wrap(phi - wrap(c_i*(b -
+        # grid[0]))) - wrap(c_i*x) for its super-block's first cell b and its
+        # class cell x, differs from the kernel's phi - wrap(c_i*q) by a few
+        # ulps of that: F's reach term 2*N*pad covers it, and pad is the
+        # shrink's 16 ulps.
+        plan = REPLAY_PLAN
+        for lo in (23_980.0, -24_020.0):
+            cfg = EstimatorConfig(lo, lo + 40.0, 0.01)
+            search = estimator.LsSearch(plan, cfg)
+            coef, grid, step = search.coef, search.grid, cfg.step
+            assert search.bounds is not None and search.phasors is not None
+            cells = virtual_cells(search)
+            ncls = search.phasors.shape[0]
+            phi = np.random.default_rng(abs(int(lo))).uniform(-math.pi, math.pi, plan.n)
+            rotated = _wrap_inplace(phi - search.base_model)  # (combs, N)
+            own = _wrap_inplace(coef[:, None, None] * (grid[0] + step * cells[:ncls])[None])
+            kernel = _wrap_inplace(coef[:, None, None] * (grid[0] + step * cells)[None])
+            factored = rotated.T[:, :, None] - own[:, search.comb_class]
+            err = np.abs(_wrap_inplace(factored - (phi[:, None, None] - kernel)))
+            pad = estimator._combs(coef, grid, step).pad
+            assert 0.0 < err.max() <= pad
+            reach_term = search.allowance - estimator._cos_allowance(plan.n, 0.0)
+            assert reach_term == pytest.approx(2 * plan.n * pad)
+            assert reach_term >= 2 * plan.n * err.max()
 
 
 class TestBranchAndBound:
@@ -704,8 +787,25 @@ class TestBranchAndBound:
         step = plan.lambda_min / cells_per_lambda
         grid = EstimatorConfig(0.0, (n_pts - 0.5) * step, step).grid()
         c_bar, n_u, size = estimator._layout(coef, step, n_pts)
-        table, centre, shrink = estimator._combs(coef, grid, step)
+        layout = estimator._combs(coef, grid, step)
+        table, centre, shrink = layout.table, layout.centre_model, layout.shrink
         assert centre.shape == shrink.shape == (plan.n, table.shape[0])
+        assert layout.base_model.shape == (table.shape[0], plan.n)
+        # Combs narrower than _COHERENT_WIDTH have no class phasors; wider
+        # ones have one (2N x width) block per class, each comb's cells
+        # its class cells moved by its super-block's first cell.
+        if table.shape[1] < estimator._COHERENT_WIDTH:
+            assert layout.phasors is None
+        else:
+            classes = layout.phasors.shape[0]
+            assert layout.phasors.shape == (classes, 2 * plan.n, table.shape[1])
+            assert np.array_equal(layout.cls, np.arange(table.shape[0]) % classes)
+            full = table[: (n_pts // size) * classes]  # the unclipped super-blocks
+            p32 = layout.phasors[layout.cls[: full.shape[0]]]
+            angle = np.arctan2(p32[:, plan.n :], p32[:, : plan.n]).transpose(1, 0, 2)
+            moved = layout.base_model[: full.shape[0]].T[:, :, None] + angle
+            kernel = _wrap_inplace(coef[:, None, None] * grid[full])
+            assert np.abs(_wrap_inplace(moved - kernel)).max() < 1e-6
         # Every cell is in exactly one comb; rows ascend; pads repeat a row's last cell.
         last = table[:, -1]
         assert ((table == last[:, None]) | (np.diff(table, axis=1, append=-1) > 0)).all()
@@ -753,15 +853,15 @@ class TestBranchAndBound:
     HIGHER_FIRST = lambda size: -56.5  # noqa: E731
 
     def tie_window(self, plan, window, layout):
-        """(cfg, -step/2 cell's index, its comb, the +step/2 cell's comb, layout arrays)."""
+        """(cfg, -step/2 cell's index, its comb, the +step/2 cell's comb, layout)."""
         step, n_pts = self.TIE_STEP, self.TIE_CELLS[layout]
         first = window(estimator._layout(coef_of(plan), step, n_pts)[2])
         cfg = EstimatorConfig(first * step, (first + n_pts - 1) * step, step)
         assert cfg.size == n_pts
         low = int(np.nonzero(cfg.grid() == -step / 2)[0][0])
-        arrays = estimator._combs(coef_of(plan), cfg.grid(), step)
-        comb_of = lambda cell: int(np.nonzero((arrays[0] == cell).any(axis=1))[0][0])
-        return cfg, low, comb_of(low), comb_of(low + 1), arrays
+        layout = estimator._combs(coef_of(plan), cfg.grid(), step)
+        comb_of = lambda cell: int(np.nonzero((layout.table == cell).any(axis=1))[0][0])
+        return cfg, low, comb_of(low), comb_of(low + 1), layout
 
     @pytest.mark.parametrize(
         "window, layout",
@@ -775,17 +875,18 @@ class TestBranchAndBound:
         plan = PLANS["rips"]
         zeros = np.zeros(plan.n)
         assert ls_cost(zeros, plan, -self.TIE_STEP / 2) == ls_cost(zeros, plan, self.TIE_STEP / 2)
-        cfg, low, comb_low, comb_high, (_, centre, shrink) = self.tie_window(plan, window, layout)
+        cfg, low, comb_low, comb_high, arrays = self.tie_window(plan, window, layout)
         phases = np.zeros((3, plan.n))
-        lb = estimator._lower_bounds(phases[:1], *estimator._bound_arrays(centre, shrink))[0]
+        bounds = estimator._bound_arrays(arrays.centre_model, arrays.shrink)
+        lb = estimator._lower_bounds(phases[:1], *bounds)[0]
         visits = []
-        visit = estimator._visit
+        visit = estimator.LsSearch._visit_combs
 
-        def spy(ph, coef, grid, table, rows, combs, val, idx, work):
+        def spy(search, ph, rows, combs, *args):
             visits.append(set(combs.tolist()))
-            visit(ph, coef, grid, table, rows, combs, val, idx, work)
+            visit(search, ph, rows, combs, *args)
 
-        monkeypatch.setattr(estimator, "_visit", spy)
+        monkeypatch.setattr(estimator.LsSearch, "_visit_combs", spy)
         with search_path("bnb"):
             _, cost, idx = ls_estimate_batch(phases, plan, cfg)
         ref_cost, ref_idx = full_scan(phases, plan, cfg)
@@ -833,7 +934,7 @@ class TestBranchAndBound:
     )
     def test_visits_keep_lower_index_of_a_tie(self, calls):
         plan = PLANS["rips"]
-        cfg, low, comb_low, comb_high, (table, _, _) = self.tie_window(
+        cfg, low, comb_low, comb_high, layout = self.tie_window(
             plan, type(self).TWO_COMBS, "two blocks, equal bounds"
         )
         assert comb_low != comb_high
@@ -843,7 +944,7 @@ class TestBranchAndBound:
             rows = np.zeros(len(call), dtype=np.int64)
             combs = np.array([comb[c] for c in call])
             estimator._visit(
-                np.zeros((1, plan.n)), coef_of(plan), cfg.grid(), table, rows, combs, val, idx
+                np.zeros((1, plan.n)), coef_of(plan), cfg.grid(), layout.table, rows, combs, val, idx
             )
         assert idx[0] == low
 
@@ -949,7 +1050,8 @@ class TestBranchAndBound:
         for cells_per_lambda, lo, n_pts in windows:
             step = plan.lambda_min / cells_per_lambda
             grid = EstimatorConfig(lo, lo + (n_pts - 0.5) * step, step).grid()
-            table, centre, shrink = estimator._combs(coef, grid, step)
+            layout = estimator._combs(coef, grid, step)
+            table, centre, shrink = layout.table, layout.centre_model, layout.shrink
             # Phases equal to the kernel's model at 200 cells (cost exactly 0
             # there), noisy and noise-free synthesized ones, and uniform ones.
             at = rng.choice(n_pts, 200, replace=False)
@@ -974,3 +1076,135 @@ class TestBranchAndBound:
             assert (lb_wide[:, ::2] == 0.0).all()
             assert (lb_wide <= lb).all() and lb_wide.max() > 0.0
             assert (shrink < math.pi).all()
+
+
+def random_range_phases(plan, cfg, snr_db, trials, seed):
+    """(trials x N) wrapped phases of ranges uniform over the window, with
+    Gaussian phase noise at ``snr_db`` (None: noise-free)."""
+    rng = np.random.default_rng(seed)
+    q0 = rng.uniform(cfg.search_lo, cfg.search_hi, trials)
+    sigma = 0.0 if snr_db is None else sigma_theta_from_snr_db(snr_db)
+    return _wrap_inplace(coef_of(plan) * q0[:, None] + sigma * rng.standard_normal((trials, plan.n)))
+
+
+class TestCoherentVisit:
+    """The coherent visits of ``LsSearch``: each pair's cells filtered by
+    their float32 coherent sums, with ``_visit`` as the fallback, keep the
+    full scan's answers bit for bit."""
+
+    # A 20 001-cell window at campaign-pf's step: about 130 combs of about
+    # 190 cells on the uniform plan.
+    WIDE_WINDOW = EstimatorConfig(-100.0, 100.0, 0.01)
+
+    @pytest.mark.parametrize("snr_db", [20.0, 11.0, -5.0])
+    def test_random_ranges_match_full_scan(self, snr_db, monkeypatch):
+        # Ranges over the whole window, so most trials' combs are far apart.
+        # At -5 dB some pairs have candidates in more than a quarter of their
+        # comb and are visited by _visit; at 20 dB none is.
+        plan, cfg = PLANS["rips"], self.WIDE_WINDOW
+        search = estimator.LsSearch(plan, cfg)
+        assert search.bounds is not None and search.phasors is not None
+        phases = random_range_phases(plan, cfg, snr_db, 48, 7 + int(snr_db))
+        visited = []
+        visit = estimator._visit
+
+        def spy(ph, coef, grid, table, rows, *args):
+            visited.append(rows.size)
+            visit(ph, coef, grid, table, rows, *args)
+
+        monkeypatch.setattr(estimator, "_visit", spy)
+        _, cost, idx = search.run(phases)
+        ref_cost, ref_idx = full_scan(phases, plan, cfg)
+        assert np.array_equal(cost, ref_cost)
+        assert np.array_equal(idx, ref_idx)
+        if snr_db == 20.0:
+            assert visited == []
+        if snr_db == -5.0:
+            assert sum(visited) > 0
+
+    def test_past_the_end_cells_never_win(self):
+        # The last super-block is clipped, so some of its coherent sums are
+        # those of cells past the grid's end.  Noise-free phases of ranges
+        # there make such a cell the best of its comb (cost 0), yet the
+        # answers are grid cells, the full scan's: the cell table names the
+        # comb's last real cell for every past-the-end column.
+        plan, step = PLANS["rips"], 0.01
+        n_pts = 2500
+        cfg = EstimatorConfig(-3.0, -3.0 + (n_pts - 0.5) * step, step)
+        search = estimator.LsSearch(plan, cfg)
+        size = estimator._layout(search.coef, step, n_pts)[2]
+        assert search.bounds is not None and search.phasors is not None
+        assert n_pts % size != 0 and n_pts > size
+        cells = virtual_cells(search)
+        past = np.unique(cells[cells >= n_pts])
+        assert past.size > 10
+        at = np.concatenate([past[:6], past[-6:], [n_pts - 1, n_pts - 2]])
+        phases = _wrap_inplace(search.coef * (search.grid[0] + step * at)[:, None])
+        noisy = synth_trial_matrix(plan, search.grid[-1], NoiseModel.phase_gaussian(snr_db=10.0),
+                                   5, "end", 0, 6)
+        phases = np.vstack([phases, noisy])
+        _, cost, idx = search.run(phases)
+        ref_cost, ref_idx = full_scan(phases, plan, cfg)
+        assert np.array_equal(cost, ref_cost)
+        assert np.array_equal(idx, ref_idx)
+        assert (idx < n_pts).all() and idx[-8:-6].tolist() == [n_pts - 1, n_pts - 2]
+
+    # lambda_min / step on the wideband plan: its contiguous combs are
+    # floor(cells_per_lambda / 3) cells wide, 11 and 12 here, on both sides
+    # of _COHERENT_WIDTH; and narrowband combs of 12 and 23 cells.
+    WIDTHS = [("wideband", 35.0, 3001, 11), ("wideband", 36.5, 3001, 12),
+              ("n128", 7.0, 6001, 12), ("n64", 7.0, 6001, 23)]
+
+    @pytest.mark.parametrize("label, cells_per_lambda, n_pts, width", WIDTHS)
+    def test_combs_on_both_sides_of_the_width_rule(self, label, cells_per_lambda, n_pts, width):
+        plan = {
+            "wideband": WIDE,
+            "n128": FrequencyPlan(f1=400e6, resolution=0.5e6, spacings=(1,) * 127, c=C_PAPER),
+            "n64": FrequencyPlan(f1=400e6, resolution=0.5e6, spacings=(1,) * 63, c=C_PAPER),
+        }[label]
+        step = plan.lambda_min / cells_per_lambda
+        cfg = EstimatorConfig(-1.1, -1.1 + (n_pts - 0.5) * step, step)
+        search = estimator.LsSearch(plan, cfg)
+        assert search.table.shape[1] == width
+        assert (search.phasors is None) == (width < estimator._COHERENT_WIDTH)
+        phases = np.vstack([
+            random_range_phases(plan, cfg, snr, 8, n_pts + k)
+            for k, snr in enumerate([None, -10.0, 5.0, 20.0])
+        ] + [np.random.default_rng(width).uniform(-math.pi, math.pi, (4, plan.n))])
+        _, cost, idx = search.run(phases)
+        ref_cost, ref_idx = full_scan(phases, plan, cfg)
+        assert np.array_equal(cost, ref_cost)
+        assert np.array_equal(idx, ref_idx)
+
+    @pytest.mark.parametrize("lo", [23_980.0, -24_020.0])
+    @pytest.mark.parametrize("n_pts", [1201, 4001])
+    def test_far_windows_on_the_replay_plan_match_full_scan(self, lo, n_pts):
+        # Near +-24 km on the N = 31 replay plan the model phases reach
+        # 2.3e5 rad: F's reach term covers the factored angles (see
+        # TestFloat32Allowance), on one comb and after a bound pass.
+        plan = REPLAY_PLAN
+        cfg = EstimatorConfig(lo, lo + (n_pts - 0.5) * 0.01, 0.01)
+        search = estimator.LsSearch(plan, cfg)
+        assert search.grid.size == n_pts and search.phasors is not None
+        assert (search.bounds is None) == (n_pts <= estimator._COS_CELLS)
+        phases = np.vstack([
+            random_range_phases(plan, cfg, snr, 10, n_pts + k)
+            for k, snr in enumerate([None, -5.0, 14.0, 30.0])
+        ])
+        _, cost, idx = search.run(phases)
+        ref_cost, ref_idx = full_scan(phases, plan, cfg)
+        assert np.array_equal(cost, ref_cost)
+        assert np.array_equal(idx, ref_idx)
+
+    @pytest.mark.parametrize("hi", [3.0, 150.0])
+    def test_one_row_searches_match_full_scan(self, hi):
+        # ls_estimate searches one row: on one comb of 601 cells, and after
+        # a bound pass over the 30 001-cell campaign-pf window.
+        plan, cfg = PLANS["rips"], EstimatorConfig(-hi, hi, 0.01)
+        phases = np.vstack([
+            random_range_phases(plan, cfg, snr, 3, k) for k, snr in enumerate([None, 0.0, 12.0, 30.0])
+        ])
+        ref_cost, ref_idx = full_scan(phases, plan, cfg)
+        for t in range(phases.shape[0]):
+            est = ls_estimate(phases[t], plan, cfg)
+            assert (est.cost_at_min, est.grid_index) == (ref_cost[t], ref_idx[t])

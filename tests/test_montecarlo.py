@@ -333,9 +333,9 @@ def test_campaign_builds_one_search_per_plan(monkeypatch):
     layouts = []
     combs = estimator._combs
 
-    def spy(coef, grid, step):
+    def spy(coef, grid, step, layout=None):
         layouts.append(coef[0])
-        return combs(coef, grid, step)
+        return combs(coef, grid, step, layout)
 
     monkeypatch.setattr(estimator, "_combs", spy)
     estimator._search.cache_clear()
@@ -457,7 +457,7 @@ class TestStackedBlocks:
     def test_equals_a_search_per_block(self, grid, case):
         cfg = self.GRIDS[grid]
         (s,) = {batch_slice(plan, cfg) for plan in self.PLANS.values()}
-        assert (estimator.LsSearch(self.PLANS["uniform"], cfg).phasors is None) == (grid == "bnb")
+        assert (estimator.LsSearch(self.PLANS["uniform"], cfg).bounds is None) == (grid != "bnb")
         spec = self.spec(grid, self.TRIALS[case](s))
         ref = {}
         for label, plan in spec.plans:

@@ -408,8 +408,12 @@ def _combs(coef, grid, step, layout=None) -> _Combs:
     base_model = np.broadcast_to(base_model, keep.shape + (coef.size,))[keep]
     phasors = None
     if width >= _COHERENT_WIDTH:
-        m = _model(coef, grid[0] + step * pat).astype(np.float32)  # (N, classes, width)
-        phasors = np.concatenate([np.cos(m), np.sin(m)]).transpose(1, 0, 2).copy()
+        n = coef.size
+        phasors = np.empty((classes.size, 2 * n, width), np.float32)
+        for k, p in enumerate(pat):  # a class at a time: small temporaries
+            m = _model(coef, grid[0] + step * p).astype(np.float32)
+            np.cos(m, out=phasors[k, :n])
+            np.sin(m, out=phasors[k, n:])
     return _Combs(table[keep], centre_model, shrink, comb_cls, base_model, phasors, float(pad))
 
 

@@ -343,11 +343,12 @@ def _layout(coef, step, n_pts) -> tuple[float, int, int]:
 class _Combs(NamedTuple):
     """A comb layout of :func:`_combs`."""
 
-    table: np.ndarray  # (combs, width) grid indices, each row ascending
+    table: np.ndarray  # (combs, width) int32 grid indices, each row ascending
     centre_model: np.ndarray  # (N, combs) float64 cm_i
     shrink: np.ndarray  # (N, combs) float64 s_i
     cls: np.ndarray  # (combs,) each comb's carrier class: its row of phasors
-    base_model: np.ndarray  # (combs, N) float64 wrap(c_i*(b - grid[0])), b its super-block's first cell
+    # (combs, N) float64 wrap(c_i*(b - grid[0])), b the comb's super-block's first cell
+    base_model: np.ndarray
     phasors: np.ndarray | None  # (classes, 2N, width) float32 P_k; None below _COHERENT_WIDTH
     pad: float  # 16 ulps of the largest model phase
 
@@ -384,8 +385,11 @@ def _combs(coef, grid, step, layout=None) -> _Combs:
     x_max = np.abs(x)[pat].max(axis=1)
 
     n_super = -(-n_pts // size)
-    base = np.arange(n_super) * size
-    table = base[:, None, None] + pat  # (super-blocks, classes, width)
+    # Cell indices, below 2*G, as int32 where they fit: the table is the
+    # largest array a search holds after the grid.
+    itype = np.int32 if 2 * n_pts < 2**31 else np.int64
+    base = np.arange(n_super, dtype=itype) * size
+    table = base[:, None, None] + pat.astype(itype)  # (super-blocks, classes, width)
     # Clipped last super-block: past-the-end cells repeat the comb's last
     # real cell (rows are ascending), and a comb with no real cell goes.
     n_real = (table[-1] < n_pts).sum(axis=1)
@@ -629,9 +633,9 @@ class LsSearch:
         visit found, all trials' in one call; the cells of any other comb
         cost more, so they can neither win nor tie.  On a smaller grid each
         trial visits the one comb.  The wrap, the visits and the
-        per-frequency loops work in one workspace per run: two buffers of
-        three times a slice's phases, and one of a visit chunk's float32
-        sums.  No output bit depends on the slice size: trials are
+        per-frequency loops work in one workspace per run, two buffers of
+        three times a slice's phases; a visit's float32 sums are one chunk's.
+        No output bit depends on the slice size: trials are
         independent and the cost kernel sums per row.  On a 601-cell N = 21
         grid with refine on, the traced temporaries beside the outputs (24
         bytes a trial) take about 1.0 MiB at 20 dB, where the whole block
@@ -651,31 +655,28 @@ class LsSearch:
         buf = np.empty((min(t, self.slice), n))
         # Three slices' phases each; a group buffer that does not fit is new.
         work = tuple(np.empty(3 * buf.size) for _ in range(2))
-        # A visit chunk's float32 sums: on one comb, a slice's.
-        pairs = buf.shape[0] if self.bounds is None else self.visit_pairs
-        sums = np.empty(pairs * self.table.shape[1], np.float32)
         for a in range(0, t, self.slice):
             b, ph = a + self.slice, buf[: t - a]
             np.copyto(ph, phases[a:b])
             _wrap_inplace(ph, _buffer(work[0], ph.shape))
             c, i, trials = cost[a:b], idx[a:b], np.arange(ph.shape[0])
             if self.bounds is None:
-                self._visit_combs(ph, trials, np.zeros_like(trials), c, i, work, sums, True)
+                self._visit_combs(ph, trials, np.zeros_like(trials), c, i, work, True)
             else:
                 lb = _lower_bounds(ph, *self.bounds, work)
                 first = np.argmin(lb, axis=1)
-                self._visit_combs(ph, trials, first, c, i, work, sums, True)
+                self._visit_combs(ph, trials, first, c, i, work, True)
                 lb[trials, first] = np.inf
                 rows, combs = np.nonzero(lb <= c[:, None])
                 del lb
-                self._visit_combs(ph, rows, combs, c, i, work, sums)
+                self._visit_combs(ph, rows, combs, c, i, work)
             self._refine(ph, q_hat[a:b], c, i, work)
         return q_hat, cost, idx
 
-    def _visit_combs(self, ph, rows, combs, cost, idx, work, sums, first=False) -> None:
+    def _visit_combs(self, ph, rows, combs, cost, idx, work, first=False) -> None:
         """Visit comb ``combs[p]`` for trial ``rows[p]`` of one slice's
         wrapped phases ``ph``, folding its least cells into ``cost`` and
-        ``idx``; ``sums`` is the flat float32 workspace of a chunk's sums.
+        ``idx``.
 
         Narrow combs go to :func:`_visit`.  Otherwise each pair's coherent
         sums C32 come from its phasors rotated by its super-block's first
@@ -700,10 +701,11 @@ class LsSearch:
             r, b, k = (x[a : a + self.visit_pairs] for x in (rows, combs, cls))
             ang = np.take(ph, r, axis=0, out=_buffer(work[0], (r.size, n)))
             if len(self.base_model) > 1:  # one comb is not moved
-                _wrap_inplace(np.subtract(ang, self.base_model[b], out=ang), _buffer(work[1], ang.shape))
+                np.subtract(ang, self.base_model[b], out=ang)
+                _wrap_inplace(ang, _buffer(work[1], ang.shape))
             z = _buffer(work[1], (r.size, 2 * n), np.float32)
-            s = _coherent_sums(ang, self.phasors, k, _buffer(sums, (r.size, width), np.float32),
-                               self.gemm_rows, z)
+            sums = np.empty((r.size, width), np.float32)
+            s = _coherent_sums(ang, self.phasors, k, sums, self.gemm_rows, z)
             if first:
                 # Each trial has one pair here, and no cost yet.
                 j0 = np.argmax(s, axis=1)

@@ -562,9 +562,9 @@ class LsSearch:
     It holds the plan's ``coef`` c_i = 2*pi*f_i/c, the grid and the comb
     layout of the module docstring.  ``table`` is the (combs x width) cell
     table; ``comb_class`` and ``base_model`` give each comb's class and
-    wrap(c_i*(b - grid[0])) for its super-block's first cell b, and ``phasors`` is the
-    float32 (classes, 2N, width) class phasors P_k, or None where the
-    combs are narrower than ``_COHERENT_WIDTH``.  A grid of at most
+    wrap(c_i*(b - grid[0])) for its super-block's first cell b, and
+    ``phasors`` is the float32 (classes, 2N, width) class phasors P_k, or
+    None where the combs are narrower than ``_COHERENT_WIDTH``.  A grid of at most
     ``_COS_CELLS`` cells is one comb of every cell and ``bounds`` is None;
     on a larger one ``bounds`` is the float32 cm_i, s_i and 2*pi - s_i of
     every comb, each (N, combs, 1).  ``allowance`` is the coherent sums'
@@ -612,9 +612,10 @@ class LsSearch:
         # one comb, the visit's pairs.
         pairs = self.visit_pairs if one else _TARGET_ELEMS // self.table.shape[0]
         self.slice = max(1, min(_SLICE_ELEMS // (3 * n), pairs))
-        arrays = (self.grid, self.coef, self.table, self.comb_class, self.base_model)
-        for arr in arrays + (self.phasors,) * (self.phasors is not None) + (self.bounds or ()):
-            arr.setflags(write=False)
+        arrays = (self.grid, self.coef, self.table, self.comb_class, self.base_model, self.phasors)
+        for arr in arrays + (self.bounds or ()):
+            if arr is not None:
+                arr.setflags(write=False)
 
     def refines(self, grid_index: np.ndarray) -> np.ndarray:
         """Which estimates :meth:`run` refines: those at an interior grid

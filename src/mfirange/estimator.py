@@ -22,29 +22,58 @@ of a comb has
     LS(q) >= LB = sum_i max(0, |wrap(phi_i - cm_i)| - s_i)^2,
     cm_i = wrap(c_i*q_s + u_k),  s_i = max|v| + |delta_i|*max|x| + pad,
 
-where the maxima run over the comb's cells in a full super-block and the
-pad is 16 ulps of the largest model phase, so rounding in the cell costs
-cannot put a cell below its comb's bound.  The layout comes from the plan
-and the grid alone.  A narrowband plan (4*pi*max|delta_i| < c_max, that is B/f_max <
-1/(2*pi)) gets n_u = max(3, round(min(sqrt(G), sqrt(2*pi / (max|delta_i|
-* step * sqrt(G)))))) classes and super-blocks of 2*H/step cells (at most
-G, the grid size) with max|delta_i|*H = pi/n_u: about sqrt(G) combs of
-about sqrt(G) cells, which balances the bound pass (per comb) against a
-visit (per cell).  Each tooth of a comb, its cells within one carrier
-cycle, spans at most lambda_bar/n_u <= lambda_bar/3, lambda_bar =
-2*pi/cbar.  A wideband plan falls back to cbar = 0 and n_u = 1, which
-makes the combs contiguous blocks of max(1, floor(lambda_min/(3*step)))
-cells with s_i = c_i*h for a block of half-width h.  Each trial is
-searched in two passes: it visits its comb of least bound, and then, in
-one batch, every other comb whose bound is not above the cost that first
-comb gave; no other comb can hold a cell of that cost or less.  Ties go
-to the lower grid index.  The grid and the comb layout depend on the
-plan and the config alone, so one :class:`LsSearch` per (plan, config)
-holds them and searches any number of phase blocks.  It takes a block
-in slices of S = min(2^15 // (3*N), 4e6 // combs) trials (520 at N = 21),
-or S = min(2^15 // (3*N), 2^17 // G) on one comb (218 on a 601-cell
-grid), with one workspace per run, so its temporaries do not grow with
-the block.
+where the maxima run over the cells of a full super-block and the pad is
+16 ulps of the largest model phase, so rounding in the cell costs cannot
+put a cell below its comb's bound.  Every comb of a layout has the same
+shrinks, one per frequency.  Maxima over each comb's own cells would be
+up to 0.12-0.19 rad smaller on the layouts measured below, and the
+shared shrinks leave 1-9% more (trial, comb) pairs open (17% more on the
+far-cluster shape), but the bound pass then subtracts one scalar per
+frequency where it subtracted a (combs x trials) broadcast, a third of
+its time.  The bound holds for any super-block and any larger shrinks,
+so the layout only sets the speed.
+
+The layout comes from the plan and the grid alone.  With spread =
+max|delta_i| and super-blocks of half-width H with spread*H = k*pi/n_u,
+a grid of G cells has M = E*n_u^2/k combs of about G/M cells, E =
+G*spread*step/(2*pi) being its count of envelope periods, and the
+shrinks run from pi/n_u + pad to (1 + k)*pi/n_u + pad.  The cost model:
+a trial's bound pass costs about N*M operations, and each comb it visits
+about 2*N multiply-adds a cell, one matrix-product column.  At high SNR
+a trial visits one or two combs, so the bound pass dominates and fewer,
+wider combs win; at low SNR a share of the combs that grows with the
+shrinks is visited, so looser bounds lose.  For a given M the mean shrink
+over a band of evenly spread frequencies, (1 + k/2)*pi/n_u with n_u =
+sqrt(k*M/E), is least at k = 2.  So a narrowband plan (4*pi*spread <
+c_max, that is B/f_max < 1/(2*pi)) gets spread*H <= 2*pi/n_u and
+
+    n_u = max(4, round(min(sqrt(G), sqrt(sqrt(2)*2*pi / (spread*step*sqrt(G)))))),
+
+about sqrt(G/2) combs of about sqrt(2*G) cells (125-130 combs of 234-249
+cells on the ``campaign-pf`` grid), each shrink at most 3*pi/n_u + pad
+<= 3*pi/4 + pad.  The sqrt(G) rule before it (k = 1, n_u >= 3, sqrt(G)
+combs of sqrt(G) cells) balanced the bound pass against a visit of about
+seven float32 passes a cell.  The measured trade-off is below.  The
+super-blocks are made equal, as many as the rule's half-width needs, so
+the last one is clipped by fewer cells than there are super-blocks.  A
+clipped super-block keeps the full one's centre and maxima, so its bound
+also covers ranges past the grid's end; on a window one UMR long those
+alias ranges at its start, and a comb of a few real cells got a bound of
+0 for trials there, whose second pass then visited nearly every comb.
+Each tooth of a comb, its cells within one carrier cycle, spans at most
+lambda_bar/n_u <= lambda_bar/4, lambda_bar = 2*pi/cbar.  A wideband plan
+falls back to cbar = 0 and n_u = 1, which makes the combs contiguous
+blocks of max(1, floor(lambda_min/(3*step))) cells with s_i = c_i*h for
+a block of half-width h.  Each trial is searched in two passes: it
+visits its comb of least bound, and then, in one batch, every other comb
+whose bound is not above the cost that first comb gave; no other comb
+can hold a cell of that cost or less.  Ties go to the lower grid index.
+The grid and the comb layout depend on the plan and the config alone, so
+one :class:`LsSearch` per (plan, config) holds them and searches any
+number of phase blocks.  It takes a block in slices of S = min(2^15 //
+(3*N), 4e6 // combs) trials (520 at N = 21), or S = min(2^15 // (3*N),
+2^17 // G) on one comb (218 on a 601-cell grid), with one workspace per
+run, so its temporaries do not grow with the block.
 
 The coherent visit.  For |x| <= pi, x^2 >= 2*(1 - cos x), and cos is
 2*pi-periodic, so every cell q with wrapped model m_i has
@@ -82,19 +111,48 @@ narrower than ``_COHERENT_WIDTH`` = 12 cells skip the sums and go to
 ``_visit`` alone: rotating a pair's N phases costs about as much as
 costing a narrow comb's cells.
 
-Both cuts are measured crossovers (best or median of alternating runs
+The layout rule and both cuts are measured (medians of alternating runs
 on a 2-vCPU x86-64 machine, every output equal bit for bit).
+``LsSearch.run`` with other (n_u, k) layouts, each with equal
+super-blocks and one shrink per frequency, 11 interleaved rounds in one
+process, in time relative to this rule; n_u0 is the class count of the
+sqrt(G) rule, 4 on the N = 21 windows and 3 on the N = 31 ones:
+
+    layout            pf    20 dB  0 dB  -5 dB  N = 31  100 001  far
+    (n_u0, 1)         1.13  1.44   1.02  0.95   1.32    1.09     1.08
+    (n_u0 + 1, 1.5)   1.19  1.22   0.90  0.86   1.25    1.00     1.32
+    (n_u0 + 1, 2.5)   0.99  0.88   1.22  1.22   0.89    0.97     0.77
+    (n_u0, 1.5)       0.83  1.09   1.22  1.16   1.24    1.20     0.88
+
+The columns: the ``campaign-pf`` blocks (three N = 21 plans, 150 trials
+at 10-13 dB each, 30 001 cells at 0.01 m); the uniform plan with 300
+random ranges over that window at 20 dB and 200 at 0 and -5 dB; the N =
+31 replay plan with 300 random ranges over it at 14 dB; the uniform plan
+at 13 dB on 100 001 cells; and the far-cluster shape (N = 31, 500 001
+cells at 0.05 m, 100 trials at 14 dB).  No layout in the table is faster
+on every column: a looser one loses 1.2x at 0 and -5 dB, a tighter one
+at high SNR.  ``run`` against the parent commit's search (the sqrt(G)
+rule and one shrink per comb), 9 rounds: the ``campaign-pf`` blocks
+1.34x (161 -> 125 combs); the random ranges at 11 / 20 / 30 / 0 / -5 dB
+1.60 / 1.53 / 1.33 / 1.08 / 1.14x; 3601 / 9601 / 100 001 cells at 13 dB
+1.48 / 1.57 / 1.20x; the N = 31 plan 1.70x; the far-cluster shape
+1.37x (15 153 -> 13 516 combs).
+
 ``LsSearch.run`` on the uniform N = 21 plan, 2000 trials with random
-ranges in the window at 13 and 20 dB, refine off, ran on one comb at
-2.2x the speed of the bound pass at 601 cells, 1.2-1.5x at 1201,
-1.0-1.1x at 1601, 0.9x at 1801, 0.8-0.9x at 2047, 0.5x at 3601, 0.4x at
-4801 and 0.2x at 9601.  Coherent visits against ``_visit`` alone, 200 or
-300 trials with random ranges at -35 / 0 / 11 or 20 dB: contiguous
-wideband combs (N = 41) of 4 to 9 cells ran 0.6-0.7x / 0.96x / 0.9-1.0x,
-of 12 to 48 cells 0.7-0.85x / 0.85-0.93x / 1.0-1.24x; narrowband combs of
-12 cells (N = 128) 0.85-1.1x / 2.2-2.7x / 1.05-1.2x, of 23 cells (N = 64)
-0.9-1.0x / 3.5-3.7x / 1.2-1.3x, and of 28 to 204 cells (N = 21)
-0.8-2.7x / 1.0-5.7x / 1.2-3.1x.
+ranges in the window at 13 / 20 dB, refine off, ran on one comb at 1.6 /
+1.8x the speed of the bound pass at 601 cells, 1.0 / 1.1x at 1201, 0.65
+/ 0.83x at 1601, 0.73 / 0.77x at 2001 and 0.51 / 0.61x at 2401 cells (on
+the N = 31 replay plan 1.7 / 1.7x, 1.3 / 1.0x, 0.77 / 0.93x, 0.73 /
+0.82x and 0.54 / 0.64x).  A one-row search ran on one comb at 1.6-2.0x
+the bound pass's speed at each of those sizes, on both plans.  So the
+cut stays at 1600 cells, though blocks alone would move it to between
+1201 and 1601.  Coherent visits against ``_visit`` alone, 200 or 300
+trials with random ranges at -35 / 0 / 11 or 20 dB: contiguous wideband
+combs (N = 41) of 4 to 9 cells ran 0.6-0.7x / 0.96x / 0.9-1.0x, of 12 to
+48 cells 0.7-0.85x / 0.85-0.93x / 1.0-1.24x; narrowband combs of 12
+cells (N = 128) 0.85-1.1x / 2.2-2.7x / 1.05-1.2x, of 23 cells (N = 64)
+0.9-1.0x / 3.5-3.7x / 1.2-1.3x, and of 28 to 204 cells (N = 21) 0.8-2.7x
+/ 1.0-5.7x / 1.2-3.1x.
 
 Precision rule: every number that only prunes or filters is float32, and
 every number that is returned is float64, computed with the full scan's
@@ -243,7 +301,11 @@ class EstimatorConfig:
         return int((self.search_hi - self.search_lo) / self.step + 1e-9) + 1
 
     def grid(self) -> np.ndarray:
-        return self.search_lo + self.step * np.arange(self.size)
+        """search_lo + step*arange(size), bit for bit, built in place."""
+        grid = np.arange(self.size, dtype=float)
+        grid *= self.step
+        grid += self.search_lo
+        return grid
 
 
 @dataclass(frozen=True)
@@ -325,19 +387,30 @@ def _cos_allowance(n: int, pad: float) -> float:
 
 
 def _layout(coef, step, n_pts) -> tuple[float, int, int]:
-    """(cbar, n_u, super-block size in cells) of the module docstring's rule."""
+    """(cbar, n_u, super-block size in cells) of the module docstring's rule.
+
+    A narrowband plan gets n_u >= 4 classes and super-blocks of half-width
+    H <= 2*pi/(n_u*spread), that is k = 2, which makes the mean shrink
+    least for a given comb count: about sqrt(G/2) combs of about sqrt(2*G)
+    cells, fewer and wider than the sqrt(G) rule's, as a visited cell
+    costs one float32 matrix-product column while the bound pass costs N
+    operations a comb.  Each shrink is below 3*pi/n_u + pad <= 3*pi/4 +
+    pad.  The super-blocks are made equal, so the last one is clipped by
+    fewer cells than there are super-blocks."""
     c_max = float(coef.max())
     spread = 0.5 * (c_max - float(coef.min()))
     if 4.0 * math.pi * spread >= c_max:
         # Wideband: contiguous blocks of at most lambda_min/3.
         return 0.0, 1, max(1, int(TWO_PI / (3.0 * c_max * step)))
-    # About sqrt(n_pts) combs, with spread*H = pi/n_u for the super-block
-    # half-width H, so each tooth of a comb spans at most lambda_bar/n_u.
     root = math.sqrt(n_pts)
     if spread == 0.0:
         return c_max, max(3, round(root)), n_pts
-    n_u = max(3, round(min(root, math.sqrt(TWO_PI / (spread * step * root)))))
-    return c_max - spread, n_u, min(n_pts, max(1, int(TWO_PI / (n_u * spread * step))))
+    # E*n_u^2/2 combs for the grid's E = G*spread*step/(2*pi) envelope
+    # periods: sqrt(G/2) at n_u = sqrt(sqrt(2)*2*pi/(spread*step*sqrt(G))).
+    n_u = max(4, round(min(root, math.sqrt(math.sqrt(2.0) * TWO_PI / (spread * step * root)))))
+    size = min(n_pts, max(1, int(2.0 * TWO_PI / (n_u * spread * step))))
+    n_super = -(-n_pts // size)
+    return c_max - spread, n_u, -(-n_pts // n_super)
 
 
 class _Combs(NamedTuple):
@@ -345,7 +418,7 @@ class _Combs(NamedTuple):
 
     table: np.ndarray  # (combs, width) int32 grid indices, each row ascending
     centre_model: np.ndarray  # (N, combs) float64 cm_i
-    shrink: np.ndarray  # (N, combs) float64 s_i
+    shrink: np.ndarray  # (N, 1) float64 s_i, every comb's
     cls: np.ndarray  # (combs,) each comb's carrier class: its row of phasors
     # (combs, N) float64 wrap(c_i*(b - grid[0])), b the comb's super-block's first cell
     base_model: np.ndarray
@@ -381,8 +454,6 @@ def _combs(coef, grid, step, layout=None) -> _Combs:
     first = np.cumsum(counts) - counts
     width = int(counts.max())
     pat = order[first[:, None] + np.minimum(np.arange(width), counts[:, None] - 1)]
-    v_max = np.abs(v)[pat].max(axis=1)
-    x_max = np.abs(x)[pat].max(axis=1)
 
     n_super = -(-n_pts // size)
     # Cell indices, below 2*G, as int32 where they fit: the table is the
@@ -402,8 +473,9 @@ def _combs(coef, grid, step, layout=None) -> _Combs:
     centre_model = _wrap_inplace(coef[:, None, None] * centre[:, None] + u)[:, keep]
     reach = coef.max() * (abs(grid[0]) + abs(grid[-1] - grid[0]) + size * step) + TWO_PI
     pad = 16.0 * np.spacing(reach)
-    shrink = v_max + np.abs(coef - c_bar)[:, None] * x_max + pad
-    shrink = np.broadcast_to(shrink[:, None, :], (coef.size, n_super, classes.size))[:, keep]
+    # The maxima of |v| and |x| over a full super-block: one shrink per
+    # frequency, the same for every comb.
+    shrink = (np.abs(v).max() + np.abs(coef - c_bar) * np.abs(x).max() + pad)[:, None]
     # The factors of the coherent sums: a comb's cells are those of its
     # class in the first super-block, grid[0] + step*p as the grid computes
     # them (also past the end), moved by grid[base_s] - grid[0].
@@ -423,11 +495,9 @@ def _combs(coef, grid, step, layout=None) -> _Combs:
 
 def _bound_arrays(centre_model, shrink) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Float32 cm_i, s_i and 2*pi - s_i, each (N, combs, 1), from the
-    float64 (N, combs) centre model and shrink of :func:`_combs`."""
-    shape = centre_model.shape + (1,)
-    return tuple(
-        np.reshape(a, shape).astype(np.float32) for a in (centre_model, shrink, TWO_PI - shrink)
-    )
+    float64 (N, combs) centre model and shrink; the (N, 1) shrink of
+    :func:`_combs`, one per frequency, gives (N, 1, 1) s_i and 2*pi - s_i."""
+    return tuple(a.astype(np.float32)[:, :, None] for a in (centre_model, shrink, TWO_PI - shrink))
 
 
 def _frequency_groups(n, acc, work=(None, None)):
@@ -566,9 +636,9 @@ class LsSearch:
     ``phasors`` is the float32 (classes, 2N, width) class phasors P_k, or
     None where the combs are narrower than ``_COHERENT_WIDTH``.  A grid of at most
     ``_COS_CELLS`` cells is one comb of every cell and ``bounds`` is None;
-    on a larger one ``bounds`` is the float32 cm_i, s_i and 2*pi - s_i of
-    every comb, each (N, combs, 1).  ``allowance`` is the coherent sums'
-    F.  Building it is the one place for checks that depend on both the
+    on a larger one ``bounds`` is the float32 cm_i (N, combs, 1) and the
+    s_i and 2*pi - s_i every comb shares, each (N, 1, 1).  ``allowance``
+    is the coherent sums' F.  Building it is the one place for checks that depend on both the
     plan and the config: a step above lambda_min/4 warns here, once per
     search.
 

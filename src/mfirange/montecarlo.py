@@ -58,6 +58,8 @@ class CampaignValidationError(ValueError):
 
 # The (SNR index, trial index) suffix of every trial's key hash.
 _SNR_TRIAL = struct.Struct("<qq")
+# A block's trial key words are made this many at a time: 32 KB of digests.
+_KEY_TRIALS = 4096
 
 
 def _key_seed(seed: int) -> int:
@@ -71,24 +73,26 @@ def _key_seed(seed: int) -> int:
 
 def _label_hash(label: str):
     """The blake2b hash of ``label``, the shared prefix of every trial key
-    hash of one plan; :func:`_key_word` extends a copy of it."""
+    hash of one plan; :func:`_key_digest` extends a copy of it."""
     h = hashlib.blake2b(digest_size=8)
     h.update(label.encode("utf-8"))
     return h
 
 
-def _key_word(label_hash, snr_index: int, trial_index: int) -> int:
-    """Second Philox key word of one trial: blake2b(label, snr index, trial
-    index), from a copy of the label's :func:`_label_hash`."""
+def _key_digest(label_hash, snr_index: int, trial_index: int) -> bytes:
+    """blake2b(label, snr index, trial index), from a copy of the label's
+    :func:`_label_hash`: the little-endian bytes of a trial's second Philox
+    key word."""
     h = label_hash.copy()
     h.update(_SNR_TRIAL.pack(snr_index, trial_index))
-    return int.from_bytes(h.digest(), "little")
+    return h.digest()
 
 
 def trial_stream(seed: int, label: str, snr_index: int, trial_index: int) -> np.random.Generator:
     """Counter-keyed generator for one trial of one plan at one SNR: a Philox
     keyed (seed, blake2b(label, snr index, trial index))."""
-    key = [_key_seed(seed), _key_word(_label_hash(label), snr_index, trial_index)]
+    word = _key_digest(_label_hash(label), snr_index, trial_index)
+    key = [_key_seed(seed), int.from_bytes(word, "little")]
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
@@ -101,8 +105,9 @@ class _TrialStreams:
     equal ``trial_stream(seed, label, snr_index, t)``'s bit for bit.
     Building a fresh Philox per trial costs more than the trial's draws,
     so re-keying is kept to two cheap steps per trial.  The label is
-    hashed once per block and each trial's key word comes from a copy of
-    that hash (:func:`_key_word`, which :func:`trial_stream` shares).  The
+    hashed once per block, and each trial's key word is its
+    :func:`_key_digest` from that hash; the digests of up to
+    ``_KEY_TRIALS`` trials become ints in one ``np.frombuffer`` call.  The
     state assigned per trial is one dict, taken from ``Philox.state``
     with its counter and buffer replaced by lists of Python ints, and
     only its key's second word changes: numpy returns them as uint64
@@ -126,10 +131,12 @@ class _TrialStreams:
         state["buffer"] = [0] * 4
         key = state["state"]["key"] = [seed, 0]
         label_hash = _label_hash(label)
-        for t in range(self.trials):
-            key[1] = _key_word(label_hash, snr_index, t)
-            bitgen.state = state
-            yield gen
+        for a in range(0, self.trials, _KEY_TRIALS):
+            trials = range(a, min(a + _KEY_TRIALS, self.trials))
+            digests = b"".join([_key_digest(label_hash, snr_index, t) for t in trials])
+            for key[1] in np.frombuffer(digests, "<u8").tolist():
+                bitgen.state = state
+                yield gen
 
 
 def synth_trial_matrix(

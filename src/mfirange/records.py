@@ -150,7 +150,7 @@ def write_record(path, plan: FrequencyPlan, experiments: Sequence[Experiment]) -
         for key, value in plan_header(plan):
             fh.write(f"# {key} = {value}\n")
         fh.write("# columns: experiment_id,freq_hz,phase_rad[,q0_m]\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         for exp in experiments:
             q0 = [] if exp.q0 is None else [repr(float(exp.q0))]
             phases = np.asarray(exp.phases, dtype=float).tolist()

@@ -631,8 +631,8 @@ class TestBranchAndBound:
         snr_db=st.one_of(st.none(), st.floats(-35.0, 40.0)),
         # lambda_min / step: the step is above lambda_min/3 at 2.9
         cells_per_lambda=st.sampled_from([2.9, 7.0, 25.0, 70.0]),
-        # Short windows are one super-block, with n_u at its floor of 3 up
-        # to 12 cells; longer ones mostly end in a partial super-block, and
+        # Short windows are one super-block, with n_u at its floor of 4 up
+        # to 20 cells; longer ones mostly end in a partial super-block, and
         # coarse steps put n_u at its floor too.
         n_pts=st.one_of(st.integers(2, 30), st.integers(31, 3000), st.integers(3001, 12000)),
         lo=st.floats(-200.0, 200.0),
@@ -716,7 +716,7 @@ class TestBranchAndBound:
     # asserted, so a change of the layout rule cannot empty a case.
     EDGE_WINDOWS = [
         ("rips", 70.0, 150, "one super-block"),
-        ("prime-max", 25.0, 1000, "partial last super-block"),
+        ("prime-max", 25.0, 999, "partial last super-block"),
         ("narrowband", 70.0, 30000, "partial last super-block"),
         ("rips", 70.0, 4, "n_u floor"),
         ("prime-min", 25.0, 20000, "n_u floor"),
@@ -733,10 +733,10 @@ class TestBranchAndBound:
         cfg = EstimatorConfig(-3.1, -3.1 + (n_pts - 0.5) * step, step)
         _, n_u, size = estimator._layout(coef_of(plan), step, n_pts)
         assert {
-            "one super-block": size == n_pts and n_u > 3,
+            "one super-block": size == n_pts and n_u > 4,
             "partial last super-block": n_pts % size != 0 and n_pts > size,
-            "n_u floor": n_u == 3,
-            "step above lambda_min/3": n_u == 3 and step > plan.lambda_min / 3,
+            "n_u floor": n_u == 4,
+            "step above lambda_min/3": n_u == 4 and step > plan.lambda_min / 3,
             "contiguous": n_u == 1,
         }[layout]
         rng = np.random.default_rng(n_pts)
@@ -789,7 +789,8 @@ class TestBranchAndBound:
         c_bar, n_u, size = estimator._layout(coef, step, n_pts)
         layout = estimator._combs(coef, grid, step)
         table, centre, shrink = layout.table, layout.centre_model, layout.shrink
-        assert centre.shape == shrink.shape == (plan.n, table.shape[0])
+        # One shrink per frequency, the same for every comb.
+        assert centre.shape == (plan.n, table.shape[0]) and shrink.shape == (plan.n, 1)
         assert layout.base_model.shape == (table.shape[0], plan.n)
         # Combs narrower than _COHERENT_WIDTH have no class phasors; wider
         # ones have one (2N x width) block per class, each comb's cells
@@ -819,8 +820,15 @@ class TestBranchAndBound:
             assert np.array_equal(table[:, 0], starts)
             assert np.array_equal(last, np.minimum(starts + width, n_pts) - 1)
             return
-        assert c_bar == (coef.max() + coef.min()) / 2 and n_u >= 3
-        assert n_u * (coef.max() - coef.min()) / 2 * size * step <= TWO_PI
+        assert c_bar == (coef.max() + coef.min()) / 2 and n_u >= 4
+        # spread*H <= 2*pi/n_u for the super-block half-width H = size*step/2,
+        # so every shrink is at most 3*pi/n_u + pad <= 3*pi/4 + pad.
+        assert n_u * (coef.max() - coef.min()) / 2 * size * step <= 2 * TWO_PI
+        assert (shrink <= 3 * math.pi / n_u + layout.pad).all()
+        # Equal super-blocks: the last is clipped by fewer cells than there
+        # are super-blocks.
+        n_super = -(-n_pts // size)
+        assert 0 <= n_super * size - n_pts < n_super
         # A comb's cells share one carrier class within 1/(2 n_u) of a cycle.
         sup = table[:, 0] // size
         q_s = grid[0] + step * (sup * size + 0.5 * (size - 1))
@@ -830,10 +838,12 @@ class TestBranchAndBound:
         assert (np.abs(off) <= 0.5 + 1e-9).all()
         # Each tooth spans at most lambda_bar/n_u <= lambda_bar/3 < lambda_min.
         assert TWO_PI / c_bar / n_u < plan.lambda_min
-        # About sqrt(n_pts) combs of about sqrt(n_pts) cells, once the
+        # About sqrt(n_pts/2) combs of about sqrt(2*n_pts) cells, once the
         # grid is wide enough that n_u is not at its floor.
         if n_pts > 10_000:
-            assert 0.5 * math.sqrt(n_pts) <= table.shape[0] <= 2 * math.sqrt(n_pts)
+            root = math.sqrt(n_pts / 2)
+            assert 0.5 * root <= table.shape[0] <= 2 * root
+            assert 0.5 * root <= table.shape[1] / 2 <= 2 * root
 
     # Zero phases on a dyadic grid: the model c_i*q and its wrap are odd in
     # q bit for bit, so cost(-q) == cost(q) exactly and the cells at
@@ -842,10 +852,11 @@ class TestBranchAndBound:
     # steps for the super-block size the layout rule gives.  A "block" in
     # the layout names is a B&B comb.
     TIE_STEP = 2.0**-7
-    TIE_CELLS = {"one block": 200, "two blocks, equal bounds": 1000, "higher comb first": 200}
+    TIE_CELLS = {"one block": 200, "two blocks, equal bounds": 2001, "higher comb first": 200}
     # One super-block centred on 0: both cells sit in the turn-0 class.
     ONE_COMB = lambda size: -99.5  # noqa: E731
-    # A super-block boundary at 0: the two combs mirror each other.
+    # A super-block boundary at 0, between the second and the third of three
+    # full super-blocks: the two combs mirror each other.
     TWO_COMBS = lambda size: 0.5 - 2 * size  # noqa: E731
     # One super-block centred 43 steps up: a class boundary falls between
     # the cells, the +step/2 cell opens the first comb and the -step/2 cell
@@ -1069,7 +1080,7 @@ class TestBranchAndBound:
                 assert (lb <= comb_min).all()
             assert lb.max() > 0.0
             # A term whose shrink is pi or more gives exactly 0.
-            wide = shrink.copy()
+            wide = np.repeat(shrink, table.shape[0], axis=1)
             wide[:, ::2] = np.maximum(wide[:, ::2], math.pi)
             wide[0, 1::2] = math.pi
             lb_wide = estimator._lower_bounds(phases, *estimator._bound_arrays(centre, wide))
@@ -1129,7 +1140,9 @@ class TestCoherentVisit:
         # answers are grid cells, the full scan's: the cell table names the
         # comb's last real cell for every past-the-end column.
         plan, step = PLANS["rips"], 0.01
-        n_pts = 2500
+        # Twelve equal super-blocks of 787 cells: the last ends 11 cells
+        # past the grid's end.
+        n_pts = 9433
         cfg = EstimatorConfig(-3.0, -3.0 + (n_pts - 0.5) * step, step)
         search = estimator.LsSearch(plan, cfg)
         size = estimator._layout(search.coef, step, n_pts)[2]
@@ -1153,7 +1166,7 @@ class TestCoherentVisit:
     # floor(cells_per_lambda / 3) cells wide, 11 and 12 here, on both sides
     # of _COHERENT_WIDTH; and narrowband combs of 12 and 23 cells.
     WIDTHS = [("wideband", 35.0, 3001, 11), ("wideband", 36.5, 3001, 12),
-              ("n128", 7.0, 6001, 12), ("n64", 7.0, 6001, 23)]
+              ("n128", 6.2, 6001, 12), ("n64", 6.5, 6001, 23)]
 
     @pytest.mark.parametrize("label, cells_per_lambda, n_pts, width", WIDTHS)
     def test_combs_on_both_sides_of_the_width_rule(self, label, cells_per_lambda, n_pts, width):
@@ -1192,6 +1205,74 @@ class TestCoherentVisit:
             for k, snr in enumerate([None, -5.0, 14.0, 30.0])
         ])
         _, cost, idx = search.run(phases)
+        ref_cost, ref_idx = full_scan(phases, plan, cfg)
+        assert np.array_equal(cost, ref_cost)
+        assert np.array_equal(idx, ref_idx)
+
+    # (cells, lambda_min / step): windows whose super-blocks have spread*H
+    # between pi/n_u and 2*pi/n_u, on one, 5-6 and 26-91 super-blocks.
+    WIDE_BLOCKS = [(1601, 25.0), (7001, 7.0), (30001, 70.0)]
+
+    @pytest.mark.parametrize("label", sorted(PLANS) + ["replay"])
+    @pytest.mark.parametrize("n_pts, cells_per_lambda", WIDE_BLOCKS)
+    def test_wide_super_blocks_match_full_scan(self, label, n_pts, cells_per_lambda):
+        # The layout rule's super-blocks, wider than spread*H = pi/n_u: random
+        # ranges over the window, noise-free and from -5 to 30 dB.
+        plan = {**PLANS, "replay": REPLAY_PLAN}[label]
+        step = plan.lambda_min / cells_per_lambda
+        cfg = EstimatorConfig(-7.3, -7.3 + (n_pts - 0.5) * step, step)
+        search = estimator.LsSearch(plan, cfg)
+        coef = search.coef
+        _, n_u, size = estimator._layout(coef, step, n_pts)
+        spread = (coef.max() - coef.min()) / 2
+        assert search.bounds is not None and n_u >= 4
+        assert math.pi / n_u < spread * size * step / 2 <= TWO_PI / n_u
+        phases = np.vstack([
+            random_range_phases(plan, cfg, snr, 6, n_pts + k)
+            for k, snr in enumerate([None, -5.0, 0.0, 10.0, 20.0, 30.0])
+        ])
+        _, cost, idx = search.run(phases)
+        ref_cost, ref_idx = full_scan(phases, plan, cfg)
+        assert np.array_equal(cost, ref_cost)
+        assert np.array_equal(idx, ref_idx)
+
+    @pytest.mark.parametrize("k", [1.9, 3.0])
+    def test_near_collapse_layouts_match_full_scan(self, k, monkeypatch):
+        # n_u = 3 with spread*H = k*pi/3: the largest shrink is about (1 +
+        # k)*pi/3, 0.97*pi at k = 1.9 and past pi at k = 3, where the edge
+        # frequencies' bound terms are 0.  The bounds stay below every cell
+        # cost of their combs, the loose bounds leave a larger share of the
+        # combs open than the layout rule's, and the answers stay the full
+        # scan's.
+        plan, cfg = PLANS["rips"], EstimatorConfig(-40.0, 40.0, 0.01)
+        coef, grid, step = coef_of(plan), cfg.grid(), cfg.step
+        spread = 0.5 * (coef.max() - coef.min())
+        layout = (coef.max() - spread, 3, int(k * TWO_PI / (3 * spread * step)))
+        combs = estimator._combs(coef, grid, step, layout)
+        top = combs.shrink.max()
+        assert (0.95 * math.pi < top < math.pi) if k < 2 else (top > math.pi)
+        phases = np.vstack([
+            random_range_phases(plan, cfg, snr, 8, 40 + j)
+            for j, snr in enumerate([None, -5.0, 5.0, 12.0, 30.0])
+        ])
+        lb = estimator._lower_bounds(phases, *estimator._bound_arrays(combs.centre_model, combs.shrink))
+        assert (lb <= kernel_costs(phases, plan, grid)[:, combs.table].min(axis=2)).all()
+        open_pairs = {}  # visited pairs per (trial, comb), by table shape
+        visit = estimator.LsSearch._visit_combs
+
+        def spy(search, ph, rows, *args):
+            share = rows.size / (phases.shape[0] * search.table.shape[0])
+            open_pairs[search.table.shape] = open_pairs.get(search.table.shape, 0) + share
+            visit(search, ph, rows, *args)
+
+        monkeypatch.setattr(estimator.LsSearch, "_visit_combs", spy)
+        rule = estimator.LsSearch(plan, cfg)
+        rule.run(phases)
+        monkeypatch.setattr(estimator, "_layout", lambda *args: layout)
+        loose = estimator.LsSearch(plan, cfg)
+        assert loose.table.shape == combs.table.shape != rule.table.shape
+        _, cost, idx = loose.run(phases)
+        assert open_pairs[loose.table.shape] > open_pairs[rule.table.shape]
         ref_cost, ref_idx = full_scan(phases, plan, cfg)
         assert np.array_equal(cost, ref_cost)
         assert np.array_equal(idx, ref_idx)

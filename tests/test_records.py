@@ -54,6 +54,25 @@ class TestRoundTrip:
             assert np.array_equal(back.phases, orig.phases)
             assert back.q0 == orig.q0
 
+    def test_written_lines_end_in_lf(self, tmp_path, plan):
+        # The reader turns each CR into LF, so a CR LF end reads as a line
+        # and an empty one; a written record ends its lines in LF alone.
+        rng = np.random.Generator(np.random.Philox(key=3))
+        noise = NoiseModel.phase_gaussian(snr_db=10.0)
+        exps = [
+            Experiment(f"e{i}", synth_phases(plan, 0.5 * i, noise, rng).as_array(), q0)
+            for i, q0 in enumerate([1.5, None, -2.25])
+        ]
+        path = make_record(tmp_path, plan, exps)
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
+        assert data.count(b"\n") == 2 + len(plan_header(plan)) + len(exps) * plan.n
+        rec = read_record(path)
+        assert rec.plan == plan
+        assert [e.experiment_id for e in rec.experiments] == ["e0", "e1", "e2"]
+        for orig, back in zip(exps, rec.experiments):
+            assert np.array_equal(back.phases, orig.phases) and back.q0 == orig.q0
+
     def test_optional_ground_truth(self, tmp_path, plan):
         pv = synth_phases(plan, 1.0, NoiseModel.none())
         path = make_record(tmp_path, plan, [Experiment("solo", pv.as_array(), None)])

@@ -25,13 +25,13 @@ sum taken in any order, so :func:`_block_bounds` adds the terms up one
 frequency at a time; a factor sqrt(2) for the two components and
 2 N 2^-24 for the float32 modulus.  So the bound also holds for the
 computed AF values, which :func:`ambiguity_fn` takes in float64.  The
-scan makes two passes: it visits the block of highest bound, then, in one
-batch, every other block whose bound is not below the best value that
-first block gave; a block whose bound is below it holds no point that can
-reach it.  Every visited point is costed by :func:`ambiguity_fn` on its
-own, so its value is the one a full scan computes, and the result (the
-maximum, at the lowest grid location among equal values) is the full
-scan's.
+scan makes two passes: it visits the block of highest bound, then, in
+ascending slices, every other block whose bound is not below the best
+value that first block gave; a block whose bound is below it holds no
+point that can reach it.  Every visited point is costed by
+:func:`ambiguity_fn` on its own, so its value is the one a full scan
+computes, and the result (the maximum, at the lowest grid location among
+equal values) is the full scan's.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ from .core import (
 
 # Points x frequencies per slice of :func:`ambiguity_fn`: each of its
 # complex128 temporaries stays near 512 KB, however many points it is given.
-# A sidelobe-scan block holds at most one slice.
+# A sidelobe-scan block holds at most one slice, and the scan takes its
+# bounds in slices of this many blocks and its visits of this many points.
 _SCAN_ELEMS = 1 << 15
 # A sidelobe scan of more blocks than this is refused before it allocates:
 # the bound pass and the visits took about 0.9 us a block at N = 6
@@ -181,28 +182,33 @@ def _block_bounds(
 ) -> np.ndarray:
     """Upper bound on the computed AF over each block of ``width`` grid points
     of ``lo + step*k``, k < n_pts (the last block may be shorter), with
-    |S| at the block centres in float32 (see the module docstring)."""
-    starts = np.arange(0, n_pts, width)
-    ends = np.minimum(starts + width, n_pts) - 1
-    centres = lo + step * (0.5 * (starts + ends))
-    half = (0.5 * step) * (ends - starts)
-    # The float32 sums are taken one frequency at a time, so the temporaries
-    # are the length of the centre list, not (centres x N).
-    cos_sum = np.zeros(starts.size, np.float32)
-    sin_sum = np.zeros(starts.size, np.float32)
-    phase = np.empty(starts.size)
-    phase32 = np.empty(starts.size, np.float32)
-    term = np.empty(starts.size, np.float32)
-    for f in plan.frequencies:
-        np.multiply(centres, f, out=phase)
-        phase *= TWO_PI / plan.c
-        phase32[:] = _wrap_inplace(phase)
-        cos_sum += np.cos(phase32, out=term)
-        sin_sum += np.sin(phase32, out=term)
-    mag = np.hypot(cos_sum, sin_sum)
+    |S| at the block centres in float32 (see the module docstring).  The
+    blocks are taken in slices of ``_SCAN_ELEMS``, so the temporaries do not
+    grow with the block count; each bound is the same as in one pass."""
     reach = (TWO_PI / plan.c) * plan.frequencies[-1] * (lo + step * (n_pts - 1)) + TWO_PI
     slack = 32.0 * plan.n * np.spacing(reach) + 2.0 * plan.n * (plan.n + 20) * 2.0**-24
-    return np.square((mag + slope * half + slack) / plan.n)
+    bounds = np.empty(-(-n_pts // width))
+    for a in range(0, bounds.size, _SCAN_ELEMS):
+        starts = np.arange(a, min(a + _SCAN_ELEMS, bounds.size)) * width
+        ends = np.minimum(starts + width, n_pts) - 1
+        centres = lo + step * (0.5 * (starts + ends))
+        half = (0.5 * step) * (ends - starts)
+        # The float32 sums are taken one frequency at a time, so the
+        # temporaries are the length of the slice, not (slice x N).
+        cos_sum = np.zeros(starts.size, np.float32)
+        sin_sum = np.zeros(starts.size, np.float32)
+        phase = np.empty(starts.size)
+        phase32 = np.empty(starts.size, np.float32)
+        term = np.empty(starts.size, np.float32)
+        for f in plan.frequencies:
+            np.multiply(centres, f, out=phase)
+            phase *= TWO_PI / plan.c
+            phase32[:] = _wrap_inplace(phase)
+            cos_sum += np.cos(phase32, out=term)
+            sin_sum += np.sin(phase32, out=term)
+        mag = np.hypot(cos_sum, sin_sum)
+        bounds[a : a + starts.size] = np.square((mag + slope * half + slack) / plan.n)
+    return bounds
 
 
 def sidelobe_scan(
@@ -226,9 +232,12 @@ def sidelobe_scan(
     each block of grid points has the bound
     (|S(x_c)| + L*h + slack)^2 / N^2.  The block of highest bound is
     visited first; then every other block whose bound is not below the
-    best value is visited, in ascending order and one batch.  A visited
-    point with a value equal to the best replaces it only if it lies lower,
-    so the result is the full scan's bit for bit.  A grid of more than
+    best value is visited, in ascending slices of about ``_SCAN_ELEMS``
+    points.  A visited point with a value equal to the best replaces it
+    only if it lies lower, so the result is the full scan's bit for bit.
+    The bounds are also taken in slices of ``_SCAN_ELEMS`` blocks, so the
+    scan holds one float64 bound and at most one open-list entry a block
+    beside its slices' temporaries.  A grid of more than
     ``_MAX_SIDELOBE_BLOCKS`` blocks is refused with a ValueError that
     names its point count, before anything is allocated.
     """
@@ -269,8 +278,11 @@ def sidelobe_scan(
     # A block whose bound equals the best value may still tie it lower down.
     open_blocks = np.nonzero(bounds >= best_val)[0]
     open_blocks = open_blocks[open_blocks != top]
-    if open_blocks.size:
-        visit(open_blocks)
+    # Slices of about _SCAN_ELEMS points: the temporaries do not grow with
+    # the open blocks.
+    per_slice = max(1, _SCAN_ELEMS // width)
+    for a in range(0, open_blocks.size, per_slice):
+        visit(open_blocks[a : a + per_slice])
     return SidelobePeak(value=best_val, location=lo + step * best_k)
 
 

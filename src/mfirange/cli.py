@@ -467,14 +467,14 @@ def cmd_replay(args) -> int:
     cfg = _estimator_config(args)
     exps = record.experiments
     phases = np.array([e.phases for e in exps]).reshape(-1, plan.n)
-    q_hat, cost, _ = ls_estimate_batch(phases, plan, cfg)
+    est = ls_estimate_batch(phases, plan, cfg)
     q0s = [e.q0 for e in exps]
     q0 = np.array([np.nan if q is None else q for q in q0s])
     known = ~np.isnan(q0)
-    err = q_hat - q0
+    err = est.q_hat - q0
     # The error and unwrap_ok cells of an experiment without q0 are empty.
     errs = err.tolist()
-    oks = unwrap_ok(q_hat, q0, plan).astype(int).tolist()
+    oks = unwrap_ok(est.q_hat, q0, plan).astype(int).tolist()
     for t in np.flatnonzero(~known).tolist():
         errs[t] = oks[t] = None
     out = Path(args.out)
@@ -484,7 +484,10 @@ def cmd_replay(args) -> int:
     write_table(
         path,
         ["experiment_id", "q_hat_m", "q0_m", "error_m", "unwrap_ok", "cost_at_min"],
-        zip([e.experiment_id for e in exps], q_hat.tolist(), q0s, errs, oks, cost.tolist()),
+        zip(
+            [e.experiment_id for e in exps], est.q_hat.tolist(), q0s, errs, oks,
+            est.cost_at_min.tolist(),
+        ),
         args.format,
     )
     print(f"wrote {path}")

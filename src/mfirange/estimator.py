@@ -51,12 +51,10 @@ c_max, that is B/f_max < 1/(2*pi)) gets spread*H <= 2*pi/n_u and
 
 about sqrt(G/2) combs of about sqrt(2*G) cells (125-130 combs of 234-249
 cells on the ``campaign-pf`` grid), each shrink at most 3*pi/n_u + pad
-<= 3*pi/4 + pad.  The sqrt(G) rule before it (k = 1, n_u >= 3, sqrt(G)
-combs of sqrt(G) cells) balanced the bound pass against a visit of about
-seven float32 passes a cell.  The measured trade-off is below.  The
-super-blocks are made equal, as many as the rule's half-width needs, so
-the last one is clipped by fewer cells than there are super-blocks.  A
-clipped super-block keeps the full one's centre and maxima, so its bound
+<= 3*pi/4 + pad.  The measured trade-off is below.  The super-blocks are
+made equal, as many as the rule's half-width needs, so the last one is
+clipped by fewer cells than there are super-blocks.  A clipped
+super-block keeps the full one's centre and maxima, so its bound
 also covers ranges past the grid's end; on a window one UMR long those
 alias ranges at its start, and a comb of a few real cells got a bound of
 0 for trials there, whose second pass then visited nearly every comb.
@@ -116,7 +114,8 @@ on a 2-vCPU x86-64 machine, every output equal bit for bit).
 ``LsSearch.run`` with other (n_u, k) layouts, each with equal
 super-blocks and one shrink per frequency, 11 interleaved rounds in one
 process, in time relative to this rule; n_u0 is the class count of the
-sqrt(G) rule, 4 on the N = 21 windows and 3 on the N = 31 ones:
+sqrt(G) rule (k = 1, n_u >= 3, sqrt(G) combs of sqrt(G) cells), 4 on the
+N = 21 windows and 3 on the N = 31 ones:
 
     layout            pf    20 dB  0 dB  -5 dB  N = 31  100 001  far
     (n_u0, 1)         1.13  1.44   1.02  0.95   1.32    1.09     1.08
@@ -131,12 +130,7 @@ random ranges over that window at 20 dB and 200 at 0 and -5 dB; the N =
 at 13 dB on 100 001 cells; and the far-cluster shape (N = 31, 500 001
 cells at 0.05 m, 100 trials at 14 dB).  No layout in the table is faster
 on every column: a looser one loses 1.2x at 0 and -5 dB, a tighter one
-at high SNR.  ``run`` against the parent commit's search (the sqrt(G)
-rule and one shrink per comb), 9 rounds: the ``campaign-pf`` blocks
-1.34x (161 -> 125 combs); the random ranges at 11 / 20 / 30 / 0 / -5 dB
-1.60 / 1.53 / 1.33 / 1.08 / 1.14x; 3601 / 9601 / 100 001 cells at 13 dB
-1.48 / 1.57 / 1.20x; the N = 31 plan 1.70x; the far-cluster shape
-1.37x (15 153 -> 13 516 combs).
+at high SNR.
 
 ``LsSearch.run`` on the uniform N = 21 plan, 2000 trials with random
 ranges in the window at 13 / 20 dB, refine off, ran on one comb at 1.6 /
@@ -308,12 +302,14 @@ class EstimatorConfig:
         return grid
 
 
-@dataclass(frozen=True)
-class Estimate:
-    q_hat: float
-    cost_at_min: float
-    grid_index: int
-    refined: bool
+class Estimate(NamedTuple):
+    """An LS search's answer per phase vector: q_hat, its cost
+    (:func:`ls_cost` at q_hat) and the index of the grid minimum; arrays
+    for a block, Python scalars from :func:`ls_estimate`."""
+
+    q_hat: np.ndarray | float
+    cost_at_min: np.ndarray | float
+    grid_index: np.ndarray | int
 
 
 def _phases_array(phases) -> np.ndarray:
@@ -692,9 +688,9 @@ class LsSearch:
         index, when the config sets ``refine``."""
         return self.cfg.refine & (grid_index > 0) & (grid_index < self.grid.size - 1)
 
-    def run(self, phases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(q_hat, cost_at_min, grid_index) arrays for a (trials x N)
-        block of finite phase vectors.
+    def run(self, phases) -> Estimate:
+        """The :class:`Estimate` of a (trials x N) block of finite phase
+        vectors, each field an array of one entry per trial.
 
         The block is checked once, then searched in slices of
         ``self.slice`` trials, each copied into one buffer and wrapped to
@@ -742,7 +738,7 @@ class LsSearch:
                 del lb
                 self._visit_combs(ph, rows, combs, c, i, work)
             self._refine(ph, q_hat[a:b], c, i, work)
-        return q_hat, cost, idx
+        return Estimate(q_hat, cost, idx)
 
     def _visit_combs(self, ph, rows, combs, cost, idx, work, first=False) -> None:
         """Visit comb ``combs[p]`` for trial ``rows[p]`` of one slice's
@@ -824,10 +820,10 @@ _search = functools.lru_cache(maxsize=1)(LsSearch)
 
 def ls_estimate_batch(
     phases: np.ndarray, plan: FrequencyPlan, cfg: EstimatorConfig, workers: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid-search estimates for a (trials x N) block of phase vectors:
-    ``LsSearch(plan, cfg).run(phases)``, reusing the search of the last
-    (plan, cfg).
+) -> Estimate:
+    """The :class:`Estimate` arrays of a (trials x N) block of phase
+    vectors: ``LsSearch(plan, cfg).run(phases)``, reusing the search of the
+    last (plan, cfg).
 
     ``workers`` is ignored; it stays until the benchmark scripts under
     ``perfbench/`` stop passing it.
@@ -846,8 +842,9 @@ def batch_slice(plan: FrequencyPlan, cfg: EstimatorConfig) -> int:
 
 
 def ls_estimate(phases, plan: FrequencyPlan, cfg: EstimatorConfig) -> Estimate:
-    """Grid argmin of :func:`ls_cost` over the configured window, for one
-    phase vector.
+    """The :class:`Estimate` of one phase vector, the grid argmin of
+    :func:`ls_cost` over the configured window: the one-row view of
+    :meth:`LsSearch.run`, with a Python ``float``, ``float`` and ``int``.
 
     Ties break toward the smallest range; optional parabolic refinement is
     off by default to match a pure grid search.  ``phases`` must be one
@@ -857,14 +854,7 @@ def ls_estimate(phases, plan: FrequencyPlan, cfg: EstimatorConfig) -> Estimate:
     if ph.shape != (plan.n,):
         got = f"{ph.size} phases" if ph.ndim == 1 else f"shape {ph.shape}"
         raise ValueError(f"phase vector has {got}, but the plan has {plan.n} frequencies")
-    search = _search(plan, cfg)
-    q_hat, cost, idx = search.run(ph[None, :])
-    return Estimate(
-        q_hat=float(q_hat[0]),
-        cost_at_min=float(cost[0]),
-        grid_index=int(idx[0]),
-        refined=bool(search.refines(idx)[0]),
-    )
+    return Estimate._make(x.item() for x in _search(plan, cfg).run(ph[None, :]))
 
 
 # Rounding allowance of unwrap_ok, in ulps of max(|q_hat|, |q0|).

@@ -5,7 +5,8 @@ count, the seed and one :class:`~mfirange.estimator.EstimatorConfig`.
 Every campaign runs one loop, :func:`run_campaign`: per (plan, SNR
 index) it synthesizes one (trials x N) phase block with
 :func:`synth_trial_matrix`, and estimates the blocks under
-``spec.estimator`` with :func:`~mfirange.estimator.ls_estimate_batch`.
+``spec.estimator`` with :func:`~mfirange.estimator.ls_estimate_batch`,
+whose :class:`~mfirange.estimator.Estimate` gives each trial's q_hat.
 The SNRs of a plan run back to back, so they share one
 :class:`~mfirange.estimator.LsSearch`, and consecutive blocks smaller
 than its slice (:func:`~mfirange.estimator.batch_slice`) share one call
@@ -295,7 +296,7 @@ def run_campaign(
                 for si in snrs
             ]
             stacked = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-            q_hat, _, _ = ls_estimate_batch(stacked, plan, spec.estimator)
+            q_hat = ls_estimate_batch(stacked, plan, spec.estimator).q_hat
             # Only ``blocks`` outlives this call (a for loop's names would
             # keep its last block), so the next call's search holds none.
             del stacked

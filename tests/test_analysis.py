@@ -496,6 +496,50 @@ class TestSidelobeBranchAndBound:
             tracemalloc.stop()
         assert peak <= 96 * blocks + 40 * analysis._SCAN_ELEMS, (peak, blocks)
 
+    @pytest.mark.parametrize("elems", [64, 256])
+    def test_sliced_passes_match_full_scan(self, monkeypatch, elems):
+        # Two clusters of three frequencies: AF stays near 1 for a long way,
+        # so many blocks stay open.  With _SCAN_ELEMS this small both the
+        # bound pass and the visit of the open blocks take several slices.
+        plan = FrequencyPlan(f1=400e6, resolution=1e5, spacings=(1, 1, 196, 1, 1), c=C_PAPER)
+        whole = analysis._SCAN_ELEMS
+        monkeypatch.setattr(analysis, "_SCAN_ELEMS", elems)
+        lo, step, n_pts, slope, width = _scan_geometry(plan)
+        assert 3 * elems < -(-n_pts // width) <= whole
+        sliced = analysis._block_bounds(plan, lo, step, n_pts, width, slope)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_SCAN_ELEMS", whole)  # every block in one slice
+            one_pass = analysis._block_bounds(plan, lo, step, n_pts, width, slope)
+        assert np.array_equal(sliced, one_pass)
+        seen = []
+        exact = analysis.ambiguity_fn
+
+        def spy(plan, dq):
+            seen.append(np.size(dq))
+            return exact(plan, dq)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "ambiguity_fn", spy)
+            got = sidelobe_scan(plan)
+        assert len(seen) > 3 and max(seen) <= elems
+        assert _bits(got) == _bits(_reference_sidelobe_scan(plan))
+
+    def test_scan_memory_does_not_grow_with_the_blocks(self):
+        # 763 633 blocks of 55 points, about 3.5 million of them in open
+        # blocks: taken in one pass they peaked at 92 MB traced.  The bound
+        # array (8 bytes a block) and the open block list are all that grow.
+        plan = FrequencyPlan(f1=400e6, resolution=100.0, spacings=(1, 1, 199996, 1, 1), c=C_PAPER)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = sidelobe_scan(plan)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
+        # The one-pass scan's answer, bit for bit.
+        assert _bits(got) == ("0.9999999983550661", "15.0")
+
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(case=scan_cases(), cells=st.one_of(st.just(1), st.integers(2, 400)))
     def test_bound_covers_its_block(self, case, cells):

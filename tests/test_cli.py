@@ -596,7 +596,12 @@ class TestEstimateReplay:
         record = read_record(rec)
         exp = next(e for e in record.experiments if e.experiment_id == "e2")
         est = ls_estimate(exp.phases, record.plan, EstimatorConfig(10.0, 30.0, 0.002))
+        assert [type(x) for x in est] == [float, float, int]
         assert out == f"q_hat_m = {est.q_hat!r}\ncost_at_min = {est.cost_at_min!r}\n"
+        # Plain float literals: a numpy scalar would print as np.float64(...).
+        for line in out.splitlines():
+            value = line.split(" = ")[1]
+            assert repr(float(value)) == value
         assert run_cli(*argv, "--experiment", "e9") == 2
         assert capsys.readouterr().err == "error: record: experiment 'e9' not found\n"
 

@@ -156,10 +156,11 @@ class TestLsCost:
 class TestLsEstimate:
     def test_exact_recovery_on_grid(self, plan21):
         pv = synth_phases(plan21, 12.34, NoiseModel.none())
-        est = ls_estimate(pv, plan21, EstimatorConfig(-150.0, 150.0, 0.01))
+        cfg = EstimatorConfig(-150.0, 150.0, 0.01)
+        est = ls_estimate(pv, plan21, cfg)
         assert est.q_hat == pytest.approx(12.34, abs=1e-9)
         assert est.cost_at_min <= 1e-20
-        assert not est.refined
+        assert not estimator.LsSearch(plan21, cfg).refines(est.grid_index)
 
     def test_protocol_window(self, plan21):
         # Search from -c/(2 df) to +c/(2 df) with df the uniform spacing.
@@ -239,13 +240,24 @@ class TestLsEstimate:
     def test_refinement_recovers_off_grid_truth(self, plan21):
         pv = synth_phases(plan21, 0.123456, NoiseModel.none())
         coarse = ls_estimate(pv, plan21, EstimatorConfig(-1.0, 1.0, 0.01))
-        fine = ls_estimate(pv, plan21, EstimatorConfig(-1.0, 1.0, 0.01, refine=True))
+        cfg = EstimatorConfig(-1.0, 1.0, 0.01, refine=True)
+        fine = ls_estimate(pv, plan21, cfg)
         assert abs(coarse.q_hat - 0.123456) <= 0.005
-        assert fine.refined
+        assert estimator.LsSearch(plan21, cfg).refines(fine.grid_index)
         assert fine.q_hat == pytest.approx(0.123456, abs=1e-6)
 
 
 class TestBatch:
+    def test_every_search_returns_an_estimate(self, plan21):
+        cfg = EstimatorConfig(-2.0, 2.0, 0.01)
+        noise = NoiseModel.phase_gaussian(snr_db=15.0)
+        phases = synth_trial_matrix(plan21, 0.456, noise, 7, "batch", 0, 3)
+        search = estimator.LsSearch(plan21, cfg)
+        for est in (search.run(phases), ls_estimate_batch(phases, plan21, cfg)):
+            assert type(est) is estimator.Estimate
+            assert [x.dtype for x in est] == [np.float64, np.float64, np.int64]
+        assert type(ls_estimate(phases[0], plan21, cfg)) is estimator.Estimate
+
     def test_matches_scalar_path(self, plan21):
         cfg = EstimatorConfig(-2.0, 2.0, 0.01)
         phases = synth_trial_matrix(
@@ -371,7 +383,7 @@ class TestSlices:
         for t in range(phases.shape[0]):
             est = ls_estimate(phases[t], plan21, self.CFG)
             assert (est.q_hat, est.cost_at_min, est.grid_index) == (q[t], cost[t], idx[t])
-            assert est.refined == refined[t]
+            assert search.refines(est.grid_index) == refined[t]
         ref_cost, ref_idx = full_scan(phases, plan21, self.CFG)
         assert np.array_equal(idx, ref_idx)
         assert np.array_equal(cost[~refined], ref_cost[~refined])
